@@ -7,12 +7,12 @@ of infinity simply means that component never governs that parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic_ext import minimal_k
 from .errors import (ExcludedCase, InvalidParams, SporadicCase, TieCase)
-from .padic_core import ExtRational, ext_min
+from .padic_core import ExtRational
 
 INF = ExtRational.infinity()
 

@@ -34,7 +34,7 @@ from .mazur_tate import (ingest_modular_symbols, synthesize_queue,
 from .padic_core import ExtRational
 from .selfcheck import run_selfcheck
 from .sharp_flat import (decompose_sequence, recompose, special_value_check,
-                         stabilized_invariants, vector_vanishing_orders)
+                         stabilized_invariants)
 
 
 def _sha256_bytes(data):

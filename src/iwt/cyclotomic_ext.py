@@ -16,30 +16,13 @@ zeros raise PrecisionExhausted.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (InvalidK, OutOfRange, PrecisionExhausted, RingMismatch,
                      ZeroInput)
-from .iwasawa_algebra import LambdaElement, cyclotomic_phi
-from .padic_core import ExtRational, PadicInt, ValMatrix
-from .polyops import poly_mul, poly_trim
-
-
-@lru_cache(maxsize=None)
-def _eisenstein_modulus(p, j, modulus):
-    """Coefficients of E(X) = Phi_{p^j}(1+X) mod p^M (monic, degree d)."""
-    import math
-    step = p ** (j - 1)
-    deg = step * (p - 1)
-    out = [0] * (deg + 1)
-    for k in range(p):
-        e = k * step
-        c = 1
-        for t in range(e + 1):
-            out[t] = (out[t] + c) % modulus
-            c = c * (e - t) // (t + 1)
-    assert out[deg] % modulus == 1
-    return tuple(out)
+from .iwasawa_algebra import _phi_coeffs
+from .logmatrix import LambdaMatrix
+from .padic_core import ExtRational, PadicInt, ValMatrix, val_p
+from .polyops import poly_divmod_monic, poly_mul
 
 
 class EisensteinElement:
@@ -170,7 +153,7 @@ class EisensteinElement:
     def mul_by_pi(self):
         """Multiply by the uniformizer; O(d)."""
         mod = self.modulus
-        E = _eisenstein_modulus(self.p, self.j, mod)
+        E = _phi_coeffs(self.p, self.j, mod)
         top = self.coeffs[-1]
         shifted = [0] + list(self.coeffs[:-1])
         if top:
@@ -184,10 +167,9 @@ class EisensteinElement:
         """(value, exact): the Newton minimum, or (M, False) if all residues vanish."""
         best = None
         for t, c in enumerate(self.coeffs):
-            pc = PadicInt(self.p, c, self.precision)
-            if pc.is_zero():
+            if c == 0:
                 continue
-            v = Fraction(pc.valuation()) + Fraction(t, self.degree)
+            v = Fraction(val_p(c, self.p)) + Fraction(t, self.degree)
             if best is None or v < best:
                 best = v
         if best is None:
@@ -210,8 +192,7 @@ class EisensteinElement:
 
 
 def _reduce_mod_eisenstein(coeffs, p, j, modulus):
-    from .polyops import poly_divmod_monic
-    _, rem = poly_divmod_monic(coeffs, list(_eisenstein_modulus(p, j, modulus)), modulus)
+    _, rem = poly_divmod_monic(coeffs, list(_phi_coeffs(p, j, modulus)), modulus)
     return rem
 
 
@@ -247,24 +228,14 @@ def eisenstein_h_step(a, i, j, eps_p):
     return ((a, one), ((-eps_p) * phi, EisensteinElement.zero(p, j, precision)))
 
 
-def _mat_mul(A, B):
-    out = []
-    for i in range(2):
-        row = []
-        for k in range(2):
-            row.append(A[i][0] * B[0][k] + A[i][1] * B[1][k])
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def h_matrix(a, m, j, eps_p=1):
     """The exact product of the first m step matrices at T = zeta_{p^j} - 1."""
     if m < 1:
         raise OutOfRange("m must be >= 1")
-    acc = eisenstein_h_step(a, 1, j, eps_p)
+    acc = LambdaMatrix(eisenstein_h_step(a, 1, j, eps_p))
     for i in range(2, m + 1):
-        acc = _mat_mul(acc, eisenstein_h_step(a, i, j, eps_p))
-    return acc
+        acc = acc @ LambdaMatrix(eisenstein_h_step(a, i, j, eps_p))
+    return acc.entries
 
 
 def h_matrix_valuations(a, m, j, eps_p=1):

@@ -45,6 +45,10 @@ class PrecisionExhausted(IwtError):
     """Result cannot be separated from zero at the working precision."""
 
 
+class PrecisionMismatch(IwtError):
+    """Operands are known to different p-adic precisions."""
+
+
 class RingMismatch(IwtError):
     """Eisenstein-ring operands live in different rings."""
 

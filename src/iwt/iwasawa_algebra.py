@@ -15,14 +15,13 @@ exponent coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (LevelMismatch, MixedPrime, OutOfRange,
-                     PrecisionExhausted, ZeroInput)
-from .padic_core import ExtRational, PadicInt
+from .errors import (LevelMismatch, MixedPrime, NotAUnit, OutOfRange,
+                     PrecisionExhausted, PrecisionMismatch, ZeroInput)
+from .padic_core import ExtRational, PadicInt, val_p
 from .polyops import (poly_add, poly_divide_exact, poly_divmod_monic,
                       poly_mul, poly_scale, poly_sub, poly_trim)
 
@@ -42,7 +41,7 @@ class FormParams:
 
     def __post_init__(self):
         if self.eps_p % self.p == 0:
-            raise ValueError("eps_p must be a unit")
+            raise NotAUnit(f"eps_p={self.eps_p} is divisible by {self.p}")
 
     @property
     def modulus(self):
@@ -52,11 +51,7 @@ class FormParams:
         """ord_p(ap) as an extended rational (infinity when ap = 0)."""
         if self.ap == 0:
             return ExtRational.infinity()
-        e, r = 0, abs(self.ap)
-        while r % self.p == 0:
-            r //= self.p
-            e += 1
-        return ExtRational(e)
+        return ExtRational(val_p(self.ap, self.p))
 
 
 @dataclass(frozen=True)
@@ -69,23 +64,27 @@ class IwasawaInvariants:
         return (self.mu, self.lam)
 
 
-@lru_cache(maxsize=None)
-def _reduction_poly(p, n, modulus):
-    # canonical representative of T^(p^n): -sum_{1<=k<p^n} C(p^n, k) T^k
-    size = p ** n
-    out = [0] * size
-    for k in range(1, size):
-        out[k] = (-math.comb(size, k)) % modulus
-    return tuple(out)
+def _binomial_row(e, modulus):
+    """[C(e, j) mod modulus for j = 0..e], by the exact recurrence."""
+    out, c = [], 1
+    for j in range(e + 1):
+        out.append(c % modulus)
+        c = c * (e - j) // (j + 1)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _modulus_poly(p, n, modulus):
     # (1+T)^(p^n) - 1, the defining relation at level n
-    size = p ** n
-    out = [math.comb(size, k) % modulus for k in range(size + 1)]
+    out = _binomial_row(p ** n, modulus)
     out[0] = 0
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _reduction_poly(p, n, modulus):
+    # canonical representative of T^(p^n): -sum_{1<=k<p^n} C(p^n, k) T^k
+    return tuple(-c % modulus for c in _modulus_poly(p, n, modulus)[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +105,9 @@ class LambdaElement:
     __slots__ = ("p", "level", "precision", "coeffs")
 
     def __init__(self, p, level, precision, coeffs):
+        if level < 0 or precision < 1:
+            raise OutOfRange(f"need level >= 0 and precision >= 1, "
+                             f"got n={level}, M={precision}")
         size = p ** level
         modulus = p ** precision
         coeffs = [c % modulus for c in coeffs]
@@ -141,13 +143,7 @@ class LambdaElement:
     @classmethod
     def unit_power(cls, p, level, precision, s):
         """(1+T)^s in the quotient ring; s may be any integer."""
-        s %= p ** level
-        modulus = p ** precision
-        coeffs, c = [], 1
-        for j in range(s + 1):
-            coeffs.append(c % modulus)
-            c = c * (s - j) // (j + 1)
-        return cls(p, level, precision, coeffs)
+        return cls(p, level, precision, _binomial_row(s % p ** level, p ** precision))
 
     @classmethod
     def from_unit_basis(cls, p, level, precision, unit_coeffs):
@@ -173,9 +169,6 @@ class LambdaElement:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
-
-    def coefficient(self, i):
-        return PadicInt(self.p, self.coeffs[i], self.precision)
 
     def at_zero(self):
         """Value of the canonical representative at T = 0."""
@@ -208,7 +201,7 @@ class LambdaElement:
         if self.level != other.level:
             raise LevelMismatch(f"levels {self.level} and {other.level}")
         if self.precision != other.precision:
-            raise ValueError("operands have different precision")
+            raise PrecisionMismatch(f"precisions {self.precision} and {other.precision}")
 
     def __add__(self, other):
         if not isinstance(other, LambdaElement):
@@ -270,7 +263,7 @@ def _reduce(coeffs, p, level, modulus):
         coeffs = poly_trim(poly_add(low, poly_mul(high, rep, modulus), modulus))
         rounds += 1
         if rounds > 8 * 64:  # precision is bounded well below this
-            raise RuntimeError("ring reduction failed to terminate")
+            raise PrecisionExhausted("ring reduction failed to terminate")
     return coeffs
 
 
@@ -308,14 +301,10 @@ def lift_nu(x):
 def _phi_coeffs(p, i, modulus):
     # Phi_{p^i}(1+T) = sum_{k<p} (1+T)^(k p^(i-1)), degree p^(i-1)(p-1)
     step = p ** (i - 1)
-    deg = step * (p - 1)
-    out = [0] * (deg + 1)
+    out = [0] * (step * (p - 1) + 1)
     for k in range(p):
-        e = k * step
-        c = 1
-        for j in range(e + 1):
+        for j, c in enumerate(_binomial_row(k * step, modulus)):
             out[j] = (out[j] + c) % modulus
-            c = c * (e - j) // (j + 1)
     return tuple(out)
 
 
@@ -328,16 +317,17 @@ def cyclotomic_phi(p, i, level, precision, hatted=False):
     """Phi_{p^i}(1+T) in the level-n ring; completed variant on request.
 
     The completed variant divides by (1+T)^e with e = p^(i-1)(p-1)/2,
-    realized as multiplication by (1+T)^(p^n - e); for p = 2, i = 1 the
-    two variants coincide.
+    realized as multiplication by (1+T)^(p^n - e); for p = 2, i = 1,
+    e = 0 and the two variants coincide.
     """
     if not 1 <= i <= level:
         raise OutOfRange(f"need 1 <= i <= n, got i={i}, n={level}")
     modulus = p ** precision
     phi = LambdaElement(p, level, precision, list(_phi_coeffs(p, i, modulus)))
-    if not hatted or (p == 2 and i == 1):
+    e = half_twist_exponent(p, i) if hatted else 0
+    if not e:
         return phi
-    return phi * LambdaElement.unit_power(p, level, precision, -half_twist_exponent(p, i))
+    return phi * LambdaElement.unit_power(p, level, precision, -e)
 
 
 def exact_divide_by_phi(x, i, hatted=False):
@@ -352,9 +342,9 @@ def exact_divide_by_phi(x, i, hatted=False):
     quot = poly_divide_exact(list(x.coeffs), list(_phi_coeffs(x.p, i, x.modulus)),
                              x.modulus, what=f"division by Phi_{{p^{i}}}")
     out = LambdaElement(x.p, x.level, x.precision, quot)
-    if hatted and not (x.p == 2 and i == 1):
-        out = out * LambdaElement.unit_power(x.p, x.level, x.precision,
-                                             half_twist_exponent(x.p, i))
+    e = half_twist_exponent(x.p, i) if hatted else 0
+    if e:
+        out = out * LambdaElement.unit_power(x.p, x.level, x.precision, e)
     return out
 
 
@@ -388,11 +378,10 @@ def vanishing_order(x, m):
 def iwasawa_invariants(x):
     """mu = least coefficient valuation, lambda = first index attaining it."""
     best_mu, best_idx = None, None
-    for idx in range(len(x.coeffs)):
-        c = x.coefficient(idx)
-        if c.is_zero():
+    for idx, c in enumerate(x.coeffs):
+        if c == 0:
             continue
-        v = c.valuation()
+        v = val_p(c, x.p)
         if best_mu is None or v < best_mu:
             best_mu, best_idx = v, idx
     if best_mu is None:
@@ -404,15 +393,14 @@ def newton_vr(x, s):
     """min_i (val(c_i) + i*s): the polygon value at radius p^(-s), s > 0."""
     s = Fraction(s)
     if s <= 0:
-        raise ValueError("s must be positive")
+        raise OutOfRange(f"s must be positive, got {s}")
     if x.is_zero():
         raise ZeroInput("Newton valuation of 0 is undefined at finite precision")
     best = None
-    for i in range(len(x.coeffs)):
-        c = x.coefficient(i)
-        if c.is_zero():
+    for i, c in enumerate(x.coeffs):
+        if c == 0:
             continue
-        v = Fraction(c.valuation()) + i * s
+        v = Fraction(val_p(c, x.p)) + i * s
         if best is None or v < best:
             best = v
     if best >= x.precision:

@@ -8,25 +8,21 @@ half-logarithm data with its unit factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .errors import OutOfRange, ZeroInput
-from .iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
+from .errors import OutOfRange
+from .iwasawa_algebra import (LambdaElement, _modulus_poly, cyclotomic_phi,
                               half_twist_exponent, newton_vr,
                               substitute_inverse)
-from .padic_core import INF, ExtRational, ValMatrix
-
-# matrix families, keyed by the entry carrying the cyclotomic polynomial
-FAMILIES = ("CCC", "CCC-hat", "CC-hat", "C", "A", "A-tilde")
+from .padic_core import INF, ValMatrix
+from .polyops import poly_mul, poly_sub, poly_trim
 
 
 @dataclass(frozen=True)
 class LambdaMatrix:
-    """2x2 matrix of group-algebra elements with a family tag."""
+    """2x2 matrix over a commutative ring: group-algebra or Eisenstein elements."""
 
     entries: tuple
-    tag: str = ""
 
     def __getitem__(self, idx):
         return self.entries[idx[0]][idx[1]]
@@ -39,11 +35,7 @@ class LambdaMatrix:
             for k in range(2):
                 row.append(a[i][0] * b[0][k] + a[i][1] * b[1][k])
             out.append(tuple(row))
-        return LambdaMatrix(tuple(out), tag=f"{self.tag}*{other.tag}")
-
-    def det(self):
-        a = self.entries
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        return LambdaMatrix(tuple(out))
 
     def vec_mul(self, vec):
         """(x, y) . self, the row-vector action used by decompositions."""
@@ -52,8 +44,7 @@ class LambdaMatrix:
         return (x * a[0][0] + y * a[1][0], x * a[0][1] + y * a[1][1])
 
     def map_entries(self, fn):
-        return LambdaMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries),
-                            tag=self.tag)
+        return LambdaMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, LambdaMatrix):
@@ -81,14 +72,14 @@ def make_matrix(family, params, level, i=None):
             entries = ((ap, phi), (meps, zero))
         else:
             entries = ((ap, one), (meps * phi, zero))
-        return LambdaMatrix(entries, tag=f"{family}_{i}")
+        return LambdaMatrix(entries)
     if family == "C":
-        return LambdaMatrix(((ap, one), (meps * p, zero)), tag="C")
+        return LambdaMatrix(((ap, one), (meps * p, zero)))
     if family == "A":
         pconst = LambdaElement.constant(p, level, M, p)
-        return LambdaMatrix(((ap, pconst), (meps, zero)), tag="A")
+        return LambdaMatrix(((ap, pconst), (meps, zero)))
     if family == "A-tilde":
-        return LambdaMatrix(((ap, one), (meps, zero)), tag="A-tilde")
+        return LambdaMatrix(((ap, one), (meps, zero)))
     raise OutOfRange(f"unknown family {family!r}")
 
 
@@ -100,7 +91,7 @@ def a_tilde_inverse(params, level):
     one = LambdaElement.one(p, level, M)
     m_eps_inv = LambdaElement.constant(p, level, M, -eps_inv)
     ap_eps_inv = LambdaElement.constant(p, level, M, params.ap * eps_inv)
-    return LambdaMatrix(((zero, m_eps_inv), (one, ap_eps_inv)), tag="A-tilde^-1")
+    return LambdaMatrix(((zero, m_eps_inv), (one, ap_eps_inv)))
 
 
 def log_truncation(params, level, hatted=False):
@@ -111,7 +102,7 @@ def log_truncation(params, level, hatted=False):
     acc = make_matrix(family, params, level, 1)
     for i in range(2, level + 1):
         acc = acc @ make_matrix(family, params, level, i)
-    return LambdaMatrix(acc.entries, tag=f"log[{level}]" + ("^" if hatted else ""))
+    return acc
 
 
 def valuation_matrix_at(mat, s):
@@ -128,8 +119,6 @@ def det_identity_check(params, level):
     canonical representatives ARE the polynomial entries; the determinant
     is formed without the ring relation and compared coefficientwise.
     """
-    import math
-    from .polyops import poly_mul, poly_sub, poly_trim
     p, M = params.p, params.precision
     modulus = p ** M
     prod = log_truncation(params, level)
@@ -139,9 +128,7 @@ def det_identity_check(params, level):
     det = poly_sub(d1, d2, modulus)
     lhs = poly_trim(poly_mul([0, 1], det, modulus))
     eps_n = pow(params.eps_p, level, modulus)
-    rhs = [(eps_n * math.comb(p ** level, k)) % modulus
-           for k in range(p ** level + 1)]
-    rhs[0] = 0
+    rhs = [eps_n * c % modulus for c in _modulus_poly(p, level, modulus)]
     return lhs == poly_trim(rhs)
 
 
@@ -219,8 +206,7 @@ def half_logs(p, level, eps_p, precision):
         return acc
 
     def u_factor(indices):
-        e = sum(half_twist_exponent(p, i) for i in indices
-                if not (p == 2 and i == 1))
+        e = sum(half_twist_exponent(p, i) for i in indices)
         return LambdaElement.unit_power(p, level, precision, -e)
 
     def w_factor(indices):

@@ -1,10 +1,12 @@
 """Modular-symbol tables and the group-algebra elements built from them.
 
 A table holds exact rationals [a/p^N]^+- for every residue a coprime to
-p and every 1 <= N <= maxN.  From a fixed tame character the level-n
-element is the weighted sum of (1+T)^log_gamma(a) over the residues mod
-p^N, with N = n+1 for odd p and n+2 for p = 2.  Consecutive elements
-satisfy the three-term compatibility
+p and every 1 <= N <= maxN.  Every unit mod p^N is uniquely a = w * gamma^t
+with w a Teichmuller root (+-1 for p = 2), gamma = 1 + 2p and t in [0, p^n),
+where N = n+1 for odd p and n+2 for p = 2.  From a fixed tame character
+the level-n element is the weighted sum of (1+T)^t over these residues,
+enumerated root by root, so the discrete log t is the loop index.
+Consecutive elements satisfy the three-term compatibility
 
     pi(Theta_m) = ap * Theta_{m-1} - eps_p * nu(Theta_{m-2}),
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
                      SchemaError)
 from .iwasawa_algebra import FormParams, LambdaElement, lift_nu, project_pi
-from .padic_core import log_gamma, padic_from_rational, teichmuller
+from .padic_core import padic_from_rational, teichmuller, val_p
 
 
 def _is_prime(n):
@@ -101,11 +103,7 @@ def ingest_modular_symbols(document, allow_denominator=1):
         for sign, key in ((1, "plus"), (-1, "minus")):
             where = f"(a={a}, N={big_n}, sign={sign:+d})"
             value = _parse_rational(entry[key], where)
-            den_p_part = 1
-            den = value.denominator
-            while den % p == 0:
-                den //= p
-                den_p_part *= p
+            den_p_part = p ** val_p(value.denominator, p)
             if den_p_part > 1 and allow_denominator % den_p_part != 0:
                 raise NonIntegralDenominator(
                     f"{where}: denominator {value.denominator} is not a p-unit")
@@ -151,8 +149,12 @@ def level_exponent(p, n):
 def build_theta(table, n, tame_index, precision):
     """The level-n element attached to the tame character omega^i.
 
-    Sum over a in (Z/p^N)^* of [a/p^N]^sign * omega^i(a) * (1+T)^log_gamma(a),
-    accumulated in the group basis and converted to the canonical form.
+    Sum over a in (Z/p^N)^* of [a/p^N]^sign * omega^i(a) * (1+T)^log_gamma(a).
+    The residues are enumerated as a = w * gamma^t mod p^N, w running over
+    the Teichmuller roots of 1..p-1 (+-1 for p = 2) and t over [0, p^n), so
+    t = log_gamma(a) needs no lookup and omega^i(a) = w^i mod p^M is formed
+    once per root.  The sum is accumulated in the group basis and converted
+    to the canonical form.
     """
     p = table.p
     big_n = level_exponent(p, n)
@@ -163,16 +165,17 @@ def build_theta(table, n, tame_index, precision):
         raise OutOfRange(f"tame index {tame_index} outside 0..{n_tame - 1}")
     sign = tame_sign(p, tame_index)
     modulus = p ** precision
+    big_modulus = p ** big_n
+    gamma = 1 + 2 * p
     unit_coeffs = [0] * p ** n
-    for a in range(1, p ** big_n):
-        if a % p == 0:
-            continue
-        value = table.symbol(a, big_n, sign) * table.denominator_scale
-        c = padic_from_rational(p, value, precision).residue
-        if tame_index:
-            c = c * pow(teichmuller(a, p, precision).residue, tame_index, modulus)
-        t = log_gamma(a, p, big_n)
-        unit_coeffs[t] = (unit_coeffs[t] + c) % modulus
+    for root in ((1, -1) if p == 2 else range(1, p)):
+        a = teichmuller(root, p, big_n).residue
+        weight = pow(teichmuller(root, p, precision).residue, tame_index, modulus)
+        for t in range(p ** n):
+            value = table.symbol(a, big_n, sign) * table.denominator_scale
+            c = padic_from_rational(p, value, precision).residue * weight
+            unit_coeffs[t] = (unit_coeffs[t] + c) % modulus
+            a = a * gamma % big_modulus
     return LambdaElement.from_unit_basis(p, n, precision, unit_coeffs)
 
 
@@ -213,8 +216,7 @@ def validate_queue(seq):
         want = params.ap * seq[m - 1] - params.eps_p * lift_nu(seq[m - 2])
         defect = project_pi(seq[m]) - want
         if not defect.is_zero():
-            residual = min(defect.coefficient(i).valuation()
-                           for i in range(len(defect.coeffs)))
+            residual = min(val_p(c, defect.p, defect.precision) for c in defect.coeffs)
             return QueueReport(valid=False, first_failure_level=m,
                                residual_valuation=residual)
     return QueueReport(valid=True, first_failure_level=None, residual_valuation=None)

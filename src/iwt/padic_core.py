@@ -23,6 +23,17 @@ from functools import lru_cache
 from .errors import MixedPrime, NotAUnit, NotCoprime
 
 
+def val_p(x, p, cap=None):
+    """Exponent of p in the integer x; x = 0 returns cap ('at least cap')."""
+    if x == 0:
+        return cap
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
 class PadicInt:
     """An element of Z_p known modulo p^M."""
 
@@ -44,14 +55,7 @@ class PadicInt:
 
     def valuation(self):
         """Largest e <= M with p^e | residue; M itself means 'at least M'."""
-        if self.residue == 0:
-            return self.precision
-        e = 0
-        r = self.residue
-        while r % self.p == 0:
-            r //= self.p
-            e += 1
-        return e
+        return val_p(self.residue, self.p, self.precision)
 
     def _coerce(self, other):
         if isinstance(other, PadicInt):

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .bsd_analytics import (KuriharaParams, kurihara_general, kurihara_simple,
                             modesty_choose, nu_thresholds, rank_bound)
-from .cyclotomic_ext import (EisensteinElement, eval_lambda_at_zeta,
-                             h_matrix_valuations, phi_at_zeta)
+from .cyclotomic_ext import (EisensteinElement, h_matrix_valuations,
+                             phi_at_zeta)
 from .iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                               exact_divide_by_phi, iwasawa_invariants,
                               lift_nu, newton_vr, project_pi,

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDivisible, OutOfRange, PrecisionExhausted, Unstable, ZeroInput
+from .errors import (NotDivisible, OutOfRange, PrecisionExhausted,
+                     PrecisionMismatch, Unstable)
 from .iwasawa_algebra import (IwasawaInvariants, LambdaElement,
                               exact_divide_by_phi, iwasawa_invariants,
-                              lift_nu, project_pi, vanishing_order)
-from .logmatrix import a_tilde_inverse, make_matrix
-from .padic_core import PadicInt
+                              lift_nu, vanishing_order)
+from .logmatrix import a_tilde_inverse, log_truncation, make_matrix
+from .padic_core import PadicInt, padic_from_rational
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,9 @@ def decompose_pair(theta_n, nu_prev, params, hatted=False, tame_index=None):
     n = theta_n.level
     if nu_prev.level != n:
         raise OutOfRange("nu Theta_{n-1} must live at level n")
+    if nu_prev.precision != theta_n.precision:
+        raise PrecisionMismatch(
+            f"Theta_n at M={theta_n.precision}, nu Theta_{{n-1}} at M={nu_prev.precision}")
     if n < 1:
         raise OutOfRange("decomposition needs level >= 1")
     if hatted and params.p == 2:
@@ -64,8 +68,6 @@ def decompose_pair(theta_n, nu_prev, params, hatted=False, tame_index=None):
         except NotDivisible as exc:
             raise NotDivisible(f"peel index {i}: {exc}", index=i) from exc
         x, y = y, u
-    # exact divisions by monic polynomials and unit scalings lose nothing
-    assert x.precision == theta_n.precision and y.precision == theta_n.precision
     return SharpFlatApprox(level=n, tame_index=tame_index, sharp=x, flat=y,
                            hatted=hatted, params=params)
 
@@ -80,23 +82,21 @@ def decompose(theta_n, theta_prev, params, hatted=False, tame_index=None):
 
 def step_product(params, level, hatted):
     """S_1 ... S_n . A~^(-1), the forward matrix of the round trip."""
-    family = "CCC-hat" if hatted else "CCC"
-    acc = make_matrix(family, params, level, 1)
-    for i in range(2, level + 1):
-        acc = acc @ make_matrix(family, params, level, i)
-    return acc @ a_tilde_inverse(params, level)
+    return log_truncation(params, level, hatted) @ a_tilde_inverse(params, level)
+
+
+def _push_steps(approx):
+    """The row vector (sharp, flat) . S_1 ... S_n, one step at a time."""
+    family = "CCC-hat" if approx.hatted else "CCC"
+    vec = (approx.sharp, approx.flat)
+    for i in range(1, approx.level + 1):
+        vec = make_matrix(family, approx.params, approx.level, i).vec_mul(vec)
+    return vec
 
 
 def recompose(approx):
     """Forward product; returns the pair (Theta_n, nu Theta_{n-1})."""
-    params, n = approx.params, approx.level
-    if n == 0:
-        return a_tilde_inverse(params, 0).vec_mul((approx.sharp, approx.flat))
-    vec = (approx.sharp, approx.flat)
-    family = "CCC-hat" if approx.hatted else "CCC"
-    for i in range(1, n + 1):
-        vec = make_matrix(family, params, n, i).vec_mul(vec)
-    return a_tilde_inverse(params, n).vec_mul(vec)
+    return a_tilde_inverse(approx.params, approx.level).vec_mul(_push_steps(approx))
 
 
 def decompose_sequence(seq, hatted=False, levels=None):
@@ -147,10 +147,7 @@ def vector_vanishing_orders(approx, m_range):
     total analytic vanishing count.
     """
     params, n = approx.params, approx.level
-    family = "CCC-hat" if approx.hatted else "CCC"
-    vec = (approx.sharp, approx.flat)
-    for i in range(1, n + 1):
-        vec = make_matrix(family, params, n, i).vec_mul(vec)
+    vec = _push_steps(approx)
     orders = {}
     total = 0
     for m in m_range:
@@ -191,7 +188,6 @@ def special_value_check(approx, lratio):
     params = approx.params
     if approx.tame_index not in (0, None) or lratio is None:
         return SpecialValueReport(False, None, None, None, None)
-    from .padic_core import padic_from_rational
     p, M = params.p, params.precision
     ap = params.ap
     r = padic_from_rational(p, lratio, M)

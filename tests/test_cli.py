@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -7,6 +8,16 @@ import pytest
 from iwt.cli import main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "e37a_p3.json"
+
+# sha256 of the level-4 fixture reports, by tame index and command
+GOLDEN = {
+    0: {"decompose": "a8ebb26f0469f59b536e6f1e1806df50e8ab0e5f5b7bce5c5f711bfba1c6dc38",
+        "invariants": "0408135218606b4de1e90210b1eb5250b2d8d13ec06f9df7149e704aeb5516b6",
+        "verify": "d1c5126b024e361177dd29dbb18622d9f6c132ae0d57e5d7dcb68c1049e592cc"},
+    1: {"decompose": "f36397372832e7328765bb3002bbea5185f9cfd5e22bc3a14565cfa1c3bc4c69",
+        "invariants": "216277d7c5a0acc3cc1e2bbbe20a23727d2b646533ed5180b97f1271a2053706",
+        "verify": "9178d1ade5562866778d282c1a25397fe89a5ae9a6905e84cc2381612af3c338"},
+}
 
 
 def run(argv):
@@ -40,6 +51,15 @@ def test_outputs_are_byte_identical(tmp_path):
         assert run(["decompose", "--input", FIXTURE, "--level", 2, "--tame", 1,
                     "--out", out]) == 0
     assert (a / "decompose.json").read_bytes() == (b / "decompose.json").read_bytes()
+
+
+@pytest.mark.parametrize("tame", sorted(GOLDEN))
+def test_fixture_reports_match_golden_digests(tmp_path, tame):
+    for command, digest in GOLDEN[tame].items():
+        assert run([command, "--input", FIXTURE, "--level", 4, "--tame", tame,
+                    "--out", tmp_path]) == 0
+        report = (tmp_path / f"{command}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest, command
 
 
 def test_flag_contradiction_is_rejected(tmp_path):

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from iwt.errors import (LevelMismatch, NotDivisible, OutOfRange,
-                        PrecisionExhausted, ZeroInput)
-from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
-                                 exact_divide_by_phi, half_twist_exponent,
-                                 iwasawa_invariants, lift_nu, newton_vr,
-                                 project_pi, substitute_inverse,
-                                 vanishing_order)
+from iwt.errors import (LevelMismatch, NotAUnit, NotDivisible, OutOfRange,
+                        PrecisionExhausted, PrecisionMismatch, ZeroInput)
+from iwt.iwasawa_algebra import (FormParams, LambdaElement, _modulus_poly,
+                                 _phi_coeffs, _reduce, _reduction_poly,
+                                 cyclotomic_phi, exact_divide_by_phi,
+                                 half_twist_exponent, iwasawa_invariants,
+                                 lift_nu, newton_vr, project_pi,
+                                 substitute_inverse, vanishing_order)
 from iwt.padic_core import ExtRational
 from iwt.polyops import poly_mul, poly_trim
 
@@ -237,3 +238,41 @@ def test_half_twist_exponent():
     assert half_twist_exponent(3, 1) == 1
     assert half_twist_exponent(3, 2) == 3
     assert half_twist_exponent(2, 3) == 2
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2)])
+def test_binomial_kernels_match_math_comb(p, n):
+    modulus, size = p ** M, p ** n
+    row = [math.comb(size, k) % modulus for k in range(size + 1)]
+    assert _modulus_poly(p, n, modulus) == tuple([0] + row[1:])
+    assert _reduction_poly(p, n, modulus) == tuple([0] + [-c % modulus for c in row[1:-1]])
+    for i in range(1, n + 1):
+        step = p ** (i - 1)
+        phi = [sum(math.comb(k * step, j) for k in range(p)) % modulus
+               for j in range(step * (p - 1) + 1)]
+        assert _phi_coeffs(p, i, modulus) == tuple(phi)
+    s = size - 1
+    assert LambdaElement.unit_power(p, n, M, s).coeffs == tuple(
+        math.comb(s, j) % modulus for j in range(size))
+
+
+def test_ring_input_checks():
+    with pytest.raises(OutOfRange):
+        LambdaElement(3, -1, 4, [1])
+    with pytest.raises(OutOfRange):
+        LambdaElement(3, 1, 0, [1])
+    with pytest.raises(PrecisionMismatch):
+        LambdaElement.one(3, 1, 4) + LambdaElement.one(3, 1, 5)
+    with pytest.raises(NotAUnit):
+        FormParams(3, 1, 6, M)
+    x = LambdaElement.monomial(3, 1, M, 1)
+    for s in (0, Fraction(-1, 2)):
+        with pytest.raises(OutOfRange):
+            newton_vr(x, s)
+
+
+def test_reduction_round_guard_raises_precision_exhausted():
+    # at p = 2, n = 1 each fold lowers the degree by one, so T^515 at
+    # M = 520 needs 514 rounds and trips the 512-round guard
+    with pytest.raises(PrecisionExhausted):
+        _reduce([0] * 515 + [1], 2, 1, 2 ** 520)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,11 @@ from iwt.errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
                         SchemaError)
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  exact_divide_by_phi, lift_nu)
-from iwt.mazur_tate import (build_theta, ingest_modular_symbols,
+from iwt.mazur_tate import (ModularSymbolTable, build_theta,
+                            ingest_modular_symbols, level_exponent,
                             synthesize_queue, tame_sign, theta_sequence,
                             validate_queue)
-from iwt.padic_core import log_gamma
+from iwt.padic_core import log_gamma, padic_from_rational, teichmuller
 
 M = 10
 
@@ -150,3 +152,48 @@ def test_e37a_table_and_queues(e37a_table):
     for tame in (0, 1):
         seq = theta_sequence(e37a_table, 4, tame, 12)
         assert validate_queue(seq).valid
+
+
+def per_residue_theta(table, n, tame_index, precision):
+    # reference: one Teichmuller lift and one discrete log per residue a
+    p = table.p
+    big_n = level_exponent(p, n)
+    modulus = p ** precision
+    unit_coeffs = [0] * p ** n
+    for a in range(1, p ** big_n):
+        if a % p == 0:
+            continue
+        value = table.symbol(a, big_n, tame_sign(p, tame_index))
+        c = padic_from_rational(p, value, precision).residue
+        c *= pow(teichmuller(a, p, precision).residue, tame_index, modulus)
+        t = log_gamma(a, p, big_n)
+        unit_coeffs[t] = (unit_coeffs[t] + c) % modulus
+    return LambdaElement.from_unit_basis(p, n, precision, unit_coeffs)
+
+
+def random_symmetric_table(p, max_n, rng):
+    dens = [d for d in (1, 2, 3, 5, 7, 11) if d % p]
+    values = {}
+    for big_n in range(1, max_n + 1):
+        mod = p ** big_n
+        for a in range(1, mod):
+            for sign in (1, -1):
+                if a % p == 0 or (a, big_n, sign) in values:
+                    continue
+                value = Fraction(rng.randrange(-40, 41), rng.choice(dens))
+                if sign == -1 and (-a) % mod == a:
+                    value = Fraction(0)
+                values[(a, big_n, sign)] = value
+                values[((-a) % mod, big_n, sign)] = sign * value
+    return ModularSymbolTable(p=p, conductor=11, ap=1, eps_p=1, maxN=max_n,
+                              period_convention="test", values=values)
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_build_theta_matches_the_per_residue_formula(p, top):
+    # every level with p^n <= 125 and every tame index
+    table = random_symmetric_table(p, level_exponent(p, top), random.Random(p))
+    for tame_index in range(2 if p == 2 else p - 1):
+        for n in range(top + 1):
+            assert build_theta(table, n, tame_index, M) == \
+                per_residue_theta(table, n, tame_index, M)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from iwt.errors import NotDivisible, OutOfRange, Unstable
+from iwt.errors import NotDivisible, OutOfRange, PrecisionMismatch, Unstable
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  iwasawa_invariants, lift_nu, project_pi)
 from iwt.logmatrix import make_matrix
@@ -209,3 +209,12 @@ def test_special_value_lratio_gate():
     seq = synthesize_queue(53, params, 2)
     appr = decompose(seq[2], seq[1], params)
     assert not special_value_check(appr, None).checked
+
+
+def test_decompose_pair_rejects_a_precision_mismatch():
+    params = FormParams(3, -3, 1, M)
+    seq = synthesize_queue(4, params, 2)
+    nu_prev = lift_nu(seq[1])
+    coarse = LambdaElement(3, 2, M - 1, list(nu_prev.coeffs))
+    with pytest.raises(PrecisionMismatch):
+        decompose_pair(seq[2], coarse, params)
