@@ -35,7 +35,7 @@ class EisensteinElement:
         d = p ** (j - 1) * (p - 1)
         coeffs = [c % modulus for c in coeffs]
         if len(coeffs) > d:
-            coeffs = _reduce_mod_eisenstein(coeffs, p, j, modulus)
+            coeffs = poly_divmod_monic(coeffs, _phi_coeffs(p, j, modulus), modulus)[1]
         coeffs.extend([0] * (d - len(coeffs)))
         self.p = p
         self.j = j
@@ -150,17 +150,6 @@ class EisensteinElement:
     def __repr__(self):
         return f"EisensteinElement(p={self.p}, j={self.j}, {list(self.coeffs)})"
 
-    def mul_by_pi(self):
-        """Multiply by the uniformizer; O(d)."""
-        mod = self.modulus
-        E = _phi_coeffs(self.p, self.j, mod)
-        top = self.coeffs[-1]
-        shifted = [0] + list(self.coeffs[:-1])
-        if top:
-            shifted = [(c - top * e) % mod for c, e in zip(shifted, E[:-1])]
-        return EisensteinElement(self.p, self.j, self.precision, shifted,
-                                 exact_zero=self.exact_zero)
-
     # -- valuation ---------------------------------------------------------
 
     def valuation_floor(self):
@@ -191,21 +180,17 @@ class EisensteinElement:
         return ExtRational(value)
 
 
-def _reduce_mod_eisenstein(coeffs, p, j, modulus):
-    _, rem = poly_divmod_monic(coeffs, list(_phi_coeffs(p, j, modulus)), modulus)
-    return rem
-
-
 def eval_lambda_at_zeta(x, j):
-    """Ring homomorphism L_n -> Z_p[zeta_{p^j}] sending T to zeta - 1."""
+    """Ring homomorphism L_n -> Z_p[zeta_{p^j}] sending T to zeta - 1.
+
+    T and pi = zeta - 1 share the coordinate, so the image is the
+    representative reduced mod E(X) = Phi_{p^j}(1+X).
+    """
     if j > x.level:
         raise OutOfRange(f"j={j} exceeds the element's level {x.level}")
     if j < 1:
         raise OutOfRange("j must be >= 1 (use at_zero for the trivial point)")
-    acc = EisensteinElement.zero(x.p, j, x.precision)
-    for c in reversed(x.coeffs):
-        acc = acc.mul_by_pi() + int(c)
-    return acc
+    return EisensteinElement(x.p, j, x.precision, x.coeffs)
 
 
 def phi_at_zeta(p, i, j, precision):

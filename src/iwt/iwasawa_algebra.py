@@ -2,9 +2,9 @@
 
 An element is stored by its canonical representative: the coefficient
 vector of the unique degree < p^n lift to Z_p[T], residues mod p^M.
-Products are reduced with the relation (1+T)^(p^n) = 1; because every
-non-constant coefficient of the reduction polynomial is divisible by p,
-the folding loop terminates after at most M rounds.
+A longer vector is reduced by one division by the monic relation
+(1+T)^(p^n) - 1, and the group basis (1+T)^s is reached by a Taylor
+shift; both are quasi-linear kernels of `polyops`.
 
 The module also provides the two transition maps between levels (the
 projection and the fiber-sum lift), cyclotomic polynomials and their
@@ -23,7 +23,8 @@ from .errors import (LevelMismatch, MixedPrime, NotAUnit, OutOfRange,
                      PrecisionExhausted, PrecisionMismatch, ZeroInput)
 from .padic_core import ExtRational, PadicInt, val_p
 from .polyops import (poly_add, poly_divide_exact, poly_divmod_monic,
-                      poly_mul, poly_scale, poly_sub, poly_trim)
+                      poly_mul, poly_scale, poly_sub, poly_taylor_shift,
+                      poly_trim)
 
 
 @dataclass(frozen=True)
@@ -81,24 +82,6 @@ def _modulus_poly(p, n, modulus):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _reduction_poly(p, n, modulus):
-    # canonical representative of T^(p^n): -sum_{1<=k<p^n} C(p^n, k) T^k
-    return tuple(-c % modulus for c in _modulus_poly(p, n, modulus)[:-1])
-
-
-@lru_cache(maxsize=None)
-def _binomial_triangle(size, modulus):
-    rows = [[1]]
-    for s in range(1, size):
-        prev = rows[-1]
-        row = [1] * (s + 1)
-        for j in range(1, s):
-            row[j] = (prev[j - 1] + prev[j]) % modulus
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
-
-
 class LambdaElement:
     """Element of Z_p[T]/((1+T)^(p^n) - 1) at precision M."""
 
@@ -143,23 +126,15 @@ class LambdaElement:
     @classmethod
     def unit_power(cls, p, level, precision, s):
         """(1+T)^s in the quotient ring; s may be any integer."""
+        if level < 0:
+            raise OutOfRange(f"need level >= 0, got n={level}")
         return cls(p, level, precision, _binomial_row(s % p ** level, p ** precision))
 
     @classmethod
     def from_unit_basis(cls, p, level, precision, unit_coeffs):
         """Element sum_s d_s (1+T)^s from the group-basis vector d."""
-        modulus = p ** precision
-        size = p ** level
-        tri = _binomial_triangle(size, modulus)
-        out = [0] * size
-        for s, d in enumerate(unit_coeffs):
-            d %= modulus
-            if d == 0:
-                continue
-            row = tri[s]
-            for j in range(s + 1):
-                out[j] = (out[j] + d * row[j]) % modulus
-        return cls(p, level, precision, out)
+        return cls(p, level, precision,
+                   poly_taylor_shift(list(unit_coeffs), 1, p ** precision))
 
     # -- views -------------------------------------------------------------
 
@@ -176,22 +151,7 @@ class LambdaElement:
 
     def to_unit_basis(self):
         """Coefficients d with self = sum_s d_s (1+T)^s, s < p^n."""
-        modulus = self.modulus
-        size = self.p ** self.level
-        tri = _binomial_triangle(size, modulus)
-        out = [0] * size
-        for j in range(size - 1, -1, -1):
-            c = self.coeffs[j]
-            if c == 0:
-                continue
-            # T^j = sum_s C(j, s) (-1)^(j-s) (1+T)^s
-            row = tri[j]
-            for s in range(j + 1):
-                term = c * row[s]
-                if (j - s) % 2:
-                    term = -term
-                out[s] = (out[s] + term) % modulus
-        return out
+        return poly_taylor_shift(list(self.coeffs), -1, self.modulus)
 
     # -- ring structure ----------------------------------------------------
 
@@ -249,22 +209,12 @@ class LambdaElement:
 
 
 def _reduce(coeffs, p, level, modulus):
-    """Fold degrees >= p^n with T^(p^n) -> its canonical representative.
+    """Canonical representative: the remainder mod (1+T)^(p^n) - 1, trimmed.
 
-    Each round multiplies the overflowing part by coefficients divisible
-    by p, so at most M rounds are needed; the guard is a hard error.
+    One division by the monic relation of degree p^n, whatever the
+    length of coeffs and the precision.
     """
-    size = p ** level
-    rep = list(_reduction_poly(p, level, modulus))
-    rounds = 0
-    coeffs = poly_trim([c % modulus for c in coeffs])
-    while len(coeffs) > size:
-        low, high = coeffs[:size], coeffs[size:]
-        coeffs = poly_trim(poly_add(low, poly_mul(high, rep, modulus), modulus))
-        rounds += 1
-        if rounds > 8 * 64:  # precision is bounded well below this
-            raise PrecisionExhausted("ring reduction failed to terminate")
-    return coeffs
+    return poly_divmod_monic(coeffs, _modulus_poly(p, level, modulus), modulus)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +225,7 @@ def project_pi(x):
     """Natural projection to level n-1 (canonical representative reduced)."""
     if x.level == 0:
         raise LevelMismatch("level 0 has no lower level")
-    target = x.level - 1
-    _, rem = poly_divmod_monic(list(x.coeffs),
-                               list(_modulus_poly(x.p, target, x.modulus)),
-                               x.modulus)
-    return LambdaElement(x.p, target, x.precision, rem)
+    return LambdaElement(x.p, x.level - 1, x.precision, x.coeffs)
 
 
 def lift_nu(x):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import MixedPrime, NotAUnit, NotCoprime
+from .errors import MixedPrime, NotAUnit, NotCoprime, OutOfRange
 
 
 def val_p(x, p, cap=None):
@@ -41,7 +41,7 @@ class PadicInt:
 
     def __init__(self, p, residue, precision):
         if precision < 1:
-            raise ValueError("precision must be >= 1")
+            raise OutOfRange(f"PadicInt precision must be >= 1, got {precision}")
         self.p = p
         self.precision = precision
         self.residue = residue % (p ** precision)

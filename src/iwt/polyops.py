@@ -1,15 +1,19 @@
 """Dense polynomial kernels over Z/p^M used by the group-algebra modules.
 
 Polynomials are plain lists of integer residues, index i holding the
-coefficient of T^i.  Products go through Kronecker substitution (pack the
-coefficient vector into one big integer, multiply once, unpack), which is
-what keeps level-4 arithmetic at p = 5 fast enough for the randomized
-round-trip suite.
+coefficient of T^i.  Every kernel above linear cost is a few Kronecker
+products (vectors packed into big integers with carry-free slots): the
+product itself, division by a monic polynomial through a cached Newton
+inverse of the reversed divisor, and the Taylor shift f(x) -> f(x + c)
+by blocks that double each level (von zur Gathen & Gerhard, "Fast
+algorithms for Taylor shifts and certain difference equations", 1997).
 """
 
 from __future__ import annotations
 
-from .errors import NotDivisible
+from functools import lru_cache
+
+from .errors import NotAUnit, NotDivisible, ZeroInput
 
 
 def poly_trim(coeffs):
@@ -44,11 +48,20 @@ def poly_scale(a, c, modulus):
     return [(x * c) % modulus for x in a]
 
 
-def _pack(coeffs, width_bytes):
-    buf = bytearray(len(coeffs) * width_bytes)
-    for i, c in enumerate(coeffs):
-        buf[i * width_bytes:(i + 1) * width_bytes] = c.to_bytes(width_bytes, "little")
-    return int.from_bytes(buf, "little")
+def _slot_bytes(terms, modulus):
+    # a slot must hold a sum of `terms` products of residues without carrying over
+    return ((terms * (modulus - 1) ** 2).bit_length() + 8) // 8
+
+
+def _pack(coeffs, width):
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]),
+                          "little")
+
+
+def _unpack(value, count, width, modulus):
+    raw = value.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") % modulus
+            for i in range(0, count * width, width)]
 
 
 def poly_mul(a, b, modulus):
@@ -57,39 +70,54 @@ def poly_mul(a, b, modulus):
     b = poly_trim(list(b))
     if not a or not b:
         return []
-    # every packed slot must hold min(len) * (modulus-1)^2 without carrying over
-    max_slot = min(len(a), len(b)) * (modulus - 1) ** 2
-    width_bytes = (max_slot.bit_length() + 8) // 8
-    prod = _pack(a, width_bytes) * _pack(b, width_bytes)
-    n_out = len(a) + len(b) - 1
-    raw = prod.to_bytes(n_out * width_bytes + width_bytes, "little")
-    out = []
-    for i in range(n_out):
-        chunk = raw[i * width_bytes:(i + 1) * width_bytes]
-        out.append(int.from_bytes(chunk, "little") % modulus)
-    return out
+    width = _slot_bytes(min(len(a), len(b)), modulus)
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1,
+                   width, modulus)
+
+
+@lru_cache(maxsize=256)
+def _reversed_inverse(den, modulus):
+    # power series 1/rev(den) mod modulus; _inverse_prefix lengthens it in place
+    return [1]
+
+
+def _inverse_prefix(den, length, modulus):
+    """The first `length` terms of 1/rev(den) for a monic tuple den."""
+    inv = _reversed_inverse(den, modulus)
+    rev = den[::-1]
+    while len(inv) < length:
+        # Newton step: if rev*inv = 1 + x^h*e mod x^m, then inv - x^h*inv*e
+        # is the inverse mod x^m
+        h = len(inv)
+        m = min(2 * h, length)
+        err = poly_mul(rev[:m], inv, modulus)[h:m]
+        step = poly_mul(inv[:m - h], err, modulus)[:m - h]
+        inv.extend((-c) % modulus for c in step)
+        inv.extend([0] * (m - len(inv)))
+    return inv[:length]
 
 
 def poly_divmod_monic(num, den, modulus):
-    """Quotient and remainder by a monic divisor; exact over Z/p^M."""
-    den = poly_trim(list(den))
+    """Quotient and remainder by a monic divisor; exact over Z/p^M.
+
+    The quotient has len(num) - deg(den) coefficients and is
+    rev(num) / rev(den) mod x^k with k that length; the remainder, of
+    degree < deg(den), is the low part of num - quotient * den.
+    """
+    den = tuple(poly_trim([c % modulus for c in den]))
     if not den:
-        raise ZeroDivisionError("division by zero polynomial")
+        raise ZeroInput("division by the zero polynomial")
     if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = [c % modulus for c in num]
+        raise NotAUnit(f"divisor must be monic, leading coefficient is {den[-1]}")
+    num = [c % modulus for c in num]
     d = len(den) - 1
-    if len(rem) <= d:
-        return [], rem
-    quot = [0] * (len(rem) - d)
-    for i in range(len(rem) - d - 1, -1, -1):
-        c = rem[i + d]
-        if c == 0:
-            continue
-        quot[i] = c
-        for j in range(d + 1):
-            rem[i + j] = (rem[i + j] - c * den[j]) % modulus
-    return quot, poly_trim(rem[:d])
+    k = len(num) - d
+    if k <= 0:
+        return [], num
+    head = poly_mul(num[d:][::-1], _inverse_prefix(den, k, modulus), modulus)[:k]
+    quot = (head + [0] * (k - len(head)))[::-1]
+    low = poly_mul(quot[:d], den[:d], modulus)[:d]
+    return quot, poly_trim(poly_sub(num[:d], low, modulus))
 
 
 def poly_divide_exact(num, den, modulus, what="polynomial"):
@@ -98,3 +126,39 @@ def poly_divide_exact(num, den, modulus, what="polynomial"):
     if any(c % modulus for c in rem):
         raise NotDivisible(f"{what}: remainder is nonzero at working precision")
     return quot
+
+
+@lru_cache(maxsize=None)
+def _packed_shift_power(c, level, modulus):
+    # (x + c)^(2^level) mod modulus, packed at the slot width of that level
+    power = [c % modulus, 1]
+    for _ in range(level):
+        power = poly_mul(power, power, modulus)
+    return _pack(power, _slot_bytes((1 << level) + 1, modulus))
+
+
+def poly_taylor_shift(f, c, modulus):
+    """Coefficients of f(x + c) mod modulus, as many as f has.
+
+    Level k cuts the vector into blocks of 2^(k+1) coefficients, each a
+    low half lo and a high half hi that are already shifted, and replaces
+    every block by lo + (x + c)^(2^k) * hi.  All the products of one level
+    are a single Kronecker product: the packed vector with its low halves
+    masked out, times (x + c)^(2^k).
+    """
+    size = len(f)
+    out = [x % modulus for x in f]
+    half, level = 1, 0
+    while half < size:
+        block = 2 * half
+        out.extend([0] * (-len(out) % block))
+        width = _slot_bytes(half + 1, modulus)
+        half_bytes = half * width
+        low_mask = int.from_bytes((b"\xff" * half_bytes + bytes(half_bytes))
+                                  * (len(out) // block), "little")
+        packed = _pack(out, width)
+        high = (packed >> (8 * half_bytes)) & low_mask
+        out = _unpack(high * _packed_shift_power(c, level, modulus) + (packed & low_mask),
+                      len(out), width, modulus)
+        half, level = block, level + 1
+    return out[:size]

@@ -7,7 +7,7 @@ import pytest
 from iwt.errors import (LevelMismatch, NotAUnit, NotDivisible, OutOfRange,
                         PrecisionExhausted, PrecisionMismatch, ZeroInput)
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, _modulus_poly,
-                                 _phi_coeffs, _reduce, _reduction_poly,
+                                 _phi_coeffs, _reduce,
                                  cyclotomic_phi, exact_divide_by_phi,
                                  half_twist_exponent, iwasawa_invariants,
                                  lift_nu, newton_vr, project_pi,
@@ -245,7 +245,9 @@ def test_binomial_kernels_match_math_comb(p, n):
     modulus, size = p ** M, p ** n
     row = [math.comb(size, k) % modulus for k in range(size + 1)]
     assert _modulus_poly(p, n, modulus) == tuple([0] + row[1:])
-    assert _reduction_poly(p, n, modulus) == tuple([0] + [-c % modulus for c in row[1:-1]])
+    # T^(p^n) = -sum_{1<=k<p^n} C(p^n, k) T^k in the ring
+    assert _reduce([0] * size + [1], p, n, modulus) == poly_trim(
+        [0] + [-c % modulus for c in row[1:-1]])
     for i in range(1, n + 1):
         step = p ** (i - 1)
         phi = [sum(math.comb(k * step, j) for k in range(p)) % modulus
@@ -271,8 +273,8 @@ def test_ring_input_checks():
             newton_vr(x, s)
 
 
-def test_reduction_round_guard_raises_precision_exhausted():
-    # at p = 2, n = 1 each fold lowers the degree by one, so T^515 at
-    # M = 520 needs 514 rounds and trips the 512-round guard
-    with pytest.raises(PrecisionExhausted):
-        _reduce([0] * 515 + [1], 2, 1, 2 ** 520)
+def test_reduction_of_a_high_power_at_high_precision():
+    # at p = 2, n = 1 the relation is T^2 = -2T, so T^515 = (-2)^514 T,
+    # which is nonzero mod 2^520
+    modulus = 2 ** 520
+    assert _reduce([0] * 515 + [1], 2, 1, modulus) == [0, (-2) ** 514 % modulus]

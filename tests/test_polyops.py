@@ -1,0 +1,184 @@
+"""The quasi-linear kernels against direct oracles, and ring properties.
+
+The schoolbook division, the binomial sum and the Horner loop below are
+the quadratic kernels the package used before; they stay here as the
+references the fast kernels must reproduce exactly.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iwt.cyclotomic_ext import EisensteinElement, eval_lambda_at_zeta
+from iwt.errors import NotAUnit, OutOfRange, ZeroInput
+from iwt.iwasawa_algebra import (LambdaElement, _modulus_poly, _phi_coeffs,
+                                 _reduce, lift_nu, project_pi)
+from iwt.padic_core import PadicInt
+from iwt.polyops import (poly_divmod_monic, poly_mul, poly_taylor_shift,
+                         poly_trim)
+
+PRIMES = (2, 3, 5, 7)
+
+
+def schoolbook_divmod(num, den, modulus):
+    rem = [c % modulus for c in num]
+    d = len(den) - 1
+    if len(rem) <= d:
+        return [], rem
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - d - 1, -1, -1):
+        c = rem[i + d]
+        if c == 0:
+            continue
+        quot[i] = c
+        for j in range(d + 1):
+            rem[i + j] = (rem[i + j] - c * den[j]) % modulus
+    return quot, poly_trim(rem[:d])
+
+
+def binomial_shift(f, c, modulus):
+    # f(x + c) = sum_k x^k sum_j C(j, k) c^(j-k) f_j
+    n = len(f)
+    return [sum(math.comb(j, k) * c ** (j - k) * f[j] for j in range(k, n)) % modulus
+            for k in range(n)]
+
+
+def horner_at_zeta(x, j):
+    # sum_t c_t pi^t by Horner, one multiplication by pi = zeta - 1 per step
+    p, precision = x.p, x.precision
+    modulus = p ** precision
+    e = _phi_coeffs(p, j, modulus)
+    acc = [0] * (len(e) - 1)
+    for c in reversed(x.coeffs):
+        top = acc[-1]
+        acc = [0] + acc[:-1]
+        acc = [(a - top * b) % modulus for a, b in zip(acc, e)]
+        acc[0] = (acc[0] + c) % modulus
+    return EisensteinElement(p, j, precision, acc)
+
+
+def random_vector(rng, length, modulus):
+    return [rng.randrange(modulus) for _ in range(length)]
+
+
+def test_division_matches_schoolbook_on_random_inputs():
+    rng = random.Random(2024)
+    for _ in range(1500):
+        p = rng.choice(PRIMES)
+        modulus = p ** rng.randint(1, 20)
+        den = random_vector(rng, rng.randint(0, 40), modulus) + [1]
+        num = random_vector(rng, rng.randint(0, 120), modulus)
+        num += [0] * rng.choice((0, 0, 3))
+        assert poly_divmod_monic(num, den, modulus) \
+            == schoolbook_divmod(num, den, modulus)
+
+
+@pytest.mark.parametrize("p, n, M", [(2, 6, 14), (3, 6, 15), (3, 7, 15), (5, 3, 11),
+                                     (7, 3, 9)])
+def test_structural_divisions_match_schoolbook(p, n, M):
+    # Phi_{p^n}-division of a full-size vector, and the ring reduction of a
+    # product-sized one one level down
+    rng = random.Random(p * 100 + n)
+    modulus, size = p ** M, p ** n
+    num = random_vector(rng, size, modulus)
+    phi = list(_phi_coeffs(p, n, modulus))
+    assert poly_divmod_monic(num, phi, modulus) == schoolbook_divmod(num, phi, modulus)
+    low = size // p
+    wide = random_vector(rng, 2 * low - 1, modulus)
+    relation = list(_modulus_poly(p, n - 1, modulus))
+    assert _reduce(wide, p, n - 1, modulus) == schoolbook_divmod(wide, relation, modulus)[1]
+
+
+def test_taylor_shift_matches_binomial_sum():
+    rng = random.Random(7)
+    for length in list(range(0, 18)) + [31, 32, 33, 100, 129]:
+        p = rng.choice(PRIMES)
+        modulus = p ** rng.randint(1, 16)
+        f = random_vector(rng, length, modulus)
+        for c in (1, -1):
+            assert poly_taylor_shift(f, c, modulus) == binomial_shift(f, c, modulus)
+
+
+def test_unit_basis_round_trip_at_depth():
+    rng = random.Random(11)
+    p, n, M = 3, 7, 15
+    x = LambdaElement(p, n, M, random_vector(rng, p ** n, p ** M))
+    d = x.to_unit_basis()
+    assert LambdaElement.from_unit_basis(p, n, M, d) == x
+    # T^j = sum_s C(j, s) (-1)^(j-s) (1+T)^s on a spot check
+    mono = LambdaElement.monomial(p, n, M, 5)
+    assert mono.to_unit_basis()[:6] == [(-1) ** (5 - s) * math.comb(5, s) % p ** M
+                                        for s in range(6)]
+
+
+def test_eval_at_zeta_matches_horner():
+    rng = random.Random(5)
+    for _ in range(40):
+        p = rng.choice(PRIMES)
+        n = rng.randint(1, {2: 6, 3: 4, 5: 3, 7: 2}[p])
+        M = rng.randint(1, 14)
+        j = rng.randint(1, n)
+        x = LambdaElement(p, n, M, random_vector(rng, p ** n, p ** M))
+        assert eval_lambda_at_zeta(x, j) == horner_at_zeta(x, j)
+
+
+def test_division_input_errors():
+    with pytest.raises(ZeroInput):
+        poly_divmod_monic([1, 2, 3], [0, 0], 27)
+    with pytest.raises(NotAUnit):
+        poly_divmod_monic([1, 2, 3], [1, 2], 27)
+
+
+def test_out_of_range_constructors():
+    with pytest.raises(OutOfRange):
+        PadicInt(3, 1, 0)
+    with pytest.raises(OutOfRange):
+        LambdaElement.unit_power(3, -1, 4, 2)
+
+
+# -- ring properties over random (p, n, M) ------------------------------------
+
+MAX_LEVEL = {2: 5, 3: 3, 5: 2, 7: 2}
+
+
+@st.composite
+def ring_elements(draw, count):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(0, MAX_LEVEL[p]))
+    M = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return [LambdaElement(p, n, M, random_vector(rng, p ** n, p ** M))
+            for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_elements(3))
+def test_ring_axioms(elements):
+    x, y, z = elements
+    one = LambdaElement.one(x.p, x.level, x.precision)
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x * one == x
+    assert x + (-x) == LambdaElement.zero(x.p, x.level, x.precision)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_elements(1))
+def test_projection_after_lift_is_multiplication_by_p(elements):
+    x, = elements
+    assert project_pi(lift_nu(x)) == x.p * x
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_elements(2))
+def test_product_matches_reduced_convolution(elements):
+    x, y = elements
+    modulus = x.modulus
+    wide = poly_mul(x.coeffs, y.coeffs, modulus)
+    relation = list(_modulus_poly(x.p, x.level, modulus))
+    want = schoolbook_divmod(wide, relation, modulus)[1]
+    assert (x * y).coeffs == tuple(want + [0] * (x.p ** x.level - len(want)))
