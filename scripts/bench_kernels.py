@@ -13,9 +13,10 @@ made right after every `lru_cache` table of the package is cleared;
 from a fixed seed, so two checkouts time the same elements.
 
 The second form does that for this checkout and for the checkout in DIR
-(each in its own process), then runs `bench/run.py --trace 0` on the
-three workloads of BENCHMARK.json in both checkouts, alternating which
-side runs first, and writes everything with the git SHAs, the Python
+(each in its own process), then runs `bench/run.py --trace 0` five
+times (seeds 1 to 5, 40 s each) on the three workloads of
+BENCHMARK.json in both checkouts, alternating which side runs first,
+and writes everything with the git SHAs, the Python
 version and the CPU count to --out.  Standard library only.
 """
 
@@ -40,6 +41,8 @@ WORKLOADS = ("tower-table", "tower-synth", "curve-sweep")
 METRICS = ("setup_s", "solve_s", "peak_rss_mb", "job_p50_ms", "job_p90_ms")
 COLD_REPS = 3
 WARM_REPS = 5
+BENCH_RUNS = 5        # bench/run.py runs per side and workload, seeds 1..5
+BENCH_SECONDS = 40    # run_seconds of BENCHMARK.json
 
 
 def clear_caches():
@@ -120,20 +123,20 @@ def bench_run(checkout, workload, seed, seconds):
             **{name: report["metrics"][name]["value"] for name in METRICS}}
 
 
-def compare(parent, runs, seconds, seed):
+def compare(parent):
     sides = {"parent": Path(parent).resolve(), "change": ROOT}
     doc = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
            "points": [dict(zip("pnM", point)) for point in POINTS],
            "cold_reps": COLD_REPS, "warm_reps": WARM_REPS,
-           "bench_runs": runs, "bench_seconds": seconds, "bench_seed": seed}
+           "bench_runs": BENCH_RUNS, "bench_seconds": BENCH_SECONDS}
     for side, checkout in sides.items():
         doc[side] = {"git_sha": git_sha(checkout), "kernels": kernels_of(checkout)}
     for workload in WORKLOADS:
         samples = {side: [] for side in sides}
-        for run in range(runs):
-            order = list(sides) if run % 2 == 0 else list(sides)[::-1]
+        for seed in range(1, BENCH_RUNS + 1):
+            order = list(sides) if seed % 2 else list(sides)[::-1]
             for side in order:
-                samples[side].append(bench_run(sides[side], workload, seed + run, seconds))
+                samples[side].append(bench_run(sides[side], workload, seed, BENCH_SECONDS))
         for side in sides:
             doc[side].setdefault("end_to_end", {})[workload] = {
                 "runs": samples[side],
@@ -146,17 +149,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="checkout of the commit to compare against")
     parser.add_argument("--out", help="file for the comparison (default: stdout)")
-    parser.add_argument("--runs", type=int, default=5,
-                        help="bench/run.py runs per side and workload")
-    parser.add_argument("--seconds", type=float, default=40)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--kernels-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.kernels_only:
         print(json.dumps(time_kernels()))
         return 0
     if args.parent:
-        doc = compare(args.parent, args.runs, args.seconds, args.seed)
+        doc = compare(args.parent)
     else:
         sys.path.insert(0, str(ROOT / "src"))
         doc = {"git_sha": git_sha(ROOT), "python": platform.python_version(),
