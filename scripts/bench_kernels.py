@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Time the ring kernels of `iwt`, and compare two checkouts end to end.
+"""Time the ring and table kernels of `iwt`, and compare two checkouts end to end.
 
     python3 scripts/bench_kernels.py
-    python3 scripts/bench_kernels.py --parent DIR --out BENCH_ring_kernels.json
+    python3 scripts/bench_kernels.py --parent DIR --out BENCH_table_path.json
 
-The first form times five kernels of this checkout's `src/iwt` and
-prints one JSON document: ring multiply, exact division by Phi_{p^n},
-`from_unit_basis`, `to_unit_basis` and evaluation at zeta_{p^2}, at the
-points (p, n, M) of POINTS.  `cold_ms` is the median over fresh calls
-made right after every `lru_cache` table of the package is cleared;
-`warm_ms` is the median over calls after one warm-up.  Inputs are drawn
-from a fixed seed, so two checkouts time the same elements.
+The first form times eight kernels of this checkout's `src/iwt` and
+prints one JSON document, at the points (p, n, M) of POINTS:
+
+* ring multiply, exact division by Phi_{p^n}, `from_unit_basis`,
+  `to_unit_basis` and evaluation at zeta_{p^2};
+* the table path on a table of maxN = N(n) (n+1 for odd p, n+2 for
+  p = 2) from `bench/gen_table.py`: `json.loads` plus
+  `ingest_modular_symbols` of its text, `theta_sequence` up to level n
+  at precision M, and `cli.build_parser` (the same work at every point).
+
+At (3, 7, 15) the table has the shape of the tower-table workload, and
+at (2, 6, 14) and (5, 3, 11) of curve-sweep tables.  `cold_ms` is the
+median over fresh calls made right after every `lru_cache` table of the
+package is cleared; `warm_ms` is the median over calls after one
+warm-up.  Inputs are drawn from a fixed seed, so two checkouts time the
+same elements and tables.
 
 The second form does that for this checkout and for the checkout in DIR
-(each in its own process), then runs `bench/run.py --trace 0` five
-times (seeds 1 to 5, 40 s each) on the three workloads of
+(each in its own process), then runs `bench/run.py --trace 0` ten
+times (seeds 1 to 10, 40 s each) on the three workloads of
 BENCHMARK.json in both checkouts, alternating which side runs first,
 and writes everything with the git SHAs, the Python
 version and the CPU count to --out.  Standard library only.
@@ -36,12 +45,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 POINTS = ((2, 6, 14), (5, 3, 11), (5, 5, 13), (3, 7, 15), (7, 4, 12))
 KERNELS = ("multiply", "phi_division", "from_unit_basis", "to_unit_basis",
-           "eval_at_zeta2")
+           "eval_at_zeta2", "loads_ingest", "theta_sequence", "build_parser")
 WORKLOADS = ("tower-table", "tower-synth", "curve-sweep")
 METRICS = ("setup_s", "solve_s", "peak_rss_mb", "job_p50_ms", "job_p90_ms")
 COLD_REPS = 3
 WARM_REPS = 5
-BENCH_RUNS = 5        # bench/run.py runs per side and workload, seeds 1..5
+BENCH_RUNS = 10       # bench/run.py runs per side and workload, seeds 1..10
 BENCH_SECONDS = 40    # run_seconds of BENCHMARK.json
 
 
@@ -57,9 +66,15 @@ def clear_caches():
 
 def kernel_calls(p, n, M):
     """name -> zero-argument call, on inputs drawn from a seed of (p, n, M)."""
+    from iwt.cli import build_parser
     from iwt.cyclotomic_ext import eval_lambda_at_zeta
     from iwt.iwasawa_algebra import (LambdaElement, cyclotomic_phi,
                                      exact_divide_by_phi)
+    from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
+                                theta_sequence)
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
+    from gen_table import generate_table
     rng = random.Random(f"{p}-{n}-{M}")
     size, modulus = p ** n, p ** M
     x, y = (LambdaElement(p, n, M, [rng.randrange(modulus) for _ in range(size)])
@@ -68,11 +83,16 @@ def kernel_calls(p, n, M):
     multiple = LambdaElement(p, n, M, [rng.randrange(modulus) for _ in range(size // p)])
     divisible = multiple * cyclotomic_phi(p, n, n, M)
     units = x.to_unit_basis()
+    text = json.dumps(generate_table(1, p, -1, 1, level_exponent(p, n)))
+    table = ingest_modular_symbols(json.loads(text))
     return {"multiply": lambda: x * y,
             "phi_division": lambda: exact_divide_by_phi(divisible, n),
             "from_unit_basis": lambda: LambdaElement.from_unit_basis(p, n, M, units),
             "to_unit_basis": lambda: x.to_unit_basis(),
-            "eval_at_zeta2": lambda: eval_lambda_at_zeta(x, 2)}
+            "eval_at_zeta2": lambda: eval_lambda_at_zeta(x, 2),
+            "loads_ingest": lambda: ingest_modular_symbols(json.loads(text)),
+            "theta_sequence": lambda: theta_sequence(table, n, 0, M),
+            "build_parser": build_parser}
 
 
 def elapsed_ms(call):

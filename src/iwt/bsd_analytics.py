@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic_ext import minimal_k
-from .errors import (ExcludedCase, InvalidParams, SporadicCase, TieCase)
+from .errors import (ExcludedCase, InvalidParams, OutOfRange, SporadicCase,
+                     TieCase)
 from .padic_core import ExtRational
 
 INF = ExtRational.infinity()
@@ -34,7 +35,7 @@ def kurihara_simple(n, p, star):
     elif star == FLAT:
         native_odd = False
     else:
-        raise ValueError(f"star must be 'sharp' or 'flat', got {star!r}")
+        raise OutOfRange(f"kurihara_simple: star must be 'sharp' or 'flat', got {star!r}")
     is_odd = n % 2 == 1
     if is_odd == native_odd:
         return _floor_power_ratio(p, n)
@@ -84,7 +85,7 @@ def kurihara_general(n, p, params, star):
     infinite at the non-native parity, which encodes the parity rule.
     """
     if star not in (SHARP, FLAT):
-        raise ValueError(f"star must be 'sharp' or 'flat', got {star!r}")
+        raise OutOfRange(f"kurihara_general: star must be 'sharp' or 'flat', got {star!r}")
     if n < 1:
         raise InvalidParams("n must be >= 1")
     v = params.v

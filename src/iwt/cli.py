@@ -18,6 +18,7 @@ sha256 of the input file, and the package version.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -41,14 +42,14 @@ def _sha256_bytes(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _provenance(config, input_path=None):
+def _provenance(config, input_bytes=None):
     # paths are not semantic configuration; input content is hashed separately
     config = {k: v for k, v in config.items()
               if k not in ("out", "input", "invariants", "records", "fn", "module")}
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     prov = {"config_sha256": _sha256_bytes(blob), "version": __version__}
-    if input_path is not None:
-        prov["input_sha256"] = _sha256_bytes(Path(input_path).read_bytes())
+    if input_bytes is not None:
+        prov["input_sha256"] = _sha256_bytes(input_bytes)
     return prov
 
 
@@ -80,13 +81,15 @@ def _parse_ext(text):
 
 
 def _load_table(args):
-    doc = json.loads(Path(args.input).read_text())
-    table = ingest_modular_symbols(doc, allow_denominator=args.allow_denominator)
+    """(table, input bytes): the file is read once, for parsing and hashing."""
+    data = Path(args.input).read_bytes()
+    table = ingest_modular_symbols(json.loads(data),
+                                   allow_denominator=args.allow_denominator)
     for name, got in (("p", args.p), ("ap", args.ap), ("eps", args.eps)):
         want = {"p": table.p, "ap": table.ap, "eps": table.eps_p}[name]
         if got is not None and got != want:
             raise IwtError(f"--{name}={got} contradicts the table value {want}")
-    return table
+    return table, data
 
 
 def _precision(args, level):
@@ -107,14 +110,14 @@ def _invariants_json(inv):
 
 
 def cmd_decompose(args):
-    table = _load_table(args)
+    table, data = _load_table(args)
     m = _precision(args, args.level)
     seq = theta_sequence(table, args.level, args.tame, m)
     # no pre-validation: corrupted data surfaces as NotDivisible with the
     # failing peel index, which pinpoints the broken level
     apprs = decompose_sequence(seq, hatted=args.hatted)
     payload = {
-        "provenance": _provenance(vars(args), args.input),
+        "provenance": _provenance(vars(args), data),
         "p": table.p, "ap": table.ap, "eps_p": table.eps_p,
         "tame_index": args.tame, "hatted": args.hatted, "precision": m,
         "levels": [
@@ -130,7 +133,7 @@ def cmd_decompose(args):
 
 
 def cmd_invariants(args):
-    table = _load_table(args)
+    table, data = _load_table(args)
     m = _precision(args, args.level)
     seq = theta_sequence(table, args.level, args.tame, m)
     apprs = decompose_sequence(seq, hatted=args.hatted)
@@ -145,7 +148,7 @@ def cmd_invariants(args):
         except IwtError as exc:
             per_level.append({"n": a.level, "skipped": type(exc).__name__})
     payload = {
-        "provenance": _provenance(vars(args), args.input),
+        "provenance": _provenance(vars(args), data),
         "p": table.p, "ap": table.ap, "eps_p": table.eps_p,
         "tame_index": args.tame, "precision": m,
         "v": _frac_str(params.ap_valuation()),
@@ -164,11 +167,12 @@ def cmd_invariants(args):
 
 
 def cmd_rank_bound(args):
-    doc = json.loads(Path(args.invariants).read_text())
+    data = Path(args.invariants).read_bytes()
+    doc = json.loads(data)
     report = rank_bound(doc["p"], Fraction(doc["mu_sharp"]), Fraction(doc["mu_flat"]),
                         doc["lambda_sharp"], doc["lambda_flat"], _parse_ext(doc["v"]))
     payload = {
-        "provenance": _provenance(vars(args), args.invariants),
+        "provenance": _provenance(vars(args), data),
         "p": report.p, "case": report.case, "bound": report.bound,
         "nu": report.nu, "nu_sharp": report.nu_sharp, "nu_flat": report.nu_flat,
         "nu_tilde_sharp": report.nu_tilde_sharp,
@@ -183,9 +187,9 @@ def cmd_rank_bound(args):
 
 
 def cmd_sha_growth(args):
-    doc = json.loads(Path(args.records).read_text())
+    data = Path(args.records).read_bytes()
     records = []
-    for entry in doc:
+    for entry in json.loads(data):
         fields = dict(entry)
         kind = fields.pop("kind")
         rec = ShaRecord(
@@ -204,7 +208,7 @@ def cmd_sha_growth(args):
         records.append(rec)
     report = sha_growth(range(args.n_from, args.n_to + 1), records, args.p)
     payload = {
-        "provenance": _provenance(vars(args), args.records),
+        "provenance": _provenance(vars(args), data),
         "p": args.p,
         "increments": {str(n): str(v) for n, v in report.increments.items()},
         "choices": {str(n): list(v) for n, v in report.choices.items()},
@@ -243,15 +247,13 @@ def cmd_verify(args):
         m = _precision(args, level)
         params = FormParams(args.p, args.ap, args.eps or 1, m)
         seq = synthesize_queue(args.synthetic_seed, params, level)
-        table = None
-        input_path = None
+        table = data = None
     else:
-        table = _load_table(args)
+        table, data = _load_table(args)
         level = args.level or table.maxN - (1 if table.p != 2 else 2)
         m = _precision(args, level)
         seq = theta_sequence(table, level, args.tame, m)
         params = seq.params
-        input_path = args.input
 
     queue_report = validate_queue(seq)
     record("three-term relation", queue_report.valid,
@@ -276,7 +278,7 @@ def cmd_verify(args):
 
     passed = all(c["passed"] for c in checks)
     payload = {
-        "provenance": _provenance(vars(args), input_path),
+        "provenance": _provenance(vars(args), data),
         "p": params.p, "ap": params.ap, "eps_p": params.eps_p,
         "level": level, "precision": m, "passed": passed, "checks": checks,
     }
@@ -359,8 +361,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`: built on the first call, then reused."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (IwtError, OSError, ValueError) as exc:

@@ -240,16 +240,14 @@ def minimal_k(p, v):
             return None
         v = v.value
     v = Fraction(v)
-    if v <= 0:
-        return None if v == 0 else _raise_negative(v)
+    if v < 0:
+        raise OutOfRange(f"minimal_k: valuation must be >= 0, got {v}")
+    if v == 0:
+        return None
     k = 1
     while v < Fraction(1, 2 * p ** k):
         k += 1
     return k
-
-
-def _raise_negative(v):
-    raise ValueError(f"valuation must be >= 0, got {v}")
 
 
 def v2_invariant(a, p, k, eps_p=1, precision=None):

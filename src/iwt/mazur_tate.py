@@ -1,9 +1,11 @@
 """Modular-symbol tables and the group-algebra elements built from them.
 
 A table holds exact rationals [a/p^N]^+- for every residue a coprime to
-p and every 1 <= N <= maxN.  Every unit mod p^N is uniquely a = w * gamma^t
-with w a Teichmuller root (+-1 for p = 2), gamma = 1 + 2p and t in [0, p^n),
-where N = n+1 for odd p and n+2 for p = 2.  From a fixed tame character
+p and every 1 <= N <= maxN, each an int when integral and a Fraction
+otherwise, so build_theta works on numerators and denominators as plain
+integers.  Every unit mod p^N is uniquely a = w * gamma^t with w a
+Teichmuller root (+-1 for p = 2), gamma = 1 + 2p and t in [0, p^n), where
+N = n+1 for odd p and n+2 for p = 2.  From a fixed tame character
 the level-n element is the weighted sum of (1+T)^t over these residues,
 enumerated root by root, so the discrete log t is the loop index.
 Consecutive elements satisfy the three-term compatibility
@@ -20,10 +22,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
-                     SchemaError)
+from .errors import (MissingSymbol, NonIntegralDenominator, NotAUnit,
+                     OutOfRange, SchemaError)
 from .iwasawa_algebra import FormParams, LambdaElement, lift_nu, project_pi
-from .padic_core import padic_from_rational, teichmuller, val_p
+from .padic_core import teichmuller, val_p
 
 
 def _is_prime(n):
@@ -37,12 +39,35 @@ def _is_prime(n):
     return True
 
 
+def _where(slot):
+    """A table slot (a, N, sign), or the name of a document field, for errors."""
+    if isinstance(slot, str):
+        return slot
+    a, big_n, sign = slot
+    return f"(a={a}, N={big_n}, sign={sign:+d})"
+
+
+def _int_field(value, name):
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"field {name!r} must be an integer, got {value!r}") from exc
+
+
 def _parse_rational(text, where):
+    """The rational a/b or a in `text`: an int when integral, else a Fraction."""
     try:
         num, _, den = str(text).partition("/")
-        return Fraction(int(num), int(den) if den else 1)
+        num, den = int(num), int(den) if den else 1
+        if den == 1:
+            return num
+        value = Fraction(num, den)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: bad rational {text!r}") from exc
+        raise SchemaError(f"{_where(where)}: bad rational {text!r}") from exc
+    return value.numerator if value.denominator == 1 else value
+
+
+_ENTRY_KEYS = frozenset(("a", "N", "plus", "minus"))
 
 
 @dataclass(frozen=True)
@@ -53,7 +78,9 @@ class ModularSymbolTable:
     eps_p: int
     maxN: int
     period_convention: str
-    values: dict  # (a, N, sign) -> Fraction, sign in {+1, -1}
+    # (a, N, sign) -> [a/p^N]^sign, sign in {+1, -1}: an int when integral,
+    # else a Fraction
+    values: dict
     lratio: Fraction | None = None
     denominator_scale: int = 1
 
@@ -65,12 +92,23 @@ class ModularSymbolTable:
             raise MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
 
 
+def _first_missing(p, max_n, values):
+    """MissingSymbol for the first absent slot, in (N, a, sign) order."""
+    for big_n in range(1, max_n + 1):
+        for a in range(1, p ** big_n):
+            if a % p == 0:
+                continue
+            for sign in (1, -1):
+                if (a, big_n, sign) not in values:
+                    return MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
+
+
 def ingest_modular_symbols(document, allow_denominator=1):
     """Validate a symbols document and return the exact table.
 
-    Rejects incomplete residue coverage, non p-integral denominators
-    (beyond the explicit allow_denominator bound) and violations of the
-    sign symmetry [-a/m]^+- = +-[a/m]^+-.
+    Rejects mistyped fields, incomplete residue coverage, non p-integral
+    denominators (beyond the explicit allow_denominator bound) and
+    violations of the sign symmetry [-a/m]^+- = +-[a/m]^+-.
     """
     if not isinstance(document, dict):
         raise SchemaError("document must be a JSON object")
@@ -78,60 +116,63 @@ def ingest_modular_symbols(document, allow_denominator=1):
         if key not in document:
             raise SchemaError(f"missing key {key!r}")
     p = document["p"]
+    if not isinstance(p, int):
+        raise SchemaError(f"field 'p' must be an integer, got {p!r}")
     if not _is_prime(p):
         raise SchemaError(f"p={p} is not prime")
-    conductor = int(document["conductor"])
+    conductor = _int_field(document["conductor"], "conductor")
     if conductor % p == 0:
         raise SchemaError(f"p={p} divides the conductor {conductor}; need a good prime")
-    eps_p = int(document["eps_p"])
+    eps_p = _int_field(document["eps_p"], "eps_p")
     if eps_p % p == 0:
         raise SchemaError("eps_p must be a p-adic unit")
-    max_n = int(document["maxN"])
+    max_n = _int_field(document["maxN"], "maxN")
     if max_n < 1:
         raise SchemaError("maxN must be >= 1")
+    symbols = document["symbols"]
+    if not isinstance(symbols, list):
+        raise SchemaError(f"field 'symbols' must be a list, got {type(symbols).__name__}")
 
+    moduli = [p ** big_n for big_n in range(max_n + 1)]
     values = {}
-    for entry in document["symbols"]:
-        if not isinstance(entry, dict) or not {"a", "N", "plus", "minus"} <= entry.keys():
+    for entry in symbols:
+        if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
             raise SchemaError(f"malformed symbol entry {entry!r}")
-        big_n = int(entry["N"])
+        big_n = _int_field(entry["N"], "N")
         if not 1 <= big_n <= max_n:
             raise SchemaError(f"symbol has N={big_n} outside 1..{max_n}")
-        a = int(entry["a"]) % p ** big_n
+        a = _int_field(entry["a"], "a") % moduli[big_n]
         if a % p == 0:
             raise SchemaError(f"residue a={entry['a']} at N={big_n} is divisible by {p}")
         for sign, key in ((1, "plus"), (-1, "minus")):
-            where = f"(a={a}, N={big_n}, sign={sign:+d})"
-            value = _parse_rational(entry[key], where)
-            den_p_part = p ** val_p(value.denominator, p)
-            if den_p_part > 1 and allow_denominator % den_p_part != 0:
-                raise NonIntegralDenominator(
-                    f"{where}: denominator {value.denominator} is not a p-unit")
-            if (a, big_n, sign) in values and values[(a, big_n, sign)] != value:
-                raise SchemaError(f"{where}: conflicting duplicate entries")
-            values[(a, big_n, sign)] = value
+            slot = (a, big_n, sign)
+            value = _parse_rational(entry[key], slot)
+            if type(value) is not int:
+                den_p_part = p ** val_p(value.denominator, p)
+                if den_p_part > 1 and allow_denominator % den_p_part != 0:
+                    raise NonIntegralDenominator(f"{_where(slot)}: denominator "
+                                                 f"{value.denominator} is not a p-unit")
+            if slot in values and values[slot] != value:
+                raise SchemaError(f"{_where(slot)}: conflicting duplicate entries")
+            values[slot] = value
 
-    for big_n in range(1, max_n + 1):
-        for a in range(1, p ** big_n):
-            if a % p == 0:
-                continue
-            for sign in (1, -1):
-                if (a, big_n, sign) not in values:
-                    raise MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
+    # every key is a valid slot, so the count decides coverage:
+    # 2 * sum over N of phi(p^N) = 2 * (p^maxN - 1)
+    if len(values) != 2 * (moduli[max_n] - 1):
+        raise _first_missing(p, max_n, values)
 
     # [-a/m]^+ = [a/m]^+ and [-a/m]^- = -[a/m]^- hold for genuine symbols
-    for (a, big_n, sign), value in values.items():
-        mirrored = values[((-a) % p ** big_n, big_n, sign)]
-        if mirrored != sign * value:
-            raise SchemaError(
-                f"sign symmetry violated at (a={a}, N={big_n}, sign={sign:+d})")
+    for slot, value in values.items():
+        a, big_n, sign = slot
+        if values[(moduli[big_n] - a, big_n, sign)] != sign * value:
+            raise SchemaError(f"sign symmetry violated at {_where(slot)}")
 
     lratio = document.get("lratio")
     if lratio is not None:
-        lratio = _parse_rational(lratio, "lratio")
+        lratio = Fraction(_parse_rational(lratio, "lratio"))
 
     return ModularSymbolTable(
-        p=p, conductor=conductor, ap=int(document["ap"]), eps_p=eps_p,
+        p=p, conductor=conductor, ap=_int_field(document["ap"], "ap"), eps_p=eps_p,
         maxN=max_n, period_convention=str(document.get("period_convention", "")),
         values=values, lratio=lratio, denominator_scale=allow_denominator)
 
@@ -153,8 +194,9 @@ def build_theta(table, n, tame_index, precision):
     The residues are enumerated as a = w * gamma^t mod p^N, w running over
     the Teichmuller roots of 1..p-1 (+-1 for p = 2) and t over [0, p^n), so
     t = log_gamma(a) needs no lookup and omega^i(a) = w^i mod p^M is formed
-    once per root.  The sum is accumulated in the group basis and converted
-    to the canonical form.
+    once per root.  A symbol [a/p^N] = u/d contributes u * (scale/d) mod p^M,
+    with scale/d mod p^M formed once per distinct denominator d.  The sum
+    is accumulated in the group basis and converted to the canonical form.
     """
     p = table.p
     big_n = level_exponent(p, n)
@@ -167,16 +209,32 @@ def build_theta(table, n, tame_index, precision):
     modulus = p ** precision
     big_modulus = p ** big_n
     gamma = 1 + 2 * p
+    values = table.values
+    factors = {}   # denominator d -> scale/d mod p^M
     unit_coeffs = [0] * p ** n
     for root in ((1, -1) if p == 2 else range(1, p)):
         a = teichmuller(root, p, big_n).residue
         weight = pow(teichmuller(root, p, precision).residue, tame_index, modulus)
         for t in range(p ** n):
-            value = table.symbol(a, big_n, sign) * table.denominator_scale
-            c = padic_from_rational(p, value, precision).residue * weight
-            unit_coeffs[t] = (unit_coeffs[t] + c) % modulus
+            try:
+                value = values[(a, big_n, sign)]
+            except KeyError:
+                raise MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
+            den = value.denominator
+            if den not in factors:
+                factors[den] = _scaled_inverse(table.denominator_scale, den, p, modulus)
+            unit_coeffs[t] += value.numerator * factors[den] * weight
             a = a * gamma % big_modulus
+    unit_coeffs = [c % modulus for c in unit_coeffs]
     return LambdaElement.from_unit_basis(p, n, precision, unit_coeffs)
+
+
+def _scaled_inverse(scale, den, p, modulus):
+    """scale/den mod p^M; the reduced denominator must be a p-unit."""
+    ratio = Fraction(scale, den)
+    if ratio.denominator % p == 0:
+        raise NotAUnit(f"denominator {ratio.denominator} is divisible by {p}")
+    return ratio.numerator * pow(ratio.denominator, -1, modulus) % modulus
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import MixedPrime, NotAUnit, NotCoprime, OutOfRange
+from .errors import (MixedPrime, NotAUnit, NotCoprime, OutOfRange, SchemaError,
+                     ZeroInput)
 
 
 def val_p(x, p, cap=None):
@@ -154,7 +155,7 @@ def _log_gamma_table(p, big_n):
     """Map u -> t for u = gamma^t mod p^N, t in [0, p^n)."""
     n = big_n - 1 if p != 2 else big_n - 2
     if n < 0:
-        raise ValueError(f"N={big_n} is below the level floor for p={p}")
+        raise OutOfRange(f"log-gamma table: N={big_n} is below the level floor for p={p}")
     gamma = 1 + 2 * p
     modulus = p ** big_n
     table = {}
@@ -224,7 +225,7 @@ class ExtRational:
         if self.is_infinite:
             return ExtRational.infinity()
         if other.is_infinite:
-            raise ValueError("cannot subtract infinity")
+            raise OutOfRange("ExtRational subtraction: cannot subtract infinity")
         return ExtRational(self.value - other.value)
 
     def __mul__(self, other):
@@ -233,7 +234,7 @@ class ExtRational:
             return NotImplemented
         if self.is_infinite or other.is_infinite:
             if (self.value == 0) or (other.value == 0):
-                raise ValueError("0 * infinity is undefined")
+                raise ZeroInput("ExtRational product: 0 * infinity is undefined")
             return ExtRational.infinity()
         return ExtRational(self.value * other.value)
 
@@ -299,7 +300,8 @@ class ValMatrix:
         for row in entries:
             rows.append(tuple(v if isinstance(v, ExtRational) else ExtRational(v) for v in row))
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("ValMatrix is 2x2")
+            raise SchemaError(f"ValMatrix must be 2x2, got rows of lengths "
+                              f"{[len(r) for r in rows]}")
         self.entries = tuple(rows)
 
     @classmethod

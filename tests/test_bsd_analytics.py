@@ -8,7 +8,8 @@ from iwt.bsd_analytics import (SHARP, FLAT, KuriharaParams, ShaRecord,
                                kurihara_simple, modesty_choose, modesty_map,
                                nu_thresholds, rank_bound, sha_growth,
                                sporadic_check)
-from iwt.errors import ExcludedCase, InvalidParams, SporadicCase, TieCase
+from iwt.errors import (ExcludedCase, InvalidParams, OutOfRange, SporadicCase,
+                        TieCase)
 from iwt.padic_core import ExtRational
 
 F = Fraction
@@ -357,3 +358,14 @@ def test_flip_points_shift_by_exactly_the_mu_gap():
     for gap in (F(1, 100), F(-1, 100)):
         lo1, hi1 = locate_flip(p, n, None, gap, F(1, 6), F(1, 2))
         assert abs((lo1 - lo0) - gap) <= hi0 - lo0 + hi1 - lo1 + F(1, 10 ** 9)
+
+
+def test_kurihara_simple_with_an_unknown_star_is_out_of_range():
+    with pytest.raises(OutOfRange, match="kurihara_simple"):
+        kurihara_simple(3, 3, "both")
+
+
+def test_kurihara_general_with_an_unknown_star_is_out_of_range():
+    params = KuriharaParams.from_v(3, F(1, 6))
+    with pytest.raises(OutOfRange, match="kurihara_general"):
+        kurihara_general(3, 3, params, "both")

@@ -120,3 +120,38 @@ def test_sha_growth_and_modesty_map(tmp_path):
 
 def test_selfcheck_passes():
     assert run(["selfcheck"]) == 0
+
+
+@pytest.mark.parametrize("field, value", [("p", "3"), ("maxN", "five"),
+                                          ("conductor", None)])
+def test_mistyped_table_field_fails_with_a_schema_error(tmp_path, capsys, field, value):
+    doc = json.loads(FIXTURE.read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["invariants", "--input", bad, "--level", 2, "--out", tmp_path]) == 1
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == "SchemaError"
+    assert repr(field) in report["message"]
+    assert (report["module"], report["operation"]) == ("sharp_flat", "invariants")
+
+
+def test_mistyped_symbol_entry_fails_with_a_schema_error(tmp_path, capsys):
+    doc = json.loads(FIXTURE.read_text())
+    doc["symbols"][5]["a"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["invariants", "--input", bad, "--level", 2, "--out", tmp_path]) == 1
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == "SchemaError" and "'a'" in report["message"]
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path):
+    # the six golden reports, twice in one process, the second pass reversed:
+    # each --tame 1 run is followed by runs that must fall back to --tame 0
+    runs = [(tame, command) for tame in sorted(GOLDEN) for command in GOLDEN[tame]]
+    for tame, command in runs + runs[::-1]:
+        argv = [command, "--input", FIXTURE, "--level", 4, "--out", tmp_path]
+        assert run(argv + (["--tame", tame] if tame else [])) == 0
+        report = (tmp_path / f"{command}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == GOLDEN[tame][command], (tame, command)

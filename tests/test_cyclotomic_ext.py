@@ -203,3 +203,8 @@ def test_boundary_slope_matrix_matches_the_q_values():
     assert vm4.entries[1][0] == ExtRational(q(4, "flat") / phi4)
     # n = 4 != k mod 2: the sharp row is parity-active
     assert vm4.entries[0][1] == ExtRational(q(4, "sharp") / phi4 - v.value)
+
+
+def test_minimal_k_of_a_negative_valuation_is_out_of_range():
+    with pytest.raises(OutOfRange, match="minimal_k"):
+        minimal_k(3, -1)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from iwt.errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
-                        SchemaError)
+from iwt.errors import (MissingSymbol, NonIntegralDenominator, NotAUnit,
+                        OutOfRange, SchemaError)
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  exact_divide_by_phi, lift_nu)
 from iwt.mazur_tate import (ModularSymbolTable, build_theta,
@@ -197,3 +197,98 @@ def test_build_theta_matches_the_per_residue_formula(p, top):
         for n in range(top + 1):
             assert build_theta(table, n, tame_index, M) == \
                 per_residue_theta(table, n, tame_index, M)
+
+
+def test_string_prime_is_a_schema_error():
+    doc = minimal_document()
+    doc["p"] = "3"
+    with pytest.raises(SchemaError, match="'p'"):
+        ingest_modular_symbols(doc)
+
+
+def test_null_residue_is_a_schema_error():
+    doc = minimal_document()
+    doc["symbols"][0]["a"] = None
+    with pytest.raises(SchemaError, match="'a'"):
+        ingest_modular_symbols(doc)
+
+
+def test_non_numeric_level_is_a_schema_error():
+    doc = minimal_document()
+    doc["symbols"][0]["N"] = "one"
+    with pytest.raises(SchemaError, match="'N'"):
+        ingest_modular_symbols(doc)
+
+
+def test_non_numeric_max_level_is_a_schema_error():
+    doc = minimal_document()
+    doc["maxN"] = "x"
+    with pytest.raises(SchemaError, match="'maxN'"):
+        ingest_modular_symbols(doc)
+
+
+def test_non_numeric_conductor_is_a_schema_error():
+    doc = minimal_document()
+    doc["conductor"] = [11]
+    with pytest.raises(SchemaError, match="'conductor'"):
+        ingest_modular_symbols(doc)
+
+
+def test_non_list_symbols_is_a_schema_error():
+    doc = minimal_document()
+    doc["symbols"] = 7
+    with pytest.raises(SchemaError, match="'symbols'"):
+        ingest_modular_symbols(doc)
+
+
+def scaled_copy(table):
+    """The same symbols times denominator_scale, with scale 1."""
+    values = {slot: Fraction(v) * table.denominator_scale
+              for slot, v in table.values.items()}
+    return ModularSymbolTable(p=table.p, conductor=table.conductor, ap=table.ap,
+                              eps_p=table.eps_p, maxN=table.maxN,
+                              period_convention=table.period_convention,
+                              values=values)
+
+
+@pytest.mark.parametrize("p, top", [(2, 4), (3, 3), (5, 2), (7, 1)])
+def test_build_theta_with_a_denominator_scale(p, top):
+    rng = random.Random(10 * p)
+    base = random_symmetric_table(p, level_exponent(p, top), rng)
+    symbols = {}
+    for (a, big_n, sign), value in base.values.items():
+        entry = symbols.setdefault((a, big_n), {"a": a, "N": big_n})
+        entry["plus" if sign == 1 else "minus"] = str(value)
+    # divide about a third of the residue pairs {a, -a} by p, keeping the symmetry
+    for (a, big_n), entry in symbols.items():
+        mirror = (-a) % p ** big_n
+        if a < mirror and rng.random() < 1 / 3:
+            for e in (entry, symbols[(mirror, big_n)]):
+                e["plus"] = str(Fraction(e["plus"]) / p)
+                e["minus"] = str(Fraction(e["minus"]) / p)
+    doc = {"p": p, "conductor": 11, "ap": 1, "eps_p": 1, "maxN": base.maxN,
+           "symbols": list(symbols.values())}
+    table = ingest_modular_symbols(doc, allow_denominator=p)
+    assert any(Fraction(v).denominator % p == 0 for v in table.values.values())
+    for tame_index in range(2 if p == 2 else p - 1):
+        for n in range(top + 1):
+            assert build_theta(table, n, tame_index, M) == \
+                per_residue_theta(scaled_copy(table), n, tame_index, M)
+
+
+def test_build_theta_rejects_a_denominator_beyond_the_scale():
+    # [1/3]^+ = 1/9 at scale 3 leaves 1/3, as padic_from_rational reported it
+    values = {(1, 1, 1): Fraction(1, 9), (2, 1, 1): Fraction(1, 9),
+              (1, 1, -1): 0, (2, 1, -1): 0}
+    table = ModularSymbolTable(p=3, conductor=11, ap=1, eps_p=1, maxN=1,
+                               period_convention="test", values=values,
+                               denominator_scale=3)
+    with pytest.raises(NotAUnit, match="^denominator 3 is divisible by 3$"):
+        build_theta(table, 0, 0, M)
+
+
+def test_build_theta_names_a_missing_symbol():
+    table = ingest_modular_symbols(minimal_document())
+    del table.values[(2, 1, 1)]
+    with pytest.raises(MissingSymbol, match="a=2, N=1, sign=[+]1"):
+        build_theta(table, 0, 0, M)

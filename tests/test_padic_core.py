@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwt.errors import MixedPrime, NotAUnit, NotCoprime
-from iwt.padic_core import (ExtRational, PadicInt, ValMatrix, ext_min,
-                            log_gamma, padic_from_rational, teichmuller,
-                            tropical_mul)
+from iwt.errors import (MixedPrime, NotAUnit, NotCoprime, OutOfRange,
+                        SchemaError, ZeroInput)
+from iwt.padic_core import (ExtRational, PadicInt, ValMatrix, _log_gamma_table,
+                            ext_min, log_gamma, padic_from_rational,
+                            teichmuller, tropical_mul)
 
 INF = ExtRational.infinity()
 
@@ -178,3 +179,23 @@ def test_tropical_lower_bound_for_integer_matrices():
             for k in range(2):
                 exact = val(a[i][0] * b[0][k] + a[i][1] * b[1][k])
                 assert exact >= bound.entries[i][k]
+
+
+def test_finite_minus_infinity_is_out_of_range():
+    with pytest.raises(OutOfRange, match="subtract"):
+        ExtRational(3) - INF
+
+
+def test_zero_times_infinity_is_a_zero_input():
+    with pytest.raises(ZeroInput, match="product"):
+        ExtRational(0) * INF
+
+
+def test_log_gamma_table_below_the_level_floor_is_out_of_range():
+    with pytest.raises(OutOfRange, match="log-gamma"):
+        _log_gamma_table(2, 1)
+
+
+def test_val_matrix_of_another_shape_is_a_schema_error():
+    with pytest.raises(SchemaError, match="ValMatrix"):
+        ValMatrix([[0, 1, 2], [3, 4, 5]])
