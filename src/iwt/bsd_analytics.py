@@ -372,19 +372,17 @@ def sha_growth(n_range, records, p):
 
 
 def modesty_map(p, v_values, mu_gaps, lambda_sharp, lambda_flat,
-                parities=(1, 0), v2_overrides=None, depth=6):
-    """Sweep the comparison rule over a (v, mu-gap, parity) grid.
+                parities=(1, 0), depth=6):
+    """Sweep the comparison rule over a (v, mu-gap, parity) grid at v2 = 2v.
 
-    v2 defaults to the generic 2v; a dict v -> v2 overrides pointwise.
     The representative layer for each (v, parity) is the smallest
     n > max(k, depth) of that parity, deep enough that the slope terms
     dominate the bookkeeping tails.  Emits one record per grid point.
     """
-    v2_overrides = v2_overrides or {}
     records = []
     for v in v_values:
         v = v if isinstance(v, ExtRational) else ExtRational(v)
-        params = KuriharaParams.from_v(p, v, v2_overrides.get(v))
+        params = KuriharaParams.from_v(p, v)
         k = params.k or 1
         for gap in mu_gaps:
             gap = Fraction(gap)

@@ -10,6 +10,10 @@ modesty-map  CSV sweep of the comparison rule over a (v, mu-gap) grid
 verify       run the consistency battery on a fixture (or synthetic seed)
 selfcheck    run the built-in example corpus
 
+decompose, invariants and verify read a symbols table; without --level
+they work at its top level, maxN - 1 (maxN - 2 at p = 2).  Synthetic
+verify defaults to level 3.
+
 All reports are deterministic JSON (sorted keys, no timestamps) carrying
 a provenance block: the sha256 of the effective configuration, the
 sha256 of the input file, and the package version.
@@ -27,11 +31,11 @@ from pathlib import Path
 
 from . import __version__
 from .bsd_analytics import (ShaRecord, modesty_map, rank_bound, sha_growth)
-from .errors import IwtError
+from .errors import IwtError, OutOfRange, SchemaError
 from .iwasawa_algebra import FormParams, lift_nu
 from .logmatrix import det_identity_check, functional_equation_check
-from .mazur_tate import (ingest_modular_symbols, synthesize_queue,
-                         theta_sequence, validate_queue)
+from .mazur_tate import (_int_field, _parse_rational, ingest_modular_symbols,
+                         synthesize_queue, theta_sequence, validate_queue)
 from .padic_core import ExtRational
 from .selfcheck import run_selfcheck
 from .sharp_flat import (decompose_sequence, recompose, special_value_check,
@@ -53,11 +57,14 @@ def _provenance(config, input_bytes=None):
     return prov
 
 
-def _write_json(path, payload):
-    path = Path(path)
+def _write(args, name, report):
+    """Write a report (JSON unless it is already text) to --out and say so."""
+    path = Path(args.out) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
-    return path
+    if not isinstance(report, str):
+        report = json.dumps(report, sort_keys=True, indent=1, default=str) + "\n"
+    path.write_text(report)
+    print(f"wrote {path}")
 
 
 def _fail(module, operation, exc):
@@ -73,23 +80,42 @@ def _frac_str(x):
     return str(x)
 
 
-def _parse_ext(text):
+def _parse_ext(text, name):
     text = str(text).strip()
     if text in ("inf", "oo", "infinity"):
         return ExtRational.infinity()
-    return ExtRational(Fraction(text))
+    try:
+        return ExtRational(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"field {name!r} must be a rational or inf, got {text!r}") from exc
 
 
-def _load_table(args):
-    """(table, input bytes): the file is read once, for parsing and hashing."""
-    data = Path(args.input).read_bytes()
-    table = ingest_modular_symbols(json.loads(data),
-                                   allow_denominator=args.allow_denominator)
-    for name, got in (("p", args.p), ("ap", args.ap), ("eps", args.eps)):
-        want = {"p": table.p, "ap": table.ap, "eps": table.eps_p}[name]
-        if got is not None and got != want:
-            raise IwtError(f"--{name}={got} contradicts the table value {want}")
-    return table, data
+def _fraction(value, name):
+    return Fraction(_parse_rational(value, f"field {name!r}"))
+
+
+def _kind(value, name):
+    if value not in ("ordinary", "form", "elliptic"):
+        raise SchemaError(f"field {name!r} must be ordinary, form or elliptic, got {value!r}")
+    return value
+
+
+def _read_fields(doc, readers, required):
+    """{field: reader(value, field)} for the fields of `doc` that `readers` knows."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected a JSON object, got {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"missing key {key!r}")
+    return {key: read(doc[key], key) for key, read in readers.items() if key in doc}
+
+
+_RANK_FIELDS = {"p": _int_field, "mu_sharp": _fraction, "mu_flat": _fraction,
+                "lambda_sharp": _int_field, "lambda_flat": _int_field, "v": _parse_ext}
+_RECORD_FIELDS = {"kind": _kind, "r_infinity": _int_field, "mu": _fraction, "lam": _int_field,
+                  "mu_sharp": _fraction, "mu_flat": _fraction, "lambda_sharp": _int_field,
+                  "lambda_flat": _int_field, "v": _parse_ext, "v2": _parse_ext,
+                  "label": lambda value, name: str(value)}
 
 
 def _precision(args, level):
@@ -98,6 +124,23 @@ def _precision(args, level):
     if m < floor:
         raise IwtError(f"precision M={m} below the headroom floor n+8={floor}")
     return m
+
+
+def _table_tower(args):
+    """(table, input bytes, Theta_0..Theta_n) of a table command, reading the
+    input file once; n is --level, else the table's top level."""
+    data = Path(args.input).read_bytes()
+    table = ingest_modular_symbols(json.loads(data),
+                                   allow_denominator=args.allow_denominator)
+    for name, got in (("p", args.p), ("ap", args.ap), ("eps", args.eps)):
+        want = {"p": table.p, "ap": table.ap, "eps": table.eps_p}[name]
+        if got is not None and got != want:
+            raise IwtError(f"--{name}={got} contradicts the table value {want}")
+    level = table.maxN - (1 if table.p != 2 else 2) if args.level is None else args.level
+    if level < 1:
+        raise OutOfRange(f"level must be >= 1, got {level}")
+    m = _precision(args, level)
+    return table, data, theta_sequence(table, level, args.tame, m)
 
 
 def _element_json(x):
@@ -110,32 +153,26 @@ def _invariants_json(inv):
 
 
 def cmd_decompose(args):
-    table, data = _load_table(args)
-    m = _precision(args, args.level)
-    seq = theta_sequence(table, args.level, args.tame, m)
+    table, data, seq = _table_tower(args)
     # no pre-validation: corrupted data surfaces as NotDivisible with the
     # failing peel index, which pinpoints the broken level
     apprs = decompose_sequence(seq, hatted=args.hatted)
-    payload = {
+    _write(args, "decompose.json", {
         "provenance": _provenance(vars(args), data),
         "p": table.p, "ap": table.ap, "eps_p": table.eps_p,
-        "tame_index": args.tame, "hatted": args.hatted, "precision": m,
+        "tame_index": args.tame, "hatted": args.hatted, "precision": seq.params.precision,
         "levels": [
             {"n": a.level,
              "sharp": _element_json(a.sharp),
              "flat": _element_json(a.flat)}
             for a in apprs
         ],
-    }
-    path = _write_json(Path(args.out) / "decompose.json", payload)
-    print(f"wrote {path}")
+    })
     return 0
 
 
 def cmd_invariants(args):
-    table, data = _load_table(args)
-    m = _precision(args, args.level)
-    seq = theta_sequence(table, args.level, args.tame, m)
+    table, data, seq = _table_tower(args)
     apprs = decompose_sequence(seq, hatted=args.hatted)
     sharp, flat = stabilized_invariants(apprs)
     params = seq.params
@@ -147,10 +184,10 @@ def cmd_invariants(args):
                               "flat": _invariants_json(f)})
         except IwtError as exc:
             per_level.append({"n": a.level, "skipped": type(exc).__name__})
-    payload = {
+    _write(args, "invariants.json", {
         "provenance": _provenance(vars(args), data),
         "p": table.p, "ap": table.ap, "eps_p": table.eps_p,
-        "tame_index": args.tame, "precision": m,
+        "tame_index": args.tame, "precision": params.precision,
         "v": _frac_str(params.ap_valuation()),
         "mu_sharp": str(sharp.mu), "lambda_sharp": sharp.lam,
         "mu_flat": str(flat.mu), "lambda_flat": flat.lam,
@@ -160,18 +197,16 @@ def cmd_invariants(args):
             "against the step product is intrinsic at a unit slope"
             if params.ap % params.p else None),
         "per_level": per_level,
-    }
-    path = _write_json(Path(args.out) / "invariants.json", payload)
-    print(f"wrote {path}")
+    })
     return 0
 
 
 def cmd_rank_bound(args):
     data = Path(args.invariants).read_bytes()
-    doc = json.loads(data)
-    report = rank_bound(doc["p"], Fraction(doc["mu_sharp"]), Fraction(doc["mu_flat"]),
-                        doc["lambda_sharp"], doc["lambda_flat"], _parse_ext(doc["v"]))
-    payload = {
+    doc = _read_fields(json.loads(data), _RANK_FIELDS, _RANK_FIELDS)
+    report = rank_bound(doc["p"], doc["mu_sharp"], doc["mu_flat"],
+                        doc["lambda_sharp"], doc["lambda_flat"], doc["v"])
+    _write(args, "rank_bound.json", {
         "provenance": _provenance(vars(args), data),
         "p": report.p, "case": report.case, "bound": report.bound,
         "nu": report.nu, "nu_sharp": report.nu_sharp, "nu_flat": report.nu_flat,
@@ -180,57 +215,37 @@ def cmd_rank_bound(args):
         "lambda_sum_bound": report.lambda_sum_bound,
         "q_nu_sharp": report.details["q_nu_sharp"],
         "q_nu_flat": report.details["q_nu_flat"],
-    }
-    path = _write_json(Path(args.out) / "rank_bound.json", payload)
-    print(f"wrote {path}")
+    })
     return 0
 
 
 def cmd_sha_growth(args):
     data = Path(args.records).read_bytes()
-    records = []
-    for entry in json.loads(data):
-        fields = dict(entry)
-        kind = fields.pop("kind")
-        rec = ShaRecord(
-            kind=kind,
-            r_infinity=int(fields.pop("r_infinity")),
-            mu=Fraction(fields.pop("mu")) if "mu" in fields else None,
-            lam=int(fields.pop("lam")) if "lam" in fields else None,
-            mu_sharp=Fraction(fields.pop("mu_sharp")) if "mu_sharp" in fields else None,
-            mu_flat=Fraction(fields.pop("mu_flat")) if "mu_flat" in fields else None,
-            lambda_sharp=int(fields.pop("lambda_sharp")) if "lambda_sharp" in fields else None,
-            lambda_flat=int(fields.pop("lambda_flat")) if "lambda_flat" in fields else None,
-            v=_parse_ext(fields.pop("v")) if "v" in fields else None,
-            v2=_parse_ext(fields.pop("v2")) if "v2" in fields else None,
-            label=str(fields.pop("label", "")),
-        )
-        records.append(rec)
+    entries = json.loads(data)
+    if not isinstance(entries, list):
+        raise SchemaError(f"records must be a JSON list, got {type(entries).__name__}")
+    records = [ShaRecord(**_read_fields(entry, _RECORD_FIELDS, ("kind", "r_infinity")))
+               for entry in entries]
     report = sha_growth(range(args.n_from, args.n_to + 1), records, args.p)
-    payload = {
+    _write(args, "sha_growth.json", {
         "provenance": _provenance(vars(args), data),
         "p": args.p,
         "increments": {str(n): str(v) for n, v in report.increments.items()},
         "choices": {str(n): list(v) for n, v in report.choices.items()},
-    }
-    path = _write_json(Path(args.out) / "sha_growth.json", payload)
-    print(f"wrote {path}")
+    })
     return 0
 
 
 def cmd_modesty_map(args):
-    v_values = [_parse_ext(v) for v in args.v_values.split(",")]
+    v_values = [_parse_ext(v, "--v-values") for v in args.v_values.split(",")]
     mu_gaps = [Fraction(g) for g in args.mu_gaps.split(",")]
     rows = modesty_map(args.p, v_values, mu_gaps, args.lambda_sharp,
                        args.lambda_flat, depth=args.depth)
-    out = Path(args.out) / "modesty_map.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["v,mu_gap,n_parity,star"]
     for row in rows:
         lines.append(f"{_frac_str(row['v'])},{row['mu_gap']},"
                      f"{row['n_parity']},{row['star']}")
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out}")
+    _write(args, "modesty_map.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -244,16 +259,13 @@ def cmd_verify(args):
         if args.p is None or args.ap is None:
             raise IwtError("synthetic verify needs --p and --ap")
         level = args.level or 3
-        m = _precision(args, level)
-        params = FormParams(args.p, args.ap, args.eps or 1, m)
+        params = FormParams(args.p, args.ap, args.eps or 1, _precision(args, level))
         seq = synthesize_queue(args.synthetic_seed, params, level)
         table = data = None
     else:
-        table, data = _load_table(args)
-        level = args.level or table.maxN - (1 if table.p != 2 else 2)
-        m = _precision(args, level)
-        seq = theta_sequence(table, level, args.tame, m)
-        params = seq.params
+        table, data, seq = _table_tower(args)
+        level = seq.top_level
+    params, m = seq.params, seq.params.precision
 
     queue_report = validate_queue(seq)
     record("three-term relation", queue_report.valid,
@@ -283,8 +295,7 @@ def cmd_verify(args):
         "level": level, "precision": m, "passed": passed, "checks": checks,
     }
     if args.out:
-        path = _write_json(Path(args.out) / "verify.json", payload)
-        print(f"wrote {path}")
+        _write(args, "verify.json", payload)
     for c in checks:
         print(("PASS " if c["passed"] else "FAIL ") + c["check"]
               + (f" ({c['detail']})" if c["detail"] else ""))

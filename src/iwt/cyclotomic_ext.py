@@ -21,7 +21,7 @@ from .errors import (InvalidK, OutOfRange, PrecisionExhausted, RingMismatch,
                      ZeroInput)
 from .iwasawa_algebra import _phi_coeffs
 from .logmatrix import LambdaMatrix
-from .padic_core import ExtRational, PadicInt, ValMatrix, val_p
+from .padic_core import ExtRational, PadicInt, ValMatrix, newton_min
 from .polyops import poly_divmod_monic, poly_mul
 
 
@@ -154,16 +154,10 @@ class EisensteinElement:
 
     def valuation_floor(self):
         """(value, exact): the Newton minimum, or (M, False) if all residues vanish."""
-        best = None
-        for t, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            v = Fraction(val_p(c, self.p)) + Fraction(t, self.degree)
-            if best is None or v < best:
-                best = v
-        if best is None:
+        found = newton_min(self.coeffs, self.p, Fraction(1, self.degree))
+        if found is None:
             return Fraction(self.precision), False
-        return best, True
+        return found[0], True
 
     def ord(self):
         """Exact valuation as an ExtRational.
@@ -194,32 +188,21 @@ def eval_lambda_at_zeta(x, j):
 
 
 def phi_at_zeta(p, i, j, precision):
-    """Phi_{p^i}(zeta_{p^j}) = sum_{k<p} zeta^(k p^(i-1)), computed by powers."""
-    zeta = EisensteinElement.zeta(p, j, precision)
-    step = zeta ** (p ** (i - 1))
-    acc = EisensteinElement.constant(p, j, precision, 1)
-    term = EisensteinElement.constant(p, j, precision, 1)
-    for _ in range(p - 1):
-        term = term * step
-        acc = acc + term
-    return acc
-
-
-def eisenstein_h_step(a, i, j, eps_p):
-    """The 2x2 factor [[a, 1], [-eps * Phi_{p^i}(zeta_{p^j}), 0]]."""
-    p, precision = a.p, a.precision
-    one = EisensteinElement.constant(p, j, precision, 1)
-    phi = phi_at_zeta(p, i, j, precision)
-    return ((a, one), ((-eps_p) * phi, EisensteinElement.zero(p, j, precision)))
+    """Phi_{p^i}(zeta_{p^j}): the polynomial Phi_{p^i}(1+X) reduced mod E(X)."""
+    return EisensteinElement(p, j, precision, _phi_coeffs(p, i, p ** precision))
 
 
 def h_matrix(a, m, j, eps_p=1):
     """The exact product of the first m step matrices at T = zeta_{p^j} - 1."""
     if m < 1:
         raise OutOfRange("m must be >= 1")
-    acc = LambdaMatrix(eisenstein_h_step(a, 1, j, eps_p))
-    for i in range(2, m + 1):
-        acc = acc @ LambdaMatrix(eisenstein_h_step(a, i, j, eps_p))
+    p, precision = a.p, a.precision
+    one = EisensteinElement.constant(p, j, precision, 1)
+    zero = EisensteinElement.zero(p, j, precision)
+    acc = None
+    for i in range(1, m + 1):
+        step = LambdaMatrix(((a, one), (-eps_p * phi_at_zeta(p, i, j, precision), zero)))
+        acc = step if acc is None else acc @ step
     return acc.entries
 
 
@@ -250,15 +233,13 @@ def minimal_k(p, v):
     return k
 
 
-def v2_invariant(a, p, k, eps_p=1, precision=None):
+def v2_invariant(a, p, k, eps_p=1):
     """ord(a^2 - eps * Phi_{p^2}(zeta_{p^(k+2)})), computed exactly.
 
     a may be an EisensteinElement of Z_p[zeta_{p^(k+2)}] or a PadicInt;
     k must be the minimal index for v = ord(a).
     """
     if isinstance(a, PadicInt):
-        if precision is None:
-            precision = a.precision
         a = EisensteinElement.from_padic(a, k + 2)
     if a.j != k + 2:
         raise RingMismatch(f"a must live in Z_p[zeta_{{p^{k + 2}}}], got j={a.j}")

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import (LevelMismatch, MixedPrime, NotAUnit, OutOfRange,
                      PrecisionExhausted, PrecisionMismatch, ZeroInput)
-from .padic_core import ExtRational, PadicInt, val_p
+from .padic_core import ExtRational, PadicInt, newton_min, val_p
 from .polyops import (poly_add, poly_divide_exact, poly_divmod_monic,
                       poly_mul, poly_scale, poly_sub, poly_taylor_shift,
                       poly_trim)
@@ -323,16 +323,10 @@ def vanishing_order(x, m):
 
 def iwasawa_invariants(x):
     """mu = least coefficient valuation, lambda = first index attaining it."""
-    best_mu, best_idx = None, None
-    for idx, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        v = val_p(c, x.p)
-        if best_mu is None or v < best_mu:
-            best_mu, best_idx = v, idx
-    if best_mu is None:
+    found = newton_min(x.coeffs, x.p)
+    if found is None:
         raise PrecisionExhausted("all coefficients vanish mod p^M")
-    return IwasawaInvariants(mu=Fraction(best_mu), lam=best_idx)
+    return IwasawaInvariants(mu=Fraction(found[0]), lam=found[1])
 
 
 def newton_vr(x, s):
@@ -340,18 +334,12 @@ def newton_vr(x, s):
     s = Fraction(s)
     if s <= 0:
         raise OutOfRange(f"s must be positive, got {s}")
-    if x.is_zero():
+    found = newton_min(x.coeffs, x.p, s)
+    if found is None:
         raise ZeroInput("Newton valuation of 0 is undefined at finite precision")
-    best = None
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        v = Fraction(val_p(c, x.p)) + i * s
-        if best is None or v < best:
-            best = v
-    if best >= x.precision:
+    if found[0] >= x.precision:
         raise PrecisionExhausted("polygon minimum is not certified below p^M")
-    return ExtRational(best)
+    return ExtRational(found[0])
 
 
 def substitute_inverse(x):

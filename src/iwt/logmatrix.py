@@ -1,7 +1,7 @@
 """Two-by-two matrices over the finite-level group algebra.
 
 Builds the cyclotomic step matrices and their completed variants, the
-constant matrices used by the decomposition, finite truncations of the
+constant matrices of the decomposition, finite truncations of the
 logarithm-matrix product, the inversion-symmetry check, and the a_p = 0
 half-logarithm data with its unit factors.
 """
@@ -55,7 +55,7 @@ class LambdaMatrix:
 def make_matrix(family, params, level, i=None):
     """Build one matrix of the given family in the level-n group algebra.
 
-    Cyclotomic families (CCC, CCC-hat, CC-hat) need the index i of the
+    The cyclotomic families (CCC, CCC-hat) need the index i of the
     polynomial; the constant families (C, A, A-tilde) ignore it.
     """
     p, M = params.p, params.precision
@@ -64,15 +64,11 @@ def make_matrix(family, params, level, i=None):
     ap = LambdaElement.constant(p, level, M, params.ap)
     meps = LambdaElement.constant(p, level, M, -params.eps_p)
 
-    if family in ("CCC", "CCC-hat", "CC-hat"):
+    if family in ("CCC", "CCC-hat"):
         if i is None or not 1 <= i <= level:
             raise OutOfRange(f"family {family} needs 1 <= i <= n, got i={i}")
-        phi = cyclotomic_phi(p, i, level, M, hatted=family.endswith("hat"))
-        if family == "CC-hat":
-            entries = ((ap, phi), (meps, zero))
-        else:
-            entries = ((ap, one), (meps * phi, zero))
-        return LambdaMatrix(entries)
+        phi = cyclotomic_phi(p, i, level, M, hatted=family == "CCC-hat")
+        return LambdaMatrix(((ap, one), (meps * phi, zero)))
     if family == "C":
         return LambdaMatrix(((ap, one), (meps * p, zero)))
     if family == "A":

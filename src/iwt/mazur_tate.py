@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import (MissingSymbol, NonIntegralDenominator, NotAUnit,
                      OutOfRange, SchemaError)
 from .iwasawa_algebra import FormParams, LambdaElement, lift_nu, project_pi
-from .padic_core import teichmuller, val_p
+from .padic_core import newton_min, teichmuller, val_p
 
 
 def _is_prime(n):
@@ -55,10 +55,19 @@ def _int_field(value, name):
 
 
 def _parse_rational(text, where):
-    """The rational a/b or a in `text`: an int when integral, else a Fraction."""
+    """The rational a/b or a in `text`: an int when integral, else a Fraction.
+
+    Each side is a signed run of ASCII digits, stricter than int() alone.
+    """
+    string = str(text)
+    num, slash, den = string.partition("/")
     try:
-        num, _, den = str(text).partition("/")
-        num, den = int(num), int(den) if den else 1
+        if (not string.isascii() or "_" in string
+                or num != num.strip() or den != den.strip()):
+            raise ValueError(string)
+        if not slash:
+            return int(num)
+        num, den = int(num), int(den)
         if den == 1:
             return num
         value = Fraction(num, den)
@@ -273,14 +282,14 @@ def validate_queue(seq):
     for m in range(2, seq.top_level + 1):
         want = params.ap * seq[m - 1] - params.eps_p * lift_nu(seq[m - 2])
         defect = project_pi(seq[m]) - want
-        if not defect.is_zero():
-            residual = min(val_p(c, defect.p, defect.precision) for c in defect.coeffs)
+        found = newton_min(defect.coeffs, defect.p)
+        if found is not None:
             return QueueReport(valid=False, first_failure_level=m,
-                               residual_valuation=residual)
+                               residual_valuation=found[0])
     return QueueReport(valid=True, first_failure_level=None, residual_valuation=None)
 
 
-def synthesize_queue(seed, params, n, tame_index=None):
+def synthesize_queue(seed, params, n):
     """Deterministic pseudorandom tower satisfying the three-term relation.
 
     Theta_0, Theta_1 are uniform; each later element is the canonical
@@ -303,5 +312,4 @@ def synthesize_queue(seed, params, n, tame_index=None):
                       - LambdaElement.one(p, m, M))
         noise = LambdaElement(p, m, M, random_coeffs(p ** m - p ** (m - 1)))
         elements.append(lift + noise * kernel_gen)
-    return QueueSequence(params=params, elements=tuple(elements),
-                         tame_index=tame_index)
+    return QueueSequence(params=params, elements=tuple(elements))

@@ -35,6 +35,18 @@ def val_p(x, p, cap=None):
     return e
 
 
+def newton_min(coeffs, p, s=0):
+    """The Newton-polygon minimum at slope s: (min over nonzero c_i of
+    val_p(c_i) + i*s, first i attaining it), or None when every c_i is 0."""
+    best = where = None
+    for i, c in enumerate(coeffs):
+        if c:
+            v = val_p(c, p) + i * s
+            if where is None or v < best:
+                best, where = v, i
+    return None if where is None else (best, where)
+
+
 class PadicInt:
     """An element of Z_p known modulo p^M."""
 

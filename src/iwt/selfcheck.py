@@ -166,16 +166,16 @@ def _checks():
     ]
 
 
-def run_selfcheck(out=print):
+def run_selfcheck():
     failures = 0
     for name, fn in _checks():
         try:
             ok = bool(fn())
         except Exception as exc:  # a crash is a failure with context
             ok = False
-            out(f"FAIL {name}: {type(exc).__name__}: {exc}")
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
             failures += 1
             continue
-        out(("PASS " if ok else "FAIL ") + name)
+        print(("PASS " if ok else "FAIL ") + name)
         failures += 0 if ok else 1
     return failures

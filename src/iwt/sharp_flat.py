@@ -1,15 +1,14 @@
 """Peeling level-n tower data into its sharp/flat components.
 
 The pair (Theta_n, nu Theta_{n-1}) is first hit with the unit-determinant
-constant matrix, then the cyclotomic step matrices are stripped from the
-right, one exact division per index; the terminal pair is (sharp, flat).
-The forward product reproduces the input exactly, which is the
-round-trip contract every decomposition is tested against:
+constant matrix A~, then the steps (x, y) . S_i = (ap x - eps_p Phi_i y, x)
+are undone from the right, one exact division by Phi_i per index, with
+Phi_i the (completed, when hatted) i-th cyclotomic polynomial; the
+terminal pair is (sharp, flat).  The peel run forwards reproduces the
+input exactly, which is the round-trip contract every decomposition is
+tested against:
 
-    (Theta_n, nu Theta_{n-1}) = (sharp, flat) . S_1 ... S_n . A~^(-1),
-
-where S_i is the step matrix with the (completed, when hatted) i-th
-cyclotomic polynomial in the lower-left entry.
+    (Theta_n, nu Theta_{n-1}) = (sharp, flat) . S_1 ... S_n . A~^(-1).
 
 Each division is exact on genuine tower data: the second loop entry is
 the image of a fiber-sum lift at the top step and inherits vanishing at
@@ -25,9 +24,9 @@ from dataclasses import dataclass
 from .errors import (NotDivisible, OutOfRange, PrecisionExhausted,
                      PrecisionMismatch, Unstable)
 from .iwasawa_algebra import (IwasawaInvariants, LambdaElement,
-                              exact_divide_by_phi, iwasawa_invariants,
-                              lift_nu, vanishing_order)
-from .logmatrix import a_tilde_inverse, log_truncation, make_matrix
+                              cyclotomic_phi, exact_divide_by_phi,
+                              iwasawa_invariants, lift_nu, vanishing_order)
+from .logmatrix import a_tilde_inverse, log_truncation
 from .padic_core import PadicInt, padic_from_rational
 
 
@@ -86,25 +85,27 @@ def step_product(params, level, hatted):
 
 
 def _push_steps(approx):
-    """The row vector (sharp, flat) . S_1 ... S_n, one step at a time."""
-    family = "CCC-hat" if approx.hatted else "CCC"
-    vec = (approx.sharp, approx.flat)
-    for i in range(1, approx.level + 1):
-        vec = make_matrix(family, approx.params, approx.level, i).vec_mul(vec)
-    return vec
+    """The row vector (sharp, flat) . S_1 ... S_n: the peel run forwards."""
+    params, n = approx.params, approx.level
+    x, y = approx.sharp, approx.flat
+    for i in range(1, n + 1):
+        phi = cyclotomic_phi(params.p, i, n, params.precision, hatted=approx.hatted)
+        x, y = params.ap * x - params.eps_p * (phi * y), x
+    return x, y
 
 
 def recompose(approx):
     """Forward product; returns the pair (Theta_n, nu Theta_{n-1})."""
-    return a_tilde_inverse(approx.params, approx.level).vec_mul(_push_steps(approx))
+    params = approx.params
+    x, y = _push_steps(approx)
+    # (x, y) . A~^(-1), A~^(-1) = [[0, -1/eps_p], [1, ap/eps_p]]
+    return y, (params.ap * y - x) * pow(params.eps_p, -1, params.modulus)
 
 
-def decompose_sequence(seq, hatted=False, levels=None):
-    """Decompositions of (Theta_m, Theta_{m-1}) for each requested level m."""
-    if levels is None:
-        levels = range(1, seq.top_level + 1)
+def decompose_sequence(seq, hatted=False):
+    """Decompositions of (Theta_m, Theta_{m-1}) for every level m >= 1."""
     return [decompose(seq[m], seq[m - 1], seq.params, hatted=hatted,
-                      tame_index=seq.tame_index) for m in levels]
+                      tame_index=seq.tame_index) for m in range(1, seq.top_level + 1)]
 
 
 def stabilized_invariants(approxes):

@@ -155,3 +155,79 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path):
         assert run(argv + (["--tame", tame] if tame else [])) == 0
         report = (tmp_path / f"{command}.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == GOLDEN[tame][command], (tame, command)
+
+
+def last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def without_provenance(path):
+    report = json.loads(path.read_text())
+    del report["provenance"]
+    return report
+
+
+@pytest.mark.parametrize("command", ["decompose", "invariants"])
+def test_table_commands_default_to_the_top_level(tmp_path, command):
+    # the fixture has maxN 5, so the top level at p = 3 is 4
+    default, four = tmp_path / "default", tmp_path / "four"
+    assert run([command, "--input", FIXTURE, "--out", default]) == 0
+    assert run([command, "--input", FIXTURE, "--level", 4, "--out", four]) == 0
+    name = f"{command}.json"
+    assert without_provenance(default / name) == without_provenance(four / name)
+
+
+@pytest.mark.parametrize("command", ["decompose", "invariants", "verify"])
+def test_level_below_one_is_out_of_range(tmp_path, capsys, command):
+    assert run([command, "--input", FIXTURE, "--level", 0, "--out", tmp_path]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "OutOfRange" and "level" in report["message"]
+
+
+RANK_INPUT = {"p": 3, "mu_sharp": "0", "mu_flat": "0", "lambda_sharp": 1,
+              "lambda_flat": 5, "v": "1"}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"p": 3}, "mu_sharp"),
+    (dict(RANK_INPUT, p="three"), "p"),
+    (dict(RANK_INPUT, mu_flat="1/"), "mu_flat"),
+    (dict(RANK_INPUT, lambda_sharp=None), "lambda_sharp"),
+    (dict(RANK_INPUT, v="abc"), "v"),
+])
+def test_malformed_invariants_file_is_a_schema_error(tmp_path, capsys, doc, field):
+    path = tmp_path / "invariants.json"
+    path.write_text(json.dumps(doc))
+    assert run(["rank-bound", "--invariants", path, "--out", tmp_path]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "SchemaError" and repr(field) in report["message"]
+
+
+def test_wellformed_invariants_file_parses_as_before(tmp_path):
+    path = tmp_path / "invariants.json"
+    path.write_text(json.dumps(dict(RANK_INPUT, extra="ignored")))
+    assert run(["rank-bound", "--invariants", path, "--out", tmp_path]) == 0
+    rb = json.loads((tmp_path / "rank_bound.json").read_text())
+    assert (rb["p"], rb["bound"], rb["case"]) == (3, 7, "balanced")
+
+
+RECORD = {"kind": "elliptic", "r_infinity": 7, "mu_sharp": "0", "mu_flat": "0",
+          "lambda_sharp": 1, "lambda_flat": 5, "v": "1", "label": "37a"}
+
+
+@pytest.mark.parametrize("records, field", [
+    (RECORD, None),
+    ([{k: v for k, v in RECORD.items() if k != "r_infinity"}], "r_infinity"),
+    ([dict(RECORD, kind="modular")], "kind"),
+    ([dict(RECORD, lam="x")], "lam"),
+    ([dict(RECORD, mu_sharp="1_0")], "mu_sharp"),
+    ([dict(RECORD, v2="1/0")], "v2"),
+])
+def test_malformed_records_file_is_a_schema_error(tmp_path, capsys, records, field):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    assert run(["sha-growth", "--records", path, "--p", 3, "--n-from", 2,
+                "--n-to", 6, "--out", tmp_path]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "SchemaError"
+    assert field is None or repr(field) in report["message"]

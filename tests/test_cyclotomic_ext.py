@@ -8,6 +8,7 @@ from iwt.cyclotomic_ext import (EisensteinElement, eval_lambda_at_zeta,
                                 phi_at_zeta, v2_invariant)
 from iwt.errors import InvalidK, OutOfRange, PrecisionExhausted, RingMismatch
 from iwt.iwasawa_algebra import LambdaElement, cyclotomic_phi
+from iwt.logmatrix import LambdaMatrix
 from iwt.padic_core import ExtRational, ValMatrix, tropical_mul
 
 M = 12
@@ -208,3 +209,46 @@ def test_boundary_slope_matrix_matches_the_q_values():
 def test_minimal_k_of_a_negative_valuation_is_out_of_range():
     with pytest.raises(OutOfRange, match="minimal_k"):
         minimal_k(3, -1)
+
+
+def power_sum_phi(p, i, j, precision):
+    """Phi_{p^i}(zeta_{p^j}) = sum_{k<p} zeta^(k p^(i-1)), by powers of zeta."""
+    step = EisensteinElement.zeta(p, j, precision) ** (p ** (i - 1))
+    acc = term = EisensteinElement.constant(p, j, precision, 1)
+    for _ in range(p - 1):
+        term = term * step
+        acc = acc + term
+    return acc
+
+
+def test_phi_at_zeta_matches_the_power_sum():
+    for p in (2, 3, 5):
+        for i in range(1, 5):
+            for j in range(1, 4):
+                want = power_sum_phi(p, i, j, M)
+                got = phi_at_zeta(p, i, j, M)
+                assert (got.coeffs, got.exact_zero) == (want.coeffs, want.exact_zero)
+
+
+def test_h_matrix_matches_the_step_by_step_product():
+    # each step [[a, 1], [-eps * Phi_{p^i}(zeta_{p^j}), 0]] built on its own,
+    # with the power-sum Phi and a fresh structural zero, then multiplied
+    rng = random.Random(43)
+    for p, j in ((2, 3), (3, 2), (3, 3), (5, 2)):
+        d = p ** (j - 1) * (p - 1)
+        for m in (1, 2, 3):
+            a = EisensteinElement(p, j, M, [rng.randrange(p ** M) for _ in range(d)])
+            eps = rng.choice([1, p + 1])
+            acc = None
+            for i in range(1, m + 1):
+                step = LambdaMatrix(((a, EisensteinElement.constant(p, j, M, 1)),
+                                     ((-eps) * power_sum_phi(p, i, j, M),
+                                      EisensteinElement.zero(p, j, M))))
+                acc = step if acc is None else acc @ step
+            got = h_matrix(a, m, j, eps)
+            for r in range(2):
+                for c in range(2):
+                    assert got[r][c].coeffs == acc.entries[r][c].coeffs
+                    assert got[r][c].exact_zero == acc.entries[r][c].exact_zero
+            if m == 1:
+                assert h_matrix_valuations(a, m, j, eps).entries[1][1] == INF

@@ -1,7 +1,9 @@
 """Static hygiene of the package source.
 
-Every imported name is used, and every private module-level function is
-read somewhere in the package.
+Every imported name is used, every private module-level function is read
+somewhere in the package, and every public module-level function and
+class is read somewhere in the package, the tests, the benchmark or the
+scripts.
 """
 
 import ast
@@ -9,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "iwt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "iwt"
 MODULES = sorted(SRC.glob("*.py"))
+CALLERS = MODULES + sorted(path for folder in ("tests", "bench", "scripts")
+                           for path in (ROOT / folder).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -44,6 +49,13 @@ def private_functions(source):
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
 
 
+def public_definitions(source):
+    """Names of the functions and classes without `_` a module defines at top level."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
 def names_read(source):
     """Every name the module reads, bare or as an attribute."""
     tree = ast.parse(source)
@@ -60,4 +72,15 @@ def test_no_unread_private_functions():
     sources = [module.read_text() for module in MODULES]
     read = set().union(*(names_read(source) for source in sources))
     defined = set().union(*(private_functions(source) for source in sources))
+    assert sorted(defined - read) == []
+
+
+def test_checker_finds_an_unread_public_definition():
+    source = "class Used:\n    pass\n\nclass Dead:\n    pass\n\ndef run():\n    Used()\n"
+    assert public_definitions(source) - names_read(source) == {"Dead", "run"}
+
+
+def test_no_unread_public_definitions():
+    read = set().union(*(names_read(path.read_text()) for path in CALLERS))
+    defined = set().union(*(public_definitions(module.read_text()) for module in MODULES))
     assert sorted(defined - read) == []

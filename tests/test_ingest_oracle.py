@@ -22,10 +22,18 @@ def _is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
+def _is_digit_run(side):
+    """An optionally signed, nonempty run of ASCII digits."""
+    body = side[1:] if side[:1] in ("+", "-") else side
+    return body != "" and all(ch in "0123456789" for ch in body)
+
+
 def _parse_rational(text, where):
     try:
-        num, _, den = str(text).partition("/")
-        return Fraction(int(num), int(den) if den else 1)
+        num, slash, den = str(text).partition("/")
+        if not _is_digit_run(num) or (slash and not _is_digit_run(den)):
+            raise ValueError(text)
+        return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}: bad rational {text!r}") from exc
 

@@ -12,7 +12,9 @@ from iwt.iwasawa_algebra import (FormParams, LambdaElement, _modulus_poly,
                                  half_twist_exponent, iwasawa_invariants,
                                  lift_nu, newton_vr, project_pi,
                                  substitute_inverse, vanishing_order)
-from iwt.padic_core import ExtRational
+from iwt.cyclotomic_ext import EisensteinElement
+from iwt.mazur_tate import QueueSequence, validate_queue
+from iwt.padic_core import ExtRational, val_p
 from iwt.polyops import poly_mul, poly_trim
 
 M = 10
@@ -278,3 +280,101 @@ def test_reduction_of_a_high_power_at_high_precision():
     # which is nonzero mod 2^520
     modulus = 2 ** 520
     assert _reduce([0] * 515 + [1], 2, 1, modulus) == [0, (-2) ** 514 % modulus]
+
+
+# The four Newton-minimum loops as they stood before padic_core.newton_min.
+
+def loop_invariants(x):
+    best_mu, best_idx = None, None
+    for idx, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        v = val_p(c, x.p)
+        if best_mu is None or v < best_mu:
+            best_mu, best_idx = v, idx
+    if best_mu is None:
+        raise PrecisionExhausted("all coefficients vanish mod p^M")
+    return (Fraction(best_mu), best_idx)
+
+
+def loop_newton_vr(x, s):
+    if x.is_zero():
+        raise ZeroInput("Newton valuation of 0 is undefined at finite precision")
+    best = None
+    for i, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        v = Fraction(val_p(c, x.p)) + i * s
+        if best is None or v < best:
+            best = v
+    if best >= x.precision:
+        raise PrecisionExhausted("polygon minimum is not certified below p^M")
+    return ExtRational(best)
+
+
+def loop_valuation_floor(e):
+    best = None
+    for t, c in enumerate(e.coeffs):
+        if c == 0:
+            continue
+        v = Fraction(val_p(c, e.p)) + Fraction(t, e.degree)
+        if best is None or v < best:
+            best = v
+    if best is None:
+        return Fraction(e.precision), False
+    return best, True
+
+
+def loop_residual(seq):
+    params = seq.params
+    for m in range(2, seq.top_level + 1):
+        want = params.ap * seq[m - 1] - params.eps_p * lift_nu(seq[m - 2])
+        defect = project_pi(seq[m]) - want
+        if not defect.is_zero():
+            return m, min(val_p(c, defect.p, defect.precision) for c in defect.coeffs)
+    return None, None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionExhausted, ZeroInput) as exc:
+        return type(exc), str(exc)
+
+
+def sparse_coeffs(rng, p, count, precision):
+    """Residues that are often 0 and often divisible by p; all 0 at times."""
+    if rng.random() < 0.1:
+        return [0] * count
+    return [rng.choice([0, 0, rng.randrange(p ** precision),
+                        p ** rng.randrange(precision) * rng.randrange(1, p ** 2)])
+            for _ in range(count)]
+
+
+def test_newton_min_callers_match_their_loops():
+    rng = random.Random(47)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        n, precision = rng.randint(1, 2), rng.randint(2, 6)
+        x = LambdaElement(p, n, precision, sparse_coeffs(rng, p, p ** n, precision))
+        got = outcome(iwasawa_invariants, x)
+        assert (got if isinstance(got, tuple) else got.pair()) == outcome(loop_invariants, x)
+        s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        assert outcome(newton_vr, x, s) == outcome(loop_newton_vr, x, s)
+        j = rng.randint(1, 2)
+        e = EisensteinElement(p, j, precision,
+                              sparse_coeffs(rng, p, p ** (j - 1) * (p - 1), precision))
+        assert e.valuation_floor() == loop_valuation_floor(e)
+        params = FormParams(p, rng.randrange(p ** precision), 1, precision)
+        seq = QueueSequence(params, tuple(
+            LambdaElement(p, k, precision, sparse_coeffs(rng, p, p ** k, precision))
+            for k in range(3)))
+        report = validate_queue(seq)
+        assert (report.first_failure_level, report.residual_valuation) == loop_residual(seq)
+    # the all-zero paths
+    zero = LambdaElement.zero(3, 2, 6)
+    assert outcome(iwasawa_invariants, zero) == outcome(loop_invariants, zero) \
+        == (PrecisionExhausted, "all coefficients vanish mod p^M")
+    assert outcome(newton_vr, zero, 1) == outcome(loop_newton_vr, zero, Fraction(1))
+    assert outcome(newton_vr, zero, 1)[0] is ZeroInput
+    assert EisensteinElement.constant(3, 2, 6, 0).valuation_floor() == (6, False)

@@ -292,3 +292,19 @@ def test_build_theta_names_a_missing_symbol():
     del table.values[(2, 1, 1)]
     with pytest.raises(MissingSymbol, match="a=2, N=1, sign=[+]1"):
         build_theta(table, 0, 0, M)
+
+
+@pytest.mark.parametrize("text", ["5/", "/3", "1_0", " 7", "7 ", "1/0", "+", "1.0"])
+def test_malformed_rational_is_a_schema_error(text):
+    # each side of a/b must be an optionally signed run of ASCII digits
+    doc = minimal_document(values={1: (text, "0"), 2: ("1", "0")})
+    with pytest.raises(SchemaError, match="bad rational"):
+        ingest_modular_symbols(doc)
+
+
+def test_signed_and_integral_rationals_are_accepted():
+    doc = minimal_document(values={1: ("-6/-2", "+0"), 2: ("3/1", "0/-5")})
+    doc["lratio"] = 4
+    table = ingest_modular_symbols(doc)
+    assert table.values == {(1, 1, 1): 3, (2, 1, 1): 3, (1, 1, -1): 0, (2, 1, -1): 0}
+    assert table.lratio == 4

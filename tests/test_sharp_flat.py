@@ -5,8 +5,9 @@ import pytest
 
 from iwt.errors import NotDivisible, OutOfRange, PrecisionMismatch, Unstable
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
-                                 iwasawa_invariants, lift_nu, project_pi)
-from iwt.logmatrix import make_matrix
+                                 iwasawa_invariants, lift_nu, project_pi,
+                                 vanishing_order)
+from iwt.logmatrix import a_tilde_inverse, make_matrix
 from iwt.mazur_tate import QueueSequence, synthesize_queue, validate_queue
 from iwt.sharp_flat import (SharpFlatApprox, decompose, decompose_pair,
                             decompose_sequence, recompose,
@@ -218,3 +219,35 @@ def test_decompose_pair_rejects_a_precision_mismatch():
     coarse = LambdaElement(3, 2, M - 1, list(nu_prev.coeffs))
     with pytest.raises(PrecisionMismatch):
         decompose_pair(seq[2], coarse, params)
+
+
+def matrix_route(approx):
+    """(sharp, flat) . S_1 ... S_n through the step-matrix objects."""
+    family = "CCC-hat" if approx.hatted else "CCC"
+    vec = (approx.sharp, approx.flat)
+    for i in range(1, approx.level + 1):
+        vec = make_matrix(family, approx.params, approx.level, i).vec_mul(vec)
+    return vec
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_forward_product_matches_the_matrix_route(p):
+    # recompose and vector_vanishing_orders against the A~^(-1) and step
+    # matrices they used to multiply by, on the peel of a synthesized tower
+    # at every level n <= 4; level 0 has no peel, so a random pair stands in
+    rng = random.Random(p)
+    params = FormParams(p, rng.randint(-p, p), p + 1, M)
+    seq = synthesize_queue(rng.randrange(10 ** 6), params, 4)
+    flat0 = LambdaElement(p, 0, M, [rng.randrange(p ** M)])
+    approxes = [SharpFlatApprox(level=0, tame_index=None, sharp=seq[0], flat=flat0,
+                                hatted=False, params=params)]
+    for n in range(1, 5):
+        approxes += [decompose(seq[n], seq[n - 1], params, hatted=hatted)
+                     for hatted in hats_for(p)]
+    for approx in approxes:
+        vec = matrix_route(approx)
+        assert recompose(approx) == a_tilde_inverse(params, approx.level).vec_mul(vec)
+        m_range = range(approx.level + 1)
+        want = {m: min(vanishing_order(e, m) for e in vec if not e.is_zero())
+                for m in m_range}
+        assert vector_vanishing_orders(approx, m_range).orders == want
