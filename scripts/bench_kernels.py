@@ -4,11 +4,13 @@
     python3 scripts/bench_kernels.py
     python3 scripts/bench_kernels.py --parent DIR --out BENCH_table_path.json
 
-The first form times eight kernels of this checkout's `src/iwt` and
+The first form times nine kernels of this checkout's `src/iwt` and
 prints one JSON document, at the points (p, n, M) of POINTS:
 
 * ring multiply, exact division by Phi_{p^n}, `from_unit_basis`,
   `to_unit_basis` and evaluation at zeta_{p^2};
+* `kronecker_product`: the bare `poly_mul` of two length-N residue
+  vectors, the packed product without the ring reduction;
 * the table path on a table of maxN = N(n) (n+1 for odd p, n+2 for
   p = 2) from `bench/gen_table.py`: `json.loads` plus
   `ingest_modular_symbols` of its text, `theta_sequence` up to level n
@@ -45,7 +47,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 POINTS = ((2, 6, 14), (5, 3, 11), (5, 5, 13), (3, 7, 15), (7, 4, 12))
 KERNELS = ("multiply", "phi_division", "from_unit_basis", "to_unit_basis",
-           "eval_at_zeta2", "loads_ingest", "theta_sequence", "build_parser")
+           "eval_at_zeta2", "kronecker_product", "loads_ingest", "theta_sequence",
+           "build_parser")
 WORKLOADS = ("tower-table", "tower-synth", "curve-sweep")
 METRICS = ("setup_s", "solve_s", "peak_rss_mb", "job_p50_ms", "job_p90_ms")
 COLD_REPS = 3
@@ -72,6 +75,7 @@ def kernel_calls(p, n, M):
                                      exact_divide_by_phi)
     from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
                                 theta_sequence)
+    from iwt.polyops import poly_mul
     if str(ROOT / "bench") not in sys.path:
         sys.path.insert(0, str(ROOT / "bench"))
     from gen_table import generate_table
@@ -90,6 +94,7 @@ def kernel_calls(p, n, M):
             "from_unit_basis": lambda: LambdaElement.from_unit_basis(p, n, M, units),
             "to_unit_basis": lambda: x.to_unit_basis(),
             "eval_at_zeta2": lambda: eval_lambda_at_zeta(x, 2),
+            "kronecker_product": lambda: poly_mul(x.coeffs, y.coeffs, modulus),
             "loads_ingest": lambda: ingest_modular_symbols(json.loads(text)),
             "theta_sequence": lambda: theta_sequence(table, n, 0, M),
             "build_parser": build_parser}

@@ -116,9 +116,15 @@ _RECORD_FIELDS = {"kind": _kind, "r_infinity": _int_field, "mu": _fraction, "lam
                   "mu_sharp": _fraction, "mu_flat": _fraction, "lambda_sharp": _int_field,
                   "lambda_flat": _int_field, "v": _parse_ext, "v2": _parse_ext,
                   "label": lambda value, name: str(value)}
+# the fields sha_growth reads for each record kind, beyond kind and r_infinity
+_SLOPE_FIELDS = ("mu_sharp", "mu_flat", "lambda_sharp", "lambda_flat", "v")
+_KIND_FIELDS = {"ordinary": ("mu", "lam"), "form": _SLOPE_FIELDS, "elliptic": _SLOPE_FIELDS}
 
 
 def _precision(args, level):
+    """The precision M of a run at `level`: --precision, else the floor n+8."""
+    if level < 1:
+        raise OutOfRange(f"level must be >= 1, got {level}")
     floor = level + 8
     m = args.precision if args.precision is not None else floor
     if m < floor:
@@ -137,8 +143,6 @@ def _table_tower(args):
         if got is not None and got != want:
             raise IwtError(f"--{name}={got} contradicts the table value {want}")
     level = table.maxN - (1 if table.p != 2 else 2) if args.level is None else args.level
-    if level < 1:
-        raise OutOfRange(f"level must be >= 1, got {level}")
     m = _precision(args, level)
     return table, data, theta_sequence(table, level, args.tame, m)
 
@@ -219,13 +223,21 @@ def cmd_rank_bound(args):
     return 0
 
 
+def _sha_record(entry, index):
+    fields = _read_fields(entry, _RECORD_FIELDS, ("kind", "r_infinity"))
+    for key in _KIND_FIELDS[fields["kind"]]:
+        if key not in fields:
+            raise SchemaError(f"record {fields.get('label') or index}: a {fields['kind']} "
+                              f"record needs key {key!r}")
+    return ShaRecord(**fields)
+
+
 def cmd_sha_growth(args):
     data = Path(args.records).read_bytes()
     entries = json.loads(data)
     if not isinstance(entries, list):
         raise SchemaError(f"records must be a JSON list, got {type(entries).__name__}")
-    records = [ShaRecord(**_read_fields(entry, _RECORD_FIELDS, ("kind", "r_infinity")))
-               for entry in entries]
+    records = [_sha_record(entry, index) for index, entry in enumerate(entries)]
     report = sha_growth(range(args.n_from, args.n_to + 1), records, args.p)
     _write(args, "sha_growth.json", {
         "provenance": _provenance(vars(args), data),
@@ -258,7 +270,7 @@ def cmd_verify(args):
     if args.synthetic_seed is not None:
         if args.p is None or args.ap is None:
             raise IwtError("synthetic verify needs --p and --ap")
-        level = args.level or 3
+        level = 3 if args.level is None else args.level
         params = FormParams(args.p, args.ap, args.eps or 1, _precision(args, level))
         seq = synthesize_queue(args.synthetic_seed, params, level)
         table = data = None

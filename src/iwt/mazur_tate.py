@@ -48,10 +48,14 @@ def _where(slot):
 
 
 def _int_field(value, name):
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"field {name!r} must be an integer, got {value!r}") from exc
+    """An int or a string of digits, as int; int() alone would also truncate
+    a float and read a bool as 0 or 1."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"field {name!r} must be an integer, got {value!r}")
 
 
 def _parse_rational(text, where):

@@ -7,10 +7,22 @@ product itself, division by a monic polynomial through a cached Newton
 inverse of the reversed divisor, and the Taylor shift f(x) -> f(x + c)
 by blocks that double each level (von zur Gathen & Gerhard, "Fast
 algorithms for Taylor shifts and certain difference equations", 1997).
+
+Slot layout: a slot holds the carry-free bound terms*(m-1)^2 of one
+product coefficient.  When that bound fits in 64 bits the slot is one
+little-endian 8-byte word, so a whole vector moves between list and big
+integer through `array("Q")` in one C-level call; on the product sizes
+the CLI runs (M >= n+8) such a slot is at least 6 bytes wide once the
+product has 256 terms, so rounding it up to 8 barely widens the product.
+Wider bounds keep the narrowest whole number of bytes, packed one
+coefficient at a time: rounding them up to 16 bytes would make the
+big-integer product, which dominates there, up to twice as long.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 
 from .errors import NotAUnit, NotDivisible, ZeroInput
@@ -48,18 +60,37 @@ def poly_scale(a, c, modulus):
     return [(x * c) % modulus for x in a]
 
 
+_WORD = array("Q").itemsize    # 8: one unsigned 64-bit word
+_SWAP = sys.byteorder == "big"
+
+
 def _slot_bytes(terms, modulus):
-    # a slot must hold a sum of `terms` products of residues without carrying over
-    return ((terms * (modulus - 1) ** 2).bit_length() + 8) // 8
+    # a slot must hold a sum of `terms` products of residues without carrying
+    # over; one machine word when that bound fits in 64 bits (whole vectors
+    # then pack in one C call), else the narrowest byte count, packed per
+    # coefficient, since the big-integer product costs more than packing there
+    bits = (terms * (modulus - 1) ** 2).bit_length()
+    return _WORD if bits <= 8 * _WORD else (bits + 8) // 8
 
 
 def _pack(coeffs, width):
+    if width == _WORD:
+        words = array("Q", coeffs)
+        if _SWAP:
+            words.byteswap()
+        return int.from_bytes(words.tobytes(), "little")
     return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]),
                           "little")
 
 
 def _unpack(value, count, width, modulus):
     raw = value.to_bytes(count * width, "little")
+    if width == _WORD:
+        words = array("Q")
+        words.frombytes(raw)
+        if _SWAP:
+            words.byteswap()
+        return [c % modulus for c in words]
     return [int.from_bytes(raw[i:i + width], "little") % modulus
             for i in range(0, count * width, width)]
 
