@@ -50,6 +50,8 @@ def _where(slot):
 def _int_field(value, name):
     """An int or a string of digits, as int; int() alone would also truncate
     a float and read a bool as 0 or 1."""
+    if type(value) is int:      # the common case, without the checks below
+        return value
     if not isinstance(value, (bool, float)):
         try:
             return int(value)

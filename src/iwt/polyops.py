@@ -66,9 +66,9 @@ _SWAP = sys.byteorder == "big"
 
 def _slot_bytes(terms, modulus):
     # a slot must hold a sum of `terms` products of residues without carrying
-    # over; one machine word when that bound fits in 64 bits (whole vectors
-    # then pack in one C call), else the narrowest byte count, packed per
-    # coefficient, since the big-integer product costs more than packing there
+    # over: one word while that bound fits in 64 bits, so that vectors pack in
+    # one C call, else the narrowest byte count, so that the big-integer
+    # product, the larger cost there, stays short
     bits = (terms * (modulus - 1) ** 2).bit_length()
     return _WORD if bits <= 8 * _WORD else (bits + 8) // 8
 

@@ -123,7 +123,7 @@ def test_selfcheck_passes():
 
 
 @pytest.mark.parametrize("field, value", [("p", "3"), ("maxN", "five"),
-                                          ("conductor", None)])
+                                          ("conductor", None), ("maxN", 5.0)])
 def test_mistyped_table_field_fails_with_a_schema_error(tmp_path, capsys, field, value):
     doc = json.loads(FIXTURE.read_text())
     doc[field] = value
@@ -184,6 +184,14 @@ def test_level_below_one_is_out_of_range(tmp_path, capsys, command):
     assert report["error"] == "OutOfRange" and "level" in report["message"]
 
 
+def test_synthetic_verify_level_below_one_is_out_of_range(tmp_path, capsys):
+    assert run(["verify", "--synthetic-seed", 9, "--p", 3, "--ap", -3,
+                "--level", 0]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "OutOfRange" and "level" in report["message"]
+    assert run(["verify", "--synthetic-seed", 9, "--p", 3, "--ap", -3]) == 0
+
+
 RANK_INPUT = {"p": 3, "mu_sharp": "0", "mu_flat": "0", "lambda_sharp": 1,
               "lambda_flat": 5, "v": "1"}
 
@@ -194,6 +202,9 @@ RANK_INPUT = {"p": 3, "mu_sharp": "0", "mu_flat": "0", "lambda_sharp": 1,
     (dict(RANK_INPUT, mu_flat="1/"), "mu_flat"),
     (dict(RANK_INPUT, lambda_sharp=None), "lambda_sharp"),
     (dict(RANK_INPUT, v="abc"), "v"),
+    (dict(RANK_INPUT, lambda_sharp=1.7, lambda_flat=True), "lambda_sharp"),
+    (dict(RANK_INPUT, lambda_flat=True), "lambda_flat"),
+    (dict(RANK_INPUT, p=3.0), "p"),
 ])
 def test_malformed_invariants_file_is_a_schema_error(tmp_path, capsys, doc, field):
     path = tmp_path / "invariants.json"
@@ -222,6 +233,11 @@ RECORD = {"kind": "elliptic", "r_infinity": 7, "mu_sharp": "0", "mu_flat": "0",
     ([dict(RECORD, lam="x")], "lam"),
     ([dict(RECORD, mu_sharp="1_0")], "mu_sharp"),
     ([dict(RECORD, v2="1/0")], "v2"),
+    ([{"kind": "form", "r_infinity": 0, "v": "1"}], "mu_sharp"),
+    ([{k: v for k, v in RECORD.items() if k != "v"}], "v"),
+    ([{k: v for k, v in RECORD.items() if k != "lambda_flat"}], "lambda_flat"),
+    ([{"kind": "ordinary", "r_infinity": 0, "mu": "0"}], "lam"),
+    ([{"kind": "ordinary", "r_infinity": 0, "lam": 1}], "mu"),
 ])
 def test_malformed_records_file_is_a_schema_error(tmp_path, capsys, records, field):
     path = tmp_path / "records.json"
@@ -231,3 +247,18 @@ def test_malformed_records_file_is_a_schema_error(tmp_path, capsys, records, fie
     report = last_error(capsys)
     assert report["error"] == "SchemaError"
     assert field is None or repr(field) in report["message"]
+
+
+def test_incomplete_record_error_names_the_record(tmp_path, capsys):
+    form = {"kind": "form", "r_infinity": 0, "mu_sharp": "0", "mu_flat": "0",
+            "lambda_sharp": 1, "lambda_flat": 1, "v": "inf"}
+    path = tmp_path / "records.json"
+    for records, where in [([RECORD, dict(form, label="f1")], "record f1"),
+                           ([RECORD, {k: v for k, v in form.items() if k != "v"}],
+                            "record 1")]:
+        records[1].pop("mu_flat")
+        path.write_text(json.dumps(records))
+        assert run(["sha-growth", "--records", path, "--p", 3, "--n-from", 2,
+                    "--n-to", 6, "--out", tmp_path]) == 1
+        message = last_error(capsys)["message"]
+        assert where in message and "'mu_flat'" in message

@@ -241,6 +241,26 @@ def test_non_list_symbols_is_a_schema_error():
         ingest_modular_symbols(doc)
 
 
+@pytest.mark.parametrize("where, field, value", [
+    (None, "maxN", 1.0), (None, "conductor", 11.9), (None, "ap", True),
+    (None, "eps_p", False), (0, "N", True), (0, "a", 1.5)])
+def test_float_or_bool_integer_field_is_a_schema_error(where, field, value):
+    # int() alone would read these as 1, 11, 1, 0, 1 and 1
+    doc = minimal_document()
+    (doc if where is None else doc["symbols"][where])[field] = value
+    with pytest.raises(SchemaError, match=repr(field)):
+        ingest_modular_symbols(doc)
+
+
+def test_digit_string_integer_fields_are_accepted():
+    doc = minimal_document()
+    doc.update(conductor="11", ap="-1", eps_p="1", maxN="1")
+    doc["symbols"][0].update(a="4", N="1")
+    table = ingest_modular_symbols(doc)
+    assert (table.conductor, table.ap, table.eps_p, table.maxN) == (11, -1, 1, 1)
+    assert table.symbol(1, 1, 1) == Fraction(1)
+
+
 def scaled_copy(table):
     """The same symbols times denominator_scale, with scale 1."""
     values = {slot: Fraction(v) * table.denominator_scale

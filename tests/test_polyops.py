@@ -17,8 +17,8 @@ from iwt.errors import NotAUnit, OutOfRange, ZeroInput
 from iwt.iwasawa_algebra import (LambdaElement, _modulus_poly, _phi_coeffs,
                                  _reduce, lift_nu, project_pi)
 from iwt.padic_core import PadicInt
-from iwt.polyops import (poly_divmod_monic, poly_mul, poly_taylor_shift,
-                         poly_trim)
+from iwt.polyops import (_pack, _slot_bytes, _unpack, poly_divmod_monic, poly_mul,
+                         poly_taylor_shift, poly_trim)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -37,6 +37,14 @@ def schoolbook_divmod(num, den, modulus):
         for j in range(d + 1):
             rem[i + j] = (rem[i + j] - c * den[j]) % modulus
     return quot, poly_trim(rem[:d])
+
+
+def schoolbook_mul(a, b, modulus):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % modulus for c in out]
 
 
 def binomial_shift(f, c, modulus):
@@ -102,6 +110,46 @@ def test_taylor_shift_matches_binomial_sum():
             assert poly_taylor_shift(f, c, modulus) == binomial_shift(f, c, modulus)
 
 
+# Kronecker slots hold terms * (m - 1)^2: one 64-bit word while that fits,
+# whole bytes above.  At m = 2^30 the bound of 16 terms has exactly 64 bits
+# and that of 17 terms 65; 9 terms at 1431655766 fill 64 bits, which the
+# Taylor shift reaches with blocks of 8; 3^41 exceeds 2^64 on its own.
+BOUNDARY_MODULI = (2 ** 30, 1431655766, 2 ** 32 + 15, 3 ** 41)
+
+
+def test_slot_width_at_the_word_boundary():
+    assert (_slot_bytes(16, 2 ** 30), _slot_bytes(17, 2 ** 30)) == (8, 9)
+    assert (9 * 1431655765 ** 2).bit_length() == 64 == 8 * _slot_bytes(9, 1431655766)
+    assert _slot_bytes(1, 2) == 8 and _slot_bytes(1, 3 ** 41) == 17
+
+
+@pytest.mark.parametrize("modulus", BOUNDARY_MODULI)
+def test_kernels_match_oracles_at_the_slot_bound(modulus):
+    # every coefficient m - 1, so every slot of every product reaches its bound
+    top = modulus - 1
+    for terms in (8, 9, 15, 16, 17, 33):
+        a = [top] * terms
+        for b in (a, [top] * (terms + 5)):
+            assert poly_mul(a, b, modulus) == schoolbook_mul(a, b, modulus)
+        den = a + [1]
+        for num in (a + a + a, [top] * (terms + 1)):
+            assert poly_divmod_monic(num, den, modulus) \
+                == schoolbook_divmod(num, den, modulus)
+        for c in (1, -1):
+            assert poly_taylor_shift(a + a, c, modulus) == binomial_shift(a + a, c, modulus)
+
+
+def test_word_packing_matches_the_byte_reference():
+    rng = random.Random(8)
+    coeffs = [rng.randrange(2 ** 64) for _ in range(40)] + [2 ** 64 - 1, 1, 0, 0]
+    reference = int.from_bytes(b"".join(c.to_bytes(8, "little") for c in coeffs),
+                               "little")
+    assert _pack(coeffs, 8) == reference
+    assert _unpack(reference, len(coeffs), 8, 2 ** 64) == coeffs
+    assert _unpack(reference, len(coeffs), 8, 3 ** 20) == [c % 3 ** 20 for c in coeffs]
+    assert _pack([], 8) == 0 and _unpack(0, 3, 8, 5) == [0, 0, 0]
+
+
 def test_unit_basis_round_trip_at_depth():
     rng = random.Random(11)
     p, n, M = 3, 7, 15
@@ -142,13 +190,15 @@ def test_out_of_range_constructors():
 # -- ring properties over random (p, n, M) ------------------------------------
 
 MAX_LEVEL = {2: 5, 3: 3, 5: 2, 7: 2}
+# p^M reaches past 2^32, so ring products land on both sides of one-word slots
+MAX_PRECISION = {2: 40, 3: 25, 5: 17, 7: 14}
 
 
 @st.composite
 def ring_elements(draw, count):
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(0, MAX_LEVEL[p]))
-    M = draw(st.integers(1, 12))
+    M = draw(st.integers(1, MAX_PRECISION[p]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     return [LambdaElement(p, n, M, random_vector(rng, p ** n, p ** M))
             for _ in range(count)]
