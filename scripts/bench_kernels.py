@@ -4,7 +4,7 @@
     python3 scripts/bench_kernels.py
     python3 scripts/bench_kernels.py --parent DIR --out BENCH_table_path.json
 
-The first form times nine kernels of this checkout's `src/iwt` and
+The first form times ten kernels of this checkout's `src/iwt` and
 prints one JSON document, at the points (p, n, M) of POINTS:
 
 * ring multiply, exact division by Phi_{p^n}, `from_unit_basis`,
@@ -14,7 +14,10 @@ prints one JSON document, at the points (p, n, M) of POINTS:
 * the table path on a table of maxN = N(n) (n+1 for odd p, n+2 for
   p = 2) from `bench/gen_table.py`: `json.loads` plus
   `ingest_modular_symbols` of its text, `theta_sequence` up to level n
-  at precision M, and `cli.build_parser` (the same work at every point).
+  at precision M, and `cli.build_parser` (the same work at every point);
+* `verify_battery`: `det_identity_check` plus `functional_equation_check`
+  at level min(n, 3) and precision M, the two step-product checks of
+  `iwt verify`.
 
 At (3, 7, 15) the table has the shape of the tower-table workload, and
 at (2, 6, 14) and (5, 3, 11) of curve-sweep tables.  `cold_ms` is the
@@ -23,12 +26,17 @@ package is cleared; `warm_ms` is the median over calls after one
 warm-up.  Inputs are drawn from a fixed seed, so two checkouts time the
 same elements and tables.
 
-The second form does that for this checkout and for the checkout in DIR
-(each in its own process), then runs `bench/run.py --trace 0` ten
-times (seeds 1 to 10, 40 s each) on the three workloads of
-BENCHMARK.json in both checkouts, alternating which side runs first,
-and writes everything with the git SHAs, the Python
-version and the CPU count to --out.  Standard library only.
+The second form times the kernels of this checkout and of the checkout
+in DIR in fresh processes, alternating the two sides over KERNEL_ROUNDS
+rounds, and reports the per-row medians over the rounds.  It then runs
+`bench/run.py --trace 0` ten times (seeds 1 to 10, 40 s each) on the
+three workloads of BENCHMARK.json in both checkouts, alternating which
+side runs first, and writes everything with the git SHAs, the Python
+version and the CPU count to --out.  It refuses to start while either
+checkout holds a `__pycache__` under `src/` or `bench/`: a `.pyc` file
+there changes what each benchmark worker compiles at import, which skews
+`setup_s`.  Every child process runs with PYTHONDONTWRITEBYTECODE=1, so
+the comparison leaves none behind.  Standard library only.
 """
 
 from __future__ import annotations
@@ -48,11 +56,12 @@ ROOT = Path(__file__).resolve().parent.parent
 POINTS = ((2, 6, 14), (5, 3, 11), (5, 5, 13), (3, 7, 15), (7, 4, 12))
 KERNELS = ("multiply", "phi_division", "from_unit_basis", "to_unit_basis",
            "eval_at_zeta2", "kronecker_product", "loads_ingest", "theta_sequence",
-           "build_parser")
+           "build_parser", "verify_battery")
 WORKLOADS = ("tower-table", "tower-synth", "curve-sweep")
 METRICS = ("setup_s", "solve_s", "peak_rss_mb", "job_p50_ms", "job_p90_ms")
 COLD_REPS = 3
 WARM_REPS = 5
+KERNEL_ROUNDS = 3     # alternating fresh-process kernel timings per side
 BENCH_RUNS = 10       # bench/run.py runs per side and workload, seeds 1..10
 BENCH_SECONDS = 40    # run_seconds of BENCHMARK.json
 
@@ -71,8 +80,9 @@ def kernel_calls(p, n, M):
     """name -> zero-argument call, on inputs drawn from a seed of (p, n, M)."""
     from iwt.cli import build_parser
     from iwt.cyclotomic_ext import eval_lambda_at_zeta
-    from iwt.iwasawa_algebra import (LambdaElement, cyclotomic_phi,
+    from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                      exact_divide_by_phi)
+    from iwt.logmatrix import det_identity_check, functional_equation_check
     from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
                                 theta_sequence)
     from iwt.polyops import poly_mul
@@ -89,6 +99,12 @@ def kernel_calls(p, n, M):
     units = x.to_unit_basis()
     text = json.dumps(generate_table(1, p, -1, 1, level_exponent(p, n)))
     table = ingest_modular_symbols(json.loads(text))
+    params, level = FormParams(p, -1, 1, M), min(n, 3)
+
+    def verify_battery():
+        det_identity_check(params, level)
+        functional_equation_check(params, level)
+
     return {"multiply": lambda: x * y,
             "phi_division": lambda: exact_divide_by_phi(divisible, n),
             "from_unit_basis": lambda: LambdaElement.from_unit_basis(p, n, M, units),
@@ -97,7 +113,8 @@ def kernel_calls(p, n, M):
             "kronecker_product": lambda: poly_mul(x.coeffs, y.coeffs, modulus),
             "loads_ingest": lambda: ingest_modular_symbols(json.loads(text)),
             "theta_sequence": lambda: theta_sequence(table, n, 0, M),
-            "build_parser": build_parser}
+            "build_parser": build_parser,
+            "verify_battery": verify_battery}
 
 
 def elapsed_ms(call):
@@ -129,12 +146,34 @@ def git_sha(checkout):
     return result.stdout.strip() or "unknown"
 
 
+def child_env(**extra):
+    """The environment of a child process: no `.pyc` is written into a checkout."""
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **extra)
+
+
+def bytecode_caches(checkouts):
+    """Every `__pycache__` directory under src/ or bench/ of the checkouts."""
+    return sorted(str(path) for checkout in checkouts for sub in ("src", "bench")
+                  for path in (Path(checkout) / sub).rglob("__pycache__"))
+
+
 def kernels_of(checkout):
     """Kernel timings of a checkout, measured in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    env = child_env(PYTHONPATH=str(Path(checkout) / "src"))
     result = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--kernels-only"],
                             env=env, capture_output=True, text=True, check=True)
     return json.loads(result.stdout)
+
+
+def median_rows(rounds):
+    """Per-row medians of cold_ms and warm_ms over several runs of time_kernels."""
+    rows = []
+    for same in zip(*rounds):
+        row = dict(same[0])
+        for key in ("cold_ms", "warm_ms"):
+            row[key] = round(statistics.median(r[key] for r in same), 3)
+        rows.append(row)
+    return rows
 
 
 def bench_run(checkout, workload, seed, seconds):
@@ -142,7 +181,8 @@ def bench_run(checkout, workload, seed, seconds):
     result = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                              "--seed", str(seed), "--seconds", str(seconds),
                              "--trace", "0"],
-                            cwd=checkout, capture_output=True, text=True, check=True)
+                            cwd=checkout, env=child_env(), capture_output=True, text=True,
+                            check=True)
     report = json.loads(result.stdout.strip().splitlines()[-1])
     return {"correct": report["correct"], "failed": report["failed"],
             **{name: report["metrics"][name]["value"] for name in METRICS}}
@@ -152,10 +192,14 @@ def compare(parent):
     sides = {"parent": Path(parent).resolve(), "change": ROOT}
     doc = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
            "points": [dict(zip("pnM", point)) for point in POINTS],
-           "cold_reps": COLD_REPS, "warm_reps": WARM_REPS,
+           "cold_reps": COLD_REPS, "warm_reps": WARM_REPS, "kernel_rounds": KERNEL_ROUNDS,
            "bench_runs": BENCH_RUNS, "bench_seconds": BENCH_SECONDS}
+    rounds = {side: [] for side in sides}
+    for index in range(KERNEL_ROUNDS):
+        for side in (list(sides) if index % 2 == 0 else list(sides)[::-1]):
+            rounds[side].append(kernels_of(sides[side]))
     for side, checkout in sides.items():
-        doc[side] = {"git_sha": git_sha(checkout), "kernels": kernels_of(checkout)}
+        doc[side] = {"git_sha": git_sha(checkout), "kernels": median_rows(rounds[side])}
     for workload in WORKLOADS:
         samples = {side: [] for side in sides}
         for seed in range(1, BENCH_RUNS + 1):
@@ -180,6 +224,10 @@ def main(argv=None):
         print(json.dumps(time_kernels()))
         return 0
     if args.parent:
+        caches = bytecode_caches([args.parent, ROOT])
+        if caches:
+            parser.error("stale bytecode would skew setup_s; remove these first: "
+                         + ", ".join(caches))
         doc = compare(args.parent)
     else:
         sys.path.insert(0, str(ROOT / "src"))

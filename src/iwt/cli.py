@@ -36,10 +36,10 @@ from .iwasawa_algebra import FormParams, lift_nu
 from .logmatrix import det_identity_check, functional_equation_check
 from .mazur_tate import (_int_field, _parse_rational, ingest_modular_symbols,
                          synthesize_queue, theta_sequence, validate_queue)
-from .padic_core import ExtRational
+from .padic_core import ExtRational, level_exponent
 from .selfcheck import run_selfcheck
-from .sharp_flat import (decompose_sequence, recompose, special_value_check,
-                         stabilized_invariants)
+from .sharp_flat import (decompose_pair, decompose_sequence, recompose,
+                         special_value_check, stabilized_invariants)
 
 
 def _sha256_bytes(data):
@@ -142,7 +142,7 @@ def _table_tower(args):
         want = {"p": table.p, "ap": table.ap, "eps": table.eps_p}[name]
         if got is not None and got != want:
             raise IwtError(f"--{name}={got} contradicts the table value {want}")
-    level = table.maxN - (1 if table.p != 2 else 2) if args.level is None else args.level
+    level = table.maxN - level_exponent(table.p, 0) if args.level is None else args.level
     m = _precision(args, level)
     return table, data, theta_sequence(table, level, args.tame, m)
 
@@ -271,7 +271,8 @@ def cmd_verify(args):
         if args.p is None or args.ap is None:
             raise IwtError("synthetic verify needs --p and --ap")
         level = 3 if args.level is None else args.level
-        params = FormParams(args.p, args.ap, args.eps or 1, _precision(args, level))
+        eps = 1 if args.eps is None else args.eps
+        params = FormParams(args.p, args.ap, eps, _precision(args, level))
         seq = synthesize_queue(args.synthetic_seed, params, level)
         table = data = None
     else:
@@ -285,17 +286,18 @@ def cmd_verify(args):
            f"fails at level {queue_report.first_failure_level}")
 
     if queue_report.valid:
-        apprs = decompose_sequence(seq, hatted=args.hatted)
-        top = apprs[-1]
-        theta, nu_prev = recompose(top)
-        record("round trip", theta == seq[level] and nu_prev == lift_nu(seq[level - 1]))
+        nu_prev = lift_nu(seq[level - 1])
+        top = decompose_pair(seq[level], nu_prev, params, hatted=args.hatted,
+                             tame_index=seq.tame_index)
+        theta, nu_back = recompose(top)
+        record("round trip", theta == seq[level] and nu_back == nu_prev)
     record("determinant identity", det_identity_check(params, min(level, 3)))
     fe = functional_equation_check(params, min(level, 3))
     record("functional equation", fe.ok,
            "" if fe.ok else f"fails at {fe.failing_entries}")
     if table is not None and table.lratio is not None and queue_report.valid \
             and args.tame == 0:
-        sv = special_value_check(apprs[-1], table.lratio)
+        sv = special_value_check(top, table.lratio)
         ok = sv.checked and sv.sharp_agreement >= m and sv.flat_agreement >= m
         record("special value at T=0", ok,
                f"agreement valuations {sv.sharp_agreement}/{sv.flat_agreement} of {m}")

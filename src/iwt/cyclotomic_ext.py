@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import (InvalidK, OutOfRange, PrecisionExhausted, RingMismatch,
                      ZeroInput)
 from .iwasawa_algebra import _phi_coeffs
-from .logmatrix import LambdaMatrix
+from .logmatrix import push_steps
 from .padic_core import ExtRational, PadicInt, ValMatrix, newton_min
 from .polyops import poly_divmod_monic, poly_mul
 
@@ -197,13 +197,10 @@ def h_matrix(a, m, j, eps_p=1):
     if m < 1:
         raise OutOfRange("m must be >= 1")
     p, precision = a.p, a.precision
+    phis = [phi_at_zeta(p, i, j, precision) for i in range(1, m + 1)]
     one = EisensteinElement.constant(p, j, precision, 1)
     zero = EisensteinElement.zero(p, j, precision)
-    acc = None
-    for i in range(1, m + 1):
-        step = LambdaMatrix(((a, one), (-eps_p * phi_at_zeta(p, i, j, precision), zero)))
-        acc = step if acc is None else acc @ step
-    return acc.entries
+    return tuple(push_steps(row, a, eps_p, phis) for row in ((one, zero), (zero, one)))
 
 
 def h_matrix_valuations(a, m, j, eps_p=1):

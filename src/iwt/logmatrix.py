@@ -1,9 +1,11 @@
 """Two-by-two matrices over the finite-level group algebra.
 
-Builds the cyclotomic step matrices and their completed variants, the
-constant matrices of the decomposition, finite truncations of the
-logarithm-matrix product, the inversion-symmetry check, and the a_p = 0
-half-logarithm data with its unit factors.
+`push_steps` is the step: a row vector times
+S_i = [[ap, 1], [-eps Phi_i, 0]].  Every product of steps goes through
+it; `make_matrix` is its matrix form, kept for the tests, beside the
+constant matrices of the decomposition.  Also here: finite truncations
+of the logarithm-matrix product, the inversion-symmetry check, and the
+a_p = 0 half-logarithm data with its unit factors.
 """
 
 from __future__ import annotations
@@ -46,17 +48,22 @@ class LambdaMatrix:
     def map_entries(self, fn):
         return LambdaMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
-    def __eq__(self, other):
-        if not isinstance(other, LambdaMatrix):
-            return NotImplemented
-        return self.entries == other.entries
+
+def push_steps(row, ap, eps, phis):
+    """The row vector row . S_1 ... S_m, S_i = [[ap, 1], [-eps Phi_i, 0]],
+    for phis = (Phi_1, ..., Phi_m) over any commutative ring."""
+    x, y = row
+    for phi in phis:
+        x, y = ap * x - eps * (phi * y), x
+    return x, y
 
 
 def make_matrix(family, params, level, i=None):
     """Build one matrix of the given family in the level-n group algebra.
 
     The cyclotomic families (CCC, CCC-hat) need the index i of the
-    polynomial; the constant families (C, A, A-tilde) ignore it.
+    polynomial; the constant families (C, A, A-tilde) ignore it.  The
+    step families are the matrix form of `push_steps`, kept for the tests.
     """
     p, M = params.p, params.precision
     one = LambdaElement.one(p, level, M)
@@ -91,14 +98,14 @@ def a_tilde_inverse(params, level):
 
 
 def log_truncation(params, level, hatted=False):
-    """The exact left-to-right product of the first n step matrices."""
+    """The exact product S_1 ... S_n of the first n step matrices, row by row."""
     if level < 1:
         raise OutOfRange("level must be >= 1")
-    family = "CCC-hat" if hatted else "CCC"
-    acc = make_matrix(family, params, level, 1)
-    for i in range(2, level + 1):
-        acc = acc @ make_matrix(family, params, level, i)
-    return acc
+    p, M = params.p, params.precision
+    phis = [cyclotomic_phi(p, i, level, M, hatted=hatted) for i in range(1, level + 1)]
+    one, zero = LambdaElement.one(p, level, M), LambdaElement.zero(p, level, M)
+    return LambdaMatrix(tuple(push_steps(row, params.ap, params.eps_p, phis)
+                              for row in ((one, zero), (zero, one))))
 
 
 def valuation_matrix_at(mat, s):

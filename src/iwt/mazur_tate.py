@@ -22,10 +22,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (MissingSymbol, NonIntegralDenominator, NotAUnit,
-                     OutOfRange, SchemaError)
+from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
+                     SchemaError)
 from .iwasawa_algebra import FormParams, LambdaElement, lift_nu, project_pi
-from .padic_core import newton_min, teichmuller, val_p
+from .padic_core import (level_exponent, newton_min, padic_from_rational,
+                         teichmuller, val_p)
 
 
 def _is_prime(n):
@@ -197,11 +198,6 @@ def tame_sign(p, tame_index):
     return -1 if tame_index % 2 else 1
 
 
-def level_exponent(p, n):
-    """The modulus exponent N used at level n: n+1 for odd p, n+2 for p=2."""
-    return n + 1 if p != 2 else n + 2
-
-
 def build_theta(table, n, tame_index, precision):
     """The level-n element attached to the tame character omega^i.
 
@@ -237,19 +233,12 @@ def build_theta(table, n, tame_index, precision):
                 raise MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
             den = value.denominator
             if den not in factors:
-                factors[den] = _scaled_inverse(table.denominator_scale, den, p, modulus)
+                factors[den] = padic_from_rational(
+                    p, Fraction(table.denominator_scale, den), precision).residue
             unit_coeffs[t] += value.numerator * factors[den] * weight
             a = a * gamma % big_modulus
     unit_coeffs = [c % modulus for c in unit_coeffs]
     return LambdaElement.from_unit_basis(p, n, precision, unit_coeffs)
-
-
-def _scaled_inverse(scale, den, p, modulus):
-    """scale/den mod p^M; the reduced denominator must be a p-unit."""
-    ratio = Fraction(scale, den)
-    if ratio.denominator % p == 0:
-        raise NotAUnit(f"denominator {ratio.denominator} is divisible by {p}")
-    return ratio.numerator * pow(ratio.denominator, -1, modulus) % modulus
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,11 @@ def newton_min(coeffs, p, s=0):
     return None if where is None else (best, where)
 
 
+def level_exponent(p, n):
+    """The modulus exponent N used at level n: n+1 for odd p, n+2 for p=2."""
+    return n + 1 if p != 2 else n + 2
+
+
 class PadicInt:
     """An element of Z_p known modulo p^M."""
 
@@ -124,9 +129,8 @@ class PadicInt:
             other = PadicInt(self.p, other, self.precision)
         if not isinstance(other, PadicInt):
             return NotImplemented
-        m = min(self.precision, other.precision)
-        q = self.p ** m
-        return self.p == other.p and (self.residue - other.residue) % q == 0
+        return (self.p, self.precision, self.residue) == \
+            (other.p, other.precision, other.residue)
 
     def __hash__(self):
         return hash((self.p, self.precision, self.residue))
@@ -165,7 +169,7 @@ def teichmuller(a, p, precision):
 @lru_cache(maxsize=None)
 def _log_gamma_table(p, big_n):
     """Map u -> t for u = gamma^t mod p^N, t in [0, p^n)."""
-    n = big_n - 1 if p != 2 else big_n - 2
+    n = big_n - level_exponent(p, 0)
     if n < 0:
         raise OutOfRange(f"log-gamma table: N={big_n} is below the level floor for p={p}")
     gamma = 1 + 2 * p

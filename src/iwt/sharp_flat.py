@@ -6,7 +6,8 @@ are undone from the right, one exact division by Phi_i per index, with
 Phi_i the (completed, when hatted) i-th cyclotomic polynomial; the
 terminal pair is (sharp, flat).  The peel run forwards reproduces the
 input exactly, which is the round-trip contract every decomposition is
-tested against:
+tested against (forwards is `logmatrix.push_steps`; `step_product` is its
+matrix form, kept for the tests):
 
     (Theta_n, nu Theta_{n-1}) = (sharp, flat) . S_1 ... S_n . A~^(-1).
 
@@ -26,7 +27,7 @@ from .errors import (NotDivisible, OutOfRange, PrecisionExhausted,
 from .iwasawa_algebra import (IwasawaInvariants, LambdaElement,
                               cyclotomic_phi, exact_divide_by_phi,
                               iwasawa_invariants, lift_nu, vanishing_order)
-from .logmatrix import a_tilde_inverse, log_truncation
+from .logmatrix import a_tilde_inverse, log_truncation, push_steps
 from .padic_core import PadicInt, padic_from_rational
 
 
@@ -84,20 +85,18 @@ def step_product(params, level, hatted):
     return log_truncation(params, level, hatted) @ a_tilde_inverse(params, level)
 
 
-def _push_steps(approx):
+def _forward(approx):
     """The row vector (sharp, flat) . S_1 ... S_n: the peel run forwards."""
     params, n = approx.params, approx.level
-    x, y = approx.sharp, approx.flat
-    for i in range(1, n + 1):
-        phi = cyclotomic_phi(params.p, i, n, params.precision, hatted=approx.hatted)
-        x, y = params.ap * x - params.eps_p * (phi * y), x
-    return x, y
+    phis = (cyclotomic_phi(params.p, i, n, params.precision, hatted=approx.hatted)
+            for i in range(1, n + 1))
+    return push_steps((approx.sharp, approx.flat), params.ap, params.eps_p, phis)
 
 
 def recompose(approx):
     """Forward product; returns the pair (Theta_n, nu Theta_{n-1})."""
     params = approx.params
-    x, y = _push_steps(approx)
+    x, y = _forward(approx)
     # (x, y) . A~^(-1), A~^(-1) = [[0, -1/eps_p], [1, ap/eps_p]]
     return y, (params.ap * y - x) * pow(params.eps_p, -1, params.modulus)
 
@@ -148,7 +147,7 @@ def vector_vanishing_orders(approx, m_range):
     total analytic vanishing count.
     """
     params, n = approx.params, approx.level
-    vec = _push_steps(approx)
+    vec = _forward(approx)
     orders = {}
     total = 0
     for m in m_range:

@@ -19,6 +19,18 @@ GOLDEN = {
         "verify": "9178d1ade5562866778d282c1a25397fe89a5ae9a6905e84cc2381612af3c338"},
 }
 
+# sha256 of the verify.json written by `verify <argv> --out DIR`
+VERIFY_GOLDEN = {
+    ("--synthetic-seed", 9, "--p", 3, "--ap", -3, "--level", 3):
+        "4cad5a27adcaeefea536d4034b4cdcdf7396cc701b8f7e52ce5213f7b18fefd6",
+    ("--synthetic-seed", 9, "--p", 7, "--ap", 0, "--hatted", "--level", 3):
+        "def5f0f465aad15136e549335ce0882a7809cf49320f8f5c7b34297ce9806d04",
+    ("--synthetic-seed", 9, "--p", 2, "--ap", 2, "--level", 3):
+        "b1bdca52b6137a78b21be900d9221171c32f1d94cdd47881fb81a26419739a64",
+    ("--input", FIXTURE, "--tame", 1, "--hatted", "--level", 4):
+        "973482ba8ce846c4644f58d31d97ae04108af3cb2bb425546a694f8df25731ac",
+}
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -60,6 +72,13 @@ def test_fixture_reports_match_golden_digests(tmp_path, tame):
                     "--out", tmp_path]) == 0
         report = (tmp_path / f"{command}.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_GOLDEN))
+def test_verify_reports_match_golden_digests(tmp_path, argv):
+    assert run(["verify", *argv, "--out", tmp_path]) == 0
+    report = (tmp_path / "verify.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == VERIFY_GOLDEN[argv]
 
 
 def test_flag_contradiction_is_rejected(tmp_path):
@@ -190,6 +209,14 @@ def test_synthetic_verify_level_below_one_is_out_of_range(tmp_path, capsys):
     report = last_error(capsys)
     assert report["error"] == "OutOfRange" and "level" in report["message"]
     assert run(["verify", "--synthetic-seed", 9, "--p", 3, "--ap", -3]) == 0
+
+
+def test_synthetic_verify_eps_zero_is_not_a_unit(tmp_path, capsys):
+    # eps 0 is a value, not "unset": it must reach FormParams and fail there
+    assert run(["verify", "--synthetic-seed", 9, "--p", 3, "--ap", -3,
+                "--eps", 0, "--level", 2]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "NotAUnit" and "eps_p=0" in report["message"]
 
 
 RANK_INPUT = {"p": 3, "mu_sharp": "0", "mu_flat": "0", "lambda_sharp": 1,

@@ -232,23 +232,34 @@ def test_phi_at_zeta_matches_the_power_sum():
 
 def test_h_matrix_matches_the_step_by_step_product():
     # each step [[a, 1], [-eps * Phi_{p^i}(zeta_{p^j}), 0]] built on its own,
-    # with the power-sum Phi and a fresh structural zero, then multiplied
+    # with the power-sum Phi and a fresh structural zero, then multiplied;
+    # a is random, a structural zero (the a_p = 0 case) or a unit constant
     rng = random.Random(43)
     for p, j in ((2, 3), (3, 2), (3, 3), (5, 2)):
         d = p ** (j - 1) * (p - 1)
         for m in (1, 2, 3):
-            a = EisensteinElement(p, j, M, [rng.randrange(p ** M) for _ in range(d)])
             eps = rng.choice([1, p + 1])
-            acc = None
-            for i in range(1, m + 1):
-                step = LambdaMatrix(((a, EisensteinElement.constant(p, j, M, 1)),
-                                     ((-eps) * power_sum_phi(p, i, j, M),
-                                      EisensteinElement.zero(p, j, M))))
-                acc = step if acc is None else acc @ step
-            got = h_matrix(a, m, j, eps)
-            for r in range(2):
-                for c in range(2):
-                    assert got[r][c].coeffs == acc.entries[r][c].coeffs
-                    assert got[r][c].exact_zero == acc.entries[r][c].exact_zero
-            if m == 1:
-                assert h_matrix_valuations(a, m, j, eps).entries[1][1] == INF
+            for a in (EisensteinElement(p, j, M, [rng.randrange(p ** M) for _ in range(d)]),
+                      EisensteinElement.zero(p, j, M),
+                      EisensteinElement.constant(p, j, M, p + 1)):
+                acc = None
+                for i in range(1, m + 1):
+                    step = LambdaMatrix(((a, EisensteinElement.constant(p, j, M, 1)),
+                                         ((-eps) * power_sum_phi(p, i, j, M),
+                                          EisensteinElement.zero(p, j, M))))
+                    acc = step if acc is None else acc @ step
+                got = h_matrix(a, m, j, eps)
+                for r in range(2):
+                    for c in range(2):
+                        assert got[r][c].coeffs == acc.entries[r][c].coeffs
+                        assert got[r][c].exact_zero == acc.entries[r][c].exact_zero
+                try:
+                    want = ValMatrix([[entry.ord() for entry in row] for row in acc.entries])
+                except PrecisionExhausted:
+                    # at a = 0 an entry can carry the factor Phi_{p^j}(zeta_{p^j}) = 0
+                    with pytest.raises(PrecisionExhausted):
+                        h_matrix_valuations(a, m, j, eps)
+                else:
+                    assert h_matrix_valuations(a, m, j, eps) == want
+                if m == 1:
+                    assert h_matrix_valuations(a, m, j, eps).entries[1][1] == INF

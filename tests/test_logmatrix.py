@@ -59,6 +59,23 @@ def test_log_truncation_base_case_and_det():
             assert det_identity_check(FormParams(p, ap, eps, M), n)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_log_truncation_matches_the_left_to_right_matrix_product(p):
+    # the row recursion against make_matrix(...) @ ... for a_p = 0, a unit
+    # and p times a unit, eps = 1 and another unit, completed or not
+    for n in (2, 3):
+        for ap in (0, p + 1, p * (p - 1)):
+            for eps in (1, 2 * p - 1):
+                for hatted in (False, True):
+                    params = FormParams(p, ap, eps, M)
+                    family = "CCC-hat" if hatted else "CCC"
+                    want = make_matrix(family, params, n, 1)
+                    for i in range(2, n + 1):
+                        want = want @ make_matrix(family, params, n, i)
+                    got = log_truncation(params, n, hatted)
+                    assert got.entries == want.entries, (n, ap, eps, hatted)
+
+
 def test_functional_equation_odd_p():
     for p, ap, eps, n in ((3, -3, 1, 3), (3, 4, 2, 2), (5, 5, 2, 2)):
         report = functional_equation_check(FormParams(p, ap, eps, M), n)

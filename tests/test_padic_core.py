@@ -30,6 +30,19 @@ def test_ring_ops_errors():
         PadicInt(3, 6, 4).inverse()
 
 
+def test_equality_agrees_with_the_hash():
+    # equal residues at unequal precisions are different elements
+    assert PadicInt(3, 1, 2) != PadicInt(3, 10, 4)
+    assert PadicInt(3, 10, 4) != PadicInt(3, 10, 5)
+    assert PadicInt(3, 10, 4) != PadicInt(5, 10, 4)
+    assert PadicInt(3, 10, 4) == PadicInt(3, 91, 4)
+    assert hash(PadicInt(3, 10, 4)) == hash(PadicInt(3, 91, 4))
+    assert len({PadicInt(3, 1, 2), PadicInt(3, 10, 4), PadicInt(3, 91, 4)}) == 2
+    # an int compares at the element's own precision
+    assert PadicInt(3, 10, 4) == 91 and PadicInt(3, 10, 2) == 1
+    assert PadicInt(3, 10, 4) != 1
+
+
 def test_precision_is_min_of_operands():
     out = PadicInt(3, 7, 5) * PadicInt(3, 7, 3)
     assert out.precision == 3
