@@ -4,27 +4,42 @@
     python3 scripts/bench_kernels.py
     python3 scripts/bench_kernels.py --parent DIR --out BENCH_table_path.json
 
-The first form times ten kernels of this checkout's `src/iwt` and
+The first form times the kernels of this checkout's `src/iwt` and
 prints one JSON document, at the points (p, n, M) of POINTS:
 
-* ring multiply, exact division by Phi_{p^n}, `from_unit_basis`,
-  `to_unit_basis` and evaluation at zeta_{p^2};
+* ring multiply of two dense elements (in the group basis: one Kronecker
+  product and a fold mod X^N - 1), `phi_multiply` (times the completed
+  Phi_{p^n}, plain for p = 2: p nonzero group coefficients), exact
+  division by Phi_{p^n}, `project_pi`, `lift_nu` and evaluation at
+  zeta_{p^2};
+* the basis change: `t_to_group` builds an element from T-coefficients
+  and reads its group-basis vector, `group_to_t` the reverse;
+  `from_unit_basis` and `to_unit_basis` alone;
 * `kronecker_product`: the bare `poly_mul` of two length-N residue
-  vectors, the packed product without the ring reduction;
+  vectors, the packed product without the ring relation;
 * the table path on a table of maxN = N(n) (n+1 for odd p, n+2 for
   p = 2) from `bench/gen_table.py`: `json.loads` plus
   `ingest_modular_symbols` of its text, `theta_sequence` up to level n
   at precision M, and `cli.build_parser` (the same work at every point);
 * `verify_battery`: `det_identity_check` plus `functional_equation_check`
   at level min(n, 3) and precision M, the two step-product checks of
-  `iwt verify`.
+  `iwt verify`;
+* the crossover of the sparse multiply, where `polyops` has it: a dense
+  vector times one with w nonzero entries, w in (1, p, 2p, 4p), mod
+  X^N - 1, by rotations (`sparse_rotate_w`) and by a Kronecker product
+  and a fold (`sparse_kronecker_w`).  The ring takes rotations for
+  w <= p.
 
 At (3, 7, 15) the table has the shape of the tower-table workload, and
 at (2, 6, 14) and (5, 3, 11) of curve-sweep tables.  `cold_ms` is the
 median over fresh calls made right after every `lru_cache` table of the
 package is cleared; `warm_ms` is the median over calls after one
-warm-up.  Inputs are drawn from a fixed seed, so two checkouts time the
-same elements and tables.
+warm-up.  Both are scaled by the benchmark's machine-speed reference
+(`reference_s` of bench/worker.py, run in the same process before and
+after each row) to a machine on which it takes REFERENCE_S, as
+bench/run.py scales job times; `scale` is the factor applied.  Inputs
+are drawn from a fixed seed, so two checkouts time the same elements
+and tables.
 
 The second form times the kernels of this checkout and of the checkout
 in DIR in fresh processes, alternating the two sides over KERNEL_ROUNDS
@@ -42,6 +57,7 @@ the comparison leaves none behind.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -54,9 +70,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 POINTS = ((2, 6, 14), (5, 3, 11), (5, 5, 13), (3, 7, 15), (7, 4, 12))
-KERNELS = ("multiply", "phi_division", "from_unit_basis", "to_unit_basis",
-           "eval_at_zeta2", "kronecker_product", "loads_ingest", "theta_sequence",
-           "build_parser", "verify_battery")
 WORKLOADS = ("tower-table", "tower-synth", "curve-sweep")
 METRICS = ("setup_s", "solve_s", "peak_rss_mb", "job_p50_ms", "job_p90_ms")
 COLD_REPS = 3
@@ -76,26 +89,54 @@ def clear_caches():
                 value.cache_clear()
 
 
+def bench_module(name):
+    """A module of this checkout's bench/ directory."""
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
+    return importlib.import_module(name)
+
+
+def sparse_calls(p, n, M, rng):
+    """The crossover rows, where the checkout's polyops has the sparse kernels."""
+    try:
+        from iwt.polyops import poly_cyclic_mul_sparse, poly_fold, poly_mul
+    except ImportError:
+        return {}
+    size, modulus = p ** n, p ** M
+    dense = [rng.randrange(modulus) for _ in range(size)]
+    calls = {}
+    for weight in (1, p, 2 * p, 4 * p):
+        sparse = [0] * size
+        for s in rng.sample(range(size), min(weight, size)):
+            sparse[s] = rng.randrange(1, modulus)
+        calls[f"sparse_rotate_w{weight}"] = (
+            lambda sparse=sparse: poly_cyclic_mul_sparse(dense, sparse, modulus))
+        calls[f"sparse_kronecker_w{weight}"] = (
+            lambda sparse=sparse: poly_fold(poly_mul(dense, sparse, modulus), size, modulus))
+    return calls
+
+
 def kernel_calls(p, n, M):
     """name -> zero-argument call, on inputs drawn from a seed of (p, n, M)."""
     from iwt.cli import build_parser
     from iwt.cyclotomic_ext import eval_lambda_at_zeta
     from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
-                                     exact_divide_by_phi)
+                                     exact_divide_by_phi, lift_nu, project_pi)
     from iwt.logmatrix import det_identity_check, functional_equation_check
     from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
                                 theta_sequence)
     from iwt.polyops import poly_mul
-    if str(ROOT / "bench") not in sys.path:
-        sys.path.insert(0, str(ROOT / "bench"))
-    from gen_table import generate_table
+    generate_table = bench_module("gen_table").generate_table
     rng = random.Random(f"{p}-{n}-{M}")
     size, modulus = p ** n, p ** M
+    coeffs = [rng.randrange(modulus) for _ in range(size)]
     x, y = (LambdaElement(p, n, M, [rng.randrange(modulus) for _ in range(size)])
             for _ in range(2))
     # a multiple of Phi_{p^n} of full degree, so that the division is exact
     multiple = LambdaElement(p, n, M, [rng.randrange(modulus) for _ in range(size // p)])
     divisible = multiple * cyclotomic_phi(p, n, n, M)
+    phi = cyclotomic_phi(p, n, n, M, hatted=p != 2)
+    lower = project_pi(x)
     units = x.to_unit_basis()
     text = json.dumps(generate_table(1, p, -1, 1, level_exponent(p, n)))
     table = ingest_modular_symbols(json.loads(text))
@@ -106,7 +147,12 @@ def kernel_calls(p, n, M):
         functional_equation_check(params, level)
 
     return {"multiply": lambda: x * y,
+            "phi_multiply": lambda: x * phi,
             "phi_division": lambda: exact_divide_by_phi(divisible, n),
+            "project_pi": lambda: project_pi(x),
+            "lift_nu": lambda: lift_nu(lower),
+            "t_to_group": lambda: LambdaElement(p, n, M, coeffs).to_unit_basis(),
+            "group_to_t": lambda: LambdaElement.from_unit_basis(p, n, M, units).coeffs,
             "from_unit_basis": lambda: LambdaElement.from_unit_basis(p, n, M, units),
             "to_unit_basis": lambda: x.to_unit_basis(),
             "eval_at_zeta2": lambda: eval_lambda_at_zeta(x, 2),
@@ -114,7 +160,8 @@ def kernel_calls(p, n, M):
             "loads_ingest": lambda: ingest_modular_symbols(json.loads(text)),
             "theta_sequence": lambda: theta_sequence(table, n, 0, M),
             "build_parser": build_parser,
-            "verify_battery": verify_battery}
+            "verify_battery": verify_battery,
+            **sparse_calls(p, n, M, rng)}
 
 
 def elapsed_ms(call):
@@ -124,19 +171,23 @@ def elapsed_ms(call):
 
 
 def time_kernels():
+    worker = bench_module("worker")
     rows = []
     for p, n, M in POINTS:
         calls = kernel_calls(p, n, M)
-        for kernel in KERNELS:
+        for kernel, call in calls.items():
+            before = worker.reference_s()
             cold = []
             for _ in range(COLD_REPS):
                 clear_caches()
-                cold.append(elapsed_ms(calls[kernel]))
-            calls[kernel]()
-            warm = [elapsed_ms(calls[kernel]) for _ in range(WARM_REPS)]
+                cold.append(elapsed_ms(call))
+            call()
+            warm = [elapsed_ms(call) for _ in range(WARM_REPS)]
+            scale = 2 * worker.REFERENCE_S / (before + worker.reference_s())
             rows.append({"p": p, "n": n, "M": M, "N": p ** n, "kernel": kernel,
-                         "cold_ms": round(statistics.median(cold), 3),
-                         "warm_ms": round(statistics.median(warm), 3)})
+                         "cold_ms": round(scale * statistics.median(cold), 3),
+                         "warm_ms": round(scale * statistics.median(warm), 3),
+                         "scale": round(scale, 3)})
     return rows
 
 
@@ -170,7 +221,7 @@ def median_rows(rounds):
     rows = []
     for same in zip(*rounds):
         row = dict(same[0])
-        for key in ("cold_ms", "warm_ms"):
+        for key in ("cold_ms", "warm_ms", "scale"):
             row[key] = round(statistics.median(r[key] for r in same), 3)
         rows.append(row)
     return rows

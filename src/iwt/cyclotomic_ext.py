@@ -22,7 +22,7 @@ from .errors import (InvalidK, OutOfRange, PrecisionExhausted, RingMismatch,
 from .iwasawa_algebra import _phi_coeffs
 from .logmatrix import push_steps
 from .padic_core import ExtRational, PadicInt, ValMatrix, newton_min
-from .polyops import poly_divmod_monic, poly_mul
+from .polyops import poly_divmod_monic, poly_fold, poly_mul, poly_taylor_shift
 
 
 class EisensteinElement:
@@ -177,19 +177,27 @@ class EisensteinElement:
 def eval_lambda_at_zeta(x, j):
     """Ring homomorphism L_n -> Z_p[zeta_{p^j}] sending T to zeta - 1.
 
-    T and pi = zeta - 1 share the coordinate, so the image is the
-    representative reduced mod E(X) = Phi_{p^j}(1+X).
+    1+T goes to zeta, whose p^j-th power is 1, so the group-basis vector
+    is folded mod X^(p^j) - 1 first; T and pi = zeta - 1 share the
+    coordinate, so the image is that short vector's T-coefficients
+    reduced mod E(X) = Phi_{p^j}(1+X).
     """
     if j > x.level:
         raise OutOfRange(f"j={j} exceeds the element's level {x.level}")
     if j < 1:
         raise OutOfRange("j must be >= 1 (use at_zero for the trivial point)")
-    return EisensteinElement(x.p, j, x.precision, x.coeffs)
+    folded = poly_fold(x.units, x.p ** j, x.modulus)
+    return EisensteinElement(x.p, j, x.precision,
+                             poly_taylor_shift(folded, 1, x.modulus))
 
 
 def phi_at_zeta(p, i, j, precision):
-    """Phi_{p^i}(zeta_{p^j}): the polynomial Phi_{p^i}(1+X) reduced mod E(X)."""
-    return EisensteinElement(p, j, precision, _phi_coeffs(p, i, p ** precision))
+    """Phi_{p^i}(zeta_{p^j}): the polynomial Phi_{p^i}(1+X) reduced mod E(X).
+
+    At i = j it is a structural zero, and its valuation is infinite.
+    """
+    return EisensteinElement(p, j, precision, _phi_coeffs(p, i, p ** precision),
+                             exact_zero=i == j)
 
 
 def h_matrix(a, m, j, eps_p=1):

@@ -1,16 +1,34 @@
 """Arithmetic in the finite-level group algebras L_n = Z_p[T]/((1+T)^(p^n) - 1).
 
-An element is stored by its canonical representative: the coefficient
-vector of the unique degree < p^n lift to Z_p[T], residues mod p^M.
-A longer vector is reduced by one division by the monic relation
-(1+T)^(p^n) - 1, and the group basis (1+T)^s is reached by a Taylor
-shift; both are quasi-linear kernels of `polyops`.
+Storage basis.  An element is stored as its group-basis vector `units`:
+the coefficients d_s of X^s = (1+T)^s for s < p^n, residues mod p^M.
+That is the canonical degree < p^n representative written in X instead
+of T, the same polynomial, so canonical quotients and remainders are the
+same in either basis.  In X the relation is X^(p^n) - 1 and most of the
+ring is linear (kernels in `polyops`):
 
-The module also provides the two transition maps between levels (the
-projection and the fiber-sum lift), cyclotomic polynomials and their
-completed variants, exact division by them, vanishing orders at p-power
-roots of unity, mu/lambda extraction, and Newton-polygon valuations in
-exponent coordinates.
+* a product is one Kronecker product folded mod X^(p^n) - 1;
+* a factor with at most p nonzero group coefficients multiplies by
+  rotations: every Phi_{p^i}(X) = sum_{k<p} X^(k p^(i-1)) and its
+  completed variant, every unit power X^s, T = X - 1 and X^(p^m) - 1;
+* the projection is a fold, the fiber-sum lift is p copies, and
+  (1+T) -> (1+T)^(-1) is an index flip;
+* division by Phi_{p^i} multiplies by X^s - 1 (s = p^(i-1)) and divides
+  by the binomial X^(ps) - 1 from the top; division by T is by X - 1.
+
+Conversions.  T-coefficients, a Taylor shift of `units` by +1, are made
+only where something reads them: the `coeffs` view (JSON reports,
+digests, tests), lambda, `newton_vr`, and the T-coefficient constructor
+`LambdaElement(p, n, M, coeffs)`, which shifts by -1.  mu needs none: the
+change of basis is a triangular integer matrix with unit diagonal, so the
+least coefficient valuation is the same in both bases.  lambda is the
+first index at which the T-coefficients of d / p^mu are nonzero mod p,
+read after one Taylor shift mod p.
+
+The module also provides cyclotomic polynomials and their completed
+variants, exact division by them, vanishing orders at p-power roots of
+unity, mu/lambda extraction, and Newton-polygon valuations in exponent
+coordinates.
 """
 
 from __future__ import annotations
@@ -19,12 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (LevelMismatch, MixedPrime, NotAUnit, OutOfRange,
-                     PrecisionExhausted, PrecisionMismatch, ZeroInput)
+from .errors import (LevelMismatch, MixedPrime, NotAUnit, NotDivisible,
+                     OutOfRange, PrecisionExhausted, PrecisionMismatch,
+                     ZeroInput)
 from .padic_core import ExtRational, PadicInt, newton_min, val_p
-from .polyops import (poly_add, poly_divide_exact, poly_divmod_monic,
-                      poly_mul, poly_scale, poly_sub, poly_taylor_shift,
-                      poly_trim)
+from .polyops import (poly_cyclic_mul_sparse, poly_divmod_monic, poly_fold,
+                      poly_mul, poly_taylor_shift, poly_trim)
 
 
 @dataclass(frozen=True)
@@ -65,58 +83,60 @@ class IwasawaInvariants:
         return (self.mu, self.lam)
 
 
-def _binomial_row(e, modulus):
-    """[C(e, j) mod modulus for j = 0..e], by the exact recurrence."""
-    out, c = [], 1
-    for j in range(e + 1):
-        out.append(c % modulus)
-        c = c * (e - j) // (j + 1)
-    return out
+def _check_ring(level, precision):
+    if level < 0 or precision < 1:
+        raise OutOfRange(f"need level >= 0 and precision >= 1, "
+                         f"got n={level}, M={precision}")
 
 
-@lru_cache(maxsize=None)
-def _modulus_poly(p, n, modulus):
-    # (1+T)^(p^n) - 1, the defining relation at level n
-    out = _binomial_row(p ** n, modulus)
-    out[0] = 0
-    return tuple(out)
+def _element(p, level, precision, units):
+    """The element with group-basis vector `units`: p^level residues mod p^M."""
+    x = object.__new__(LambdaElement)
+    x.p = p
+    x.level = level
+    x.precision = precision
+    x.units = tuple(units)
+    x._coeffs = None
+    return x
 
 
 class LambdaElement:
-    """Element of Z_p[T]/((1+T)^(p^n) - 1) at precision M."""
+    """Element of Z_p[T]/((1+T)^(p^n) - 1) at precision M.
 
-    __slots__ = ("p", "level", "precision", "coeffs")
+    The constructor takes T-coefficients of any length (longer vectors
+    are reduced by the relation).  `units` is the stored group-basis
+    vector; `coeffs` is the T-coefficient vector of the canonical
+    representative, computed on first read.
+    """
+
+    __slots__ = ("p", "level", "precision", "units", "_coeffs")
 
     def __init__(self, p, level, precision, coeffs):
-        if level < 0 or precision < 1:
-            raise OutOfRange(f"need level >= 0 and precision >= 1, "
-                             f"got n={level}, M={precision}")
-        size = p ** level
+        _check_ring(level, precision)
         modulus = p ** precision
-        coeffs = [c % modulus for c in coeffs]
-        if len(coeffs) > size:
-            coeffs = _reduce(coeffs, p, level, modulus)
-        coeffs.extend([0] * (size - len(coeffs)))
         self.p = p
         self.level = level
         self.precision = precision
-        self.coeffs = tuple(coeffs)
+        self.units = tuple(poly_fold(poly_taylor_shift(list(coeffs), -1, modulus),
+                                     p ** level, modulus))
+        self._coeffs = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p, level, precision):
-        return cls(p, level, precision, [])
+        return cls.constant(p, level, precision, 0)
 
     @classmethod
     def one(cls, p, level, precision):
-        return cls(p, level, precision, [1])
+        return cls.constant(p, level, precision, 1)
 
     @classmethod
     def constant(cls, p, level, precision, c):
         if isinstance(c, PadicInt):
             c = c.residue
-        return cls(p, level, precision, [c])
+        _check_ring(level, precision)
+        return _element(p, level, precision, poly_fold([c], p ** level, p ** precision))
 
     @classmethod
     def monomial(cls, p, level, precision, degree, c=1):
@@ -126,15 +146,17 @@ class LambdaElement:
     @classmethod
     def unit_power(cls, p, level, precision, s):
         """(1+T)^s in the quotient ring; s may be any integer."""
-        if level < 0:
-            raise OutOfRange(f"need level >= 0, got n={level}")
-        return cls(p, level, precision, _binomial_row(s % p ** level, p ** precision))
+        _check_ring(level, precision)
+        units = [0] * p ** level
+        units[s % len(units)] = 1
+        return _element(p, level, precision, units)
 
     @classmethod
     def from_unit_basis(cls, p, level, precision, unit_coeffs):
         """Element sum_s d_s (1+T)^s from the group-basis vector d."""
-        return cls(p, level, precision,
-                   poly_taylor_shift(list(unit_coeffs), 1, p ** precision))
+        _check_ring(level, precision)
+        return _element(p, level, precision,
+                        poly_fold(unit_coeffs, p ** level, p ** precision))
 
     # -- views -------------------------------------------------------------
 
@@ -142,16 +164,23 @@ class LambdaElement:
     def modulus(self):
         return self.p ** self.precision
 
+    @property
+    def coeffs(self):
+        """T-coefficients of the canonical representative, degree < p^n."""
+        if self._coeffs is None:
+            self._coeffs = tuple(poly_taylor_shift(list(self.units), 1, self.modulus))
+        return self._coeffs
+
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.units)
 
     def at_zero(self):
-        """Value of the canonical representative at T = 0."""
-        return PadicInt(self.p, self.coeffs[0], self.precision)
+        """Value of the canonical representative at T = 0, i.e. at X = 1."""
+        return PadicInt(self.p, sum(self.units), self.precision)
 
     def to_unit_basis(self):
         """Coefficients d with self = sum_s d_s (1+T)^s, s < p^n."""
-        return poly_taylor_shift(list(self.coeffs), -1, self.modulus)
+        return list(self.units)
 
     # -- ring structure ----------------------------------------------------
 
@@ -163,58 +192,60 @@ class LambdaElement:
         if self.precision != other.precision:
             raise PrecisionMismatch(f"precisions {self.precision} and {other.precision}")
 
+    def _with(self, units):
+        return _element(self.p, self.level, self.precision, units)
+
     def __add__(self, other):
         if not isinstance(other, LambdaElement):
             return NotImplemented
         self._check(other)
-        return LambdaElement(self.p, self.level, self.precision,
-                             poly_add(list(self.coeffs), list(other.coeffs), self.modulus))
+        m = self.modulus
+        return self._with([(a + b) % m for a, b in zip(self.units, other.units)])
 
     def __sub__(self, other):
         if not isinstance(other, LambdaElement):
             return NotImplemented
         self._check(other)
-        return LambdaElement(self.p, self.level, self.precision,
-                             poly_sub(list(self.coeffs), list(other.coeffs), self.modulus))
+        m = self.modulus
+        return self._with([(a - b) % m for a, b in zip(self.units, other.units)])
 
     def __neg__(self):
-        return LambdaElement(self.p, self.level, self.precision,
-                             [-c for c in self.coeffs])
+        m = self.modulus
+        return self._with([-a % m for a in self.units])
 
     def __mul__(self, other):
+        m = self.modulus
         if isinstance(other, (int, PadicInt)):
-            c = other.residue if isinstance(other, PadicInt) else other
-            return LambdaElement(self.p, self.level, self.precision,
-                                 poly_scale(list(self.coeffs), c, self.modulus))
+            c = (other.residue if isinstance(other, PadicInt) else other) % m
+            return self._with([a * c % m for a in self.units])
         if not isinstance(other, LambdaElement):
             return NotImplemented
         self._check(other)
-        prod = poly_mul(self.coeffs, other.coeffs, self.modulus)
-        return LambdaElement(self.p, self.level, self.precision, prod)
+        a, b = self.units, other.units
+        # a factor with at most p nonzero group coefficients (Phi, its
+        # completed variant, a unit power, X^s - 1) multiplies by rotations;
+        # their cost grows with that count and stayed below the Kronecker
+        # product's up to p at every point of BENCH_group_basis.json
+        if len(b) - b.count(0) <= self.p:
+            return self._with(poly_cyclic_mul_sparse(a, b, m))
+        if len(a) - a.count(0) <= self.p:
+            return self._with(poly_cyclic_mul_sparse(b, a, m))
+        return self._with(poly_fold(poly_mul(a, b, m), len(a), m))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, LambdaElement):
             return NotImplemented
-        return (self.p, self.level, self.precision, self.coeffs) == \
-               (other.p, other.level, other.precision, other.coeffs)
+        return (self.p, self.level, self.precision, self.units) == \
+               (other.p, other.level, other.precision, other.units)
 
     def __hash__(self):
-        return hash((self.p, self.level, self.precision, self.coeffs))
+        return hash((self.p, self.level, self.precision, self.units))
 
     def __repr__(self):
         return (f"LambdaElement(p={self.p}, n={self.level}, "
                 f"M={self.precision}, {list(self.coeffs)})")
-
-
-def _reduce(coeffs, p, level, modulus):
-    """Canonical representative: the remainder mod (1+T)^(p^n) - 1, trimmed.
-
-    One division by the monic relation of degree p^n, whatever the
-    length of coeffs and the precision.
-    """
-    return poly_divmod_monic(coeffs, _modulus_poly(p, level, modulus), modulus)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +253,11 @@ def _reduce(coeffs, p, level, modulus):
 # ---------------------------------------------------------------------------
 
 def project_pi(x):
-    """Natural projection to level n-1 (canonical representative reduced)."""
+    """Natural projection to level n-1: the fold mod X^(p^(n-1)) - 1."""
     if x.level == 0:
         raise LevelMismatch("level 0 has no lower level")
-    return LambdaElement(x.p, x.level - 1, x.precision, x.coeffs)
+    return _element(x.p, x.level - 1, x.precision,
+                    poly_fold(x.units, x.p ** (x.level - 1), x.modulus))
 
 
 def lift_nu(x):
@@ -233,10 +265,10 @@ def lift_nu(x):
 
     Well-defined because Phi_{p^(n+1)}(1+T) * ((1+T)^(p^n) - 1) is the
     defining relation above; satisfies project_pi(lift_nu(x)) = p * x.
+    The degree < p^n lift times sum_{k<p} X^(k p^n) is p copies of the
+    group-basis vector side by side.
     """
-    target = x.level + 1
-    lifted = LambdaElement(x.p, target, x.precision, list(x.coeffs))
-    return lifted * cyclotomic_phi(x.p, target, target, x.precision)
+    return _element(x.p, x.level + 1, x.precision, x.units * x.p)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +277,12 @@ def lift_nu(x):
 
 @lru_cache(maxsize=None)
 def _phi_coeffs(p, i, modulus):
-    # Phi_{p^i}(1+T) = sum_{k<p} (1+T)^(k p^(i-1)), degree p^(i-1)(p-1)
+    # Phi_{p^i}(1+T), degree p^(i-1)(p-1): the T-coefficients of
+    # sum_{k<p} X^(k p^(i-1)), for evaluation at zeta
     step = p ** (i - 1)
-    out = [0] * (step * (p - 1) + 1)
-    for k in range(p):
-        for j, c in enumerate(_binomial_row(k * step, modulus)):
-            out[j] = (out[j] + c) % modulus
-    return tuple(out)
+    units = [0] * (step * (p - 1) + 1)
+    units[::step] = [1] * p
+    return tuple(poly_taylor_shift(units, 1, modulus))
 
 
 def half_twist_exponent(p, i):
@@ -264,16 +295,34 @@ def cyclotomic_phi(p, i, level, precision, hatted=False):
 
     The completed variant divides by (1+T)^e with e = p^(i-1)(p-1)/2,
     realized as multiplication by (1+T)^(p^n - e); for p = 2, i = 1,
-    e = 0 and the two variants coincide.
+    e = 0 and the two variants coincide.  Either way the group-basis
+    vector has p entries 1, at k p^(i-1) - e mod p^n.
     """
     if not 1 <= i <= level:
         raise OutOfRange(f"need 1 <= i <= n, got i={i}, n={level}")
-    modulus = p ** precision
-    phi = LambdaElement(p, level, precision, list(_phi_coeffs(p, i, modulus)))
+    _check_ring(level, precision)
+    size, step = p ** level, p ** (i - 1)
     e = half_twist_exponent(p, i) if hatted else 0
-    if not e:
-        return phi
-    return phi * LambdaElement.unit_power(p, level, precision, -e)
+    units = [0] * size
+    for k in range(p):
+        units[(k * step - e) % size] = 1
+    return _element(p, level, precision, units)
+
+
+def _phi_divmod(units, p, m, modulus):
+    """Quotient and remainder of a group-basis polynomial by Phi_{p^m}(X),
+    by X - 1 for m = 0.
+
+    With s = p^(m-1), Phi_{p^m}(X) (X^s - 1) = X^(ps) - 1: the quotient is
+    that of units * (X^s - 1) by the binomial, and the remainder, of
+    units * (X^s - 1), vanishes exactly when Phi_{p^m} divides.
+    """
+    if m == 0:
+        return poly_divmod_monic(units, (-1, 1), modulus)
+    s = p ** (m - 1)
+    units = list(units)
+    num = [a - b for a, b in zip([0] * s + units, units + [0] * s)]
+    return poly_divmod_monic(num, [-1] + [0] * (p * s - 1) + [1], modulus)
 
 
 def exact_divide_by_phi(x, i, hatted=False):
@@ -285,13 +334,14 @@ def exact_divide_by_phi(x, i, hatted=False):
     """
     if not 1 <= i <= x.level:
         raise OutOfRange(f"need 1 <= i <= n, got i={i}, n={x.level}")
-    quot = poly_divide_exact(list(x.coeffs), list(_phi_coeffs(x.p, i, x.modulus)),
-                             x.modulus, what=f"division by Phi_{{p^{i}}}")
-    out = LambdaElement(x.p, x.level, x.precision, quot)
+    quot, rem = _phi_divmod(x.units, x.p, i, x.modulus)
+    if rem:
+        raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
+                           f"at working precision")
+    # the quotient has degree < p^n - 2e, so the twist by X^e does not wrap
     e = half_twist_exponent(x.p, i) if hatted else 0
-    if e:
-        out = out * LambdaElement.unit_power(x.p, x.level, x.precision, e)
-    return out
+    size = x.p ** x.level
+    return _element(x.p, x.level, x.precision, ([0] * e + quot + [0] * size)[:size])
 
 
 def vanishing_order(x, m):
@@ -304,15 +354,11 @@ def vanishing_order(x, m):
         raise OutOfRange(f"m={m} exceeds level {x.level}")
     if x.is_zero():
         raise ZeroInput("vanishing order of 0 is undefined at finite precision")
-    if m == 0:
-        divisor = [0, 1]
-    else:
-        divisor = list(_phi_coeffs(x.p, m, x.modulus))
     order = 0
-    poly = list(x.coeffs)
+    poly = list(x.units)
     while True:
-        quot, rem = poly_divmod_monic(poly, divisor, x.modulus)
-        if poly_trim(rem):
+        quot, rem = _phi_divmod(poly, x.p, m, x.modulus)
+        if rem:
             return order
         order += 1
         poly = quot
@@ -322,11 +368,18 @@ def vanishing_order(x, m):
 
 
 def iwasawa_invariants(x):
-    """mu = least coefficient valuation, lambda = first index attaining it."""
-    found = newton_min(x.coeffs, x.p)
+    """mu = least coefficient valuation, lambda = first index attaining it.
+
+    Both are read off the T-coefficients; mu is the same on the group
+    basis, and lambda needs the T-coefficients only mod p.
+    """
+    found = newton_min(x.units, x.p)
     if found is None:
         raise PrecisionExhausted("all coefficients vanish mod p^M")
-    return IwasawaInvariants(mu=Fraction(found[0]), lam=found[1])
+    scale = x.p ** found[0]
+    low = poly_taylor_shift([d // scale for d in x.units], 1, x.p)
+    lam = next(i for i, c in enumerate(low) if c)
+    return IwasawaInvariants(mu=Fraction(found[0]), lam=lam)
 
 
 def newton_vr(x, s):
@@ -343,8 +396,8 @@ def newton_vr(x, s):
 
 
 def substitute_inverse(x):
-    """The ring automorphism (1+T) -> (1+T)^(-1); an involution."""
-    size = x.p ** x.level
-    d = x.to_unit_basis()
-    flipped = [d[0]] + [d[size - s] for s in range(1, size)]
-    return LambdaElement.from_unit_basis(x.p, x.level, x.precision, flipped)
+    """The ring automorphism (1+T) -> (1+T)^(-1); an involution.
+
+    X^s -> X^(-s): the group-basis vector read backwards after index 0.
+    """
+    return _element(x.p, x.level, x.precision, x.units[:1] + x.units[:0:-1])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OutOfRange
-from .iwasawa_algebra import (LambdaElement, _modulus_poly, cyclotomic_phi,
+from .iwasawa_algebra import (LambdaElement, cyclotomic_phi,
                               half_twist_exponent, newton_vr,
                               substitute_inverse)
 from .padic_core import INF, ValMatrix
@@ -120,18 +120,19 @@ def det_identity_check(params, level):
 
     The unreduced step product has entry degrees below p^n, so the
     canonical representatives ARE the polynomial entries; the determinant
-    is formed without the ring relation and compared coefficientwise.
+    is formed without the ring relation and compared coefficientwise, in
+    the group basis X = 1+T: (X - 1) det = eps^n (X^(p^n) - 1).
     """
     p, M = params.p, params.precision
     modulus = p ** M
     prod = log_truncation(params, level)
     a = prod.entries
-    d1 = poly_mul(list(a[0][0].coeffs), list(a[1][1].coeffs), modulus)
-    d2 = poly_mul(list(a[0][1].coeffs), list(a[1][0].coeffs), modulus)
+    d1 = poly_mul(a[0][0].units, a[1][1].units, modulus)
+    d2 = poly_mul(a[0][1].units, a[1][0].units, modulus)
     det = poly_sub(d1, d2, modulus)
-    lhs = poly_trim(poly_mul([0, 1], det, modulus))
+    lhs = poly_trim([(b - c) % modulus for b, c in zip([0] + det, det + [0])])
     eps_n = pow(params.eps_p, level, modulus)
-    rhs = [eps_n * c % modulus for c in _modulus_poly(p, level, modulus)]
+    rhs = [-eps_n % modulus] + [0] * (p ** level - 1) + [eps_n]
     return lhs == poly_trim(rhs)
 
 

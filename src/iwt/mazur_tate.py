@@ -207,7 +207,7 @@ def build_theta(table, n, tame_index, precision):
     t = log_gamma(a) needs no lookup and omega^i(a) = w^i mod p^M is formed
     once per root.  A symbol [a/p^N] = u/d contributes u * (scale/d) mod p^M,
     with scale/d mod p^M formed once per distinct denominator d.  The sum
-    is accumulated in the group basis and converted to the canonical form.
+    is accumulated in the group basis, the ring's storage basis.
     """
     p = table.p
     big_n = level_exponent(p, n)
@@ -237,7 +237,6 @@ def build_theta(table, n, tame_index, precision):
                     p, Fraction(table.denominator_scale, den), precision).residue
             unit_coeffs[t] += value.numerator * factors[den] * weight
             a = a * gamma % big_modulus
-    unit_coeffs = [c % modulus for c in unit_coeffs]
     return LambdaElement.from_unit_basis(p, n, precision, unit_coeffs)
 
 
@@ -277,7 +276,8 @@ def validate_queue(seq):
     for m in range(2, seq.top_level + 1):
         want = params.ap * seq[m - 1] - params.eps_p * lift_nu(seq[m - 2])
         defect = project_pi(seq[m]) - want
-        found = newton_min(defect.coeffs, defect.p)
+        # the least valuation is the same in the group basis and in T
+        found = newton_min(defect.units, defect.p)
         if found is not None:
             return QueueReport(valid=False, first_failure_level=m,
                                residual_valuation=found[0])
@@ -302,7 +302,8 @@ def synthesize_queue(seed, params, n):
                 LambdaElement(p, 1, M, random_coeffs(p))]
     for m in range(2, n + 1):
         target = params.ap * elements[m - 1] - params.eps_p * lift_nu(elements[m - 2])
-        lift = LambdaElement(p, m, M, list(target.coeffs))
+        # the canonical representative of target, read one level up
+        lift = LambdaElement.from_unit_basis(p, m, M, target.units)
         kernel_gen = (LambdaElement.unit_power(p, m, M, p ** (m - 1))
                       - LambdaElement.one(p, m, M))
         noise = LambdaElement(p, m, M, random_coeffs(p ** m - p ** (m - 1)))

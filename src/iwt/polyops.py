@@ -1,12 +1,24 @@
 """Dense polynomial kernels over Z/p^M used by the group-algebra modules.
 
 Polynomials are plain lists of integer residues, index i holding the
-coefficient of T^i.  Every kernel above linear cost is a few Kronecker
-products (vectors packed into big integers with carry-free slots): the
-product itself, division by a monic polynomial through a cached Newton
-inverse of the reversed divisor, and the Taylor shift f(x) -> f(x + c)
-by blocks that double each level (von zur Gathen & Gerhard, "Fast
-algorithms for Taylor shifts and certain difference equations", 1997).
+coefficient of the i-th power of the variable.  `iwasawa_algebra` stores
+its elements in the group basis X = 1+T, where the ring relation is the
+binomial X^(p^n) - 1 and every cyclotomic factor and unit power is
+sparse, so most of the ring runs on the linear kernels here:
+
+* `poly_fold` reduces mod X^n - 1 by adding blocks of n coefficients;
+* `poly_cyclic_mul_sparse` multiplies mod X^n - 1 by a factor with few
+  nonzero coefficients, one rotation per coefficient;
+* `poly_divmod_monic` divides by X^d - 1 by suffix sums.
+
+The kernels above linear cost are Kronecker products (vectors packed
+into big integers with carry-free slots): the product itself, division
+by a dense monic polynomial through a cached Newton inverse of the
+reversed divisor, and the Taylor shift f(x) -> f(x + c) by blocks that
+double each level (von zur Gathen & Gerhard, "Fast algorithms for Taylor
+shifts and certain difference equations", 1997).  The shift by +-1 is the
+change between the group basis and T-coefficients; the ring makes it only
+where T-coefficients are read.
 
 Slot layout: a slot holds the carry-free bound terms*(m-1)^2 of one
 product coefficient.  When that bound fits in 64 bits the slot is one
@@ -24,8 +36,9 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
+from itertools import accumulate
 
-from .errors import NotAUnit, NotDivisible, ZeroInput
+from .errors import NotAUnit, ZeroInput
 
 
 def poly_trim(coeffs):
@@ -33,16 +46,6 @@ def poly_trim(coeffs):
     while i > 0 and coeffs[i - 1] == 0:
         i -= 1
     return coeffs[:i]
-
-
-def poly_add(a, b, modulus):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % modulus
-    return out
 
 
 def poly_sub(a, b, modulus):
@@ -53,11 +56,6 @@ def poly_sub(a, b, modulus):
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % modulus
     return out
-
-
-def poly_scale(a, c, modulus):
-    c %= modulus
-    return [(x * c) % modulus for x in a]
 
 
 _WORD = array("Q").itemsize    # 8: one unsigned 64-bit word
@@ -95,15 +93,47 @@ def _unpack(value, count, width, modulus):
             for i in range(0, count * width, width)]
 
 
+def _kronecker(a, b, modulus):
+    # the packed product of two nonempty vectors; poly_mul without the trim
+    width = _slot_bytes(min(len(a), len(b)), modulus)
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1,
+                   width, modulus)
+
+
 def poly_mul(a, b, modulus):
     """Convolution of residue vectors, reduced mod modulus (no ring relation)."""
     a = poly_trim(list(a))
     b = poly_trim(list(b))
     if not a or not b:
         return []
-    width = _slot_bytes(min(len(a), len(b)), modulus)
-    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1,
-                   width, modulus)
+    return _kronecker(a, b, modulus)
+
+
+def poly_fold(coeffs, size, modulus):
+    """Residues of coeffs mod (X^size - 1, modulus), exactly size of them:
+    index s collects every index congruent to s mod size."""
+    out = list(coeffs[:size])
+    out.extend([0] * (size - len(out)))
+    for start in range(size, len(coeffs), size):
+        block = coeffs[start:start + size]
+        out[:len(block)] = [a + b for a, b in zip(out, block)]
+    return [c % modulus for c in out]
+
+
+def poly_cyclic_mul_sparse(dense, sparse, modulus):
+    """dense * sparse mod (X^n - 1, modulus) for two vectors of length n.
+
+    One rotation of dense per nonzero entry of sparse, so the cost is n
+    times the number of those entries.
+    """
+    size = len(dense)
+    out = [0] * size
+    for s, c in enumerate(sparse):
+        if c:
+            # rotated[i] = dense[i - s mod n], the coefficients of X^s * dense
+            rotated = dense[size - s:] + dense[:size - s]
+            out = [a + c * b for a, b in zip(out, rotated)]
+    return [a % modulus for a in out]
 
 
 @lru_cache(maxsize=256)
@@ -131,8 +161,9 @@ def _inverse_prefix(den, length, modulus):
 def poly_divmod_monic(num, den, modulus):
     """Quotient and remainder by a monic divisor; exact over Z/p^M.
 
-    The quotient has len(num) - deg(den) coefficients and is
-    rev(num) / rev(den) mod x^k with k that length; the remainder, of
+    The quotient has len(num) - deg(den) coefficients.  For a divisor
+    X^d - 1 it is a set of suffix sums, in linear time; otherwise it is
+    rev(num) / rev(den) mod x^k with k that length, and the remainder, of
     degree < deg(den), is the low part of num - quotient * den.
     """
     den = tuple(poly_trim([c % modulus for c in den]))
@@ -145,26 +176,42 @@ def poly_divmod_monic(num, den, modulus):
     k = len(num) - d
     if k <= 0:
         return [], num
+    if d and den[0] == modulus - 1 and not any(den[1:d]):
+        return _divmod_cyclic(num, d, modulus)
     head = poly_mul(num[d:][::-1], _inverse_prefix(den, k, modulus), modulus)[:k]
     quot = (head + [0] * (k - len(head)))[::-1]
     low = poly_mul(quot[:d], den[:d], modulus)[:d]
     return quot, poly_trim(poly_sub(num[:d], low, modulus))
 
 
-def poly_divide_exact(num, den, modulus, what="polynomial"):
-    """Division known to be exact; raises NotDivisible otherwise."""
-    quot, rem = poly_divmod_monic(num, den, modulus)
-    if any(c % modulus for c in rem):
-        raise NotDivisible(f"{what}: remainder is nonzero at working precision")
-    return quot
+def _divmod_cyclic(num, d, modulus):
+    # num = q * (X^d - 1) + r: q_t = num_(t+d) + q_(t+d) is a suffix sum
+    # along the residue class of t mod d, summed class by class or block by
+    # block of d from the top, whichever takes fewer Python-level steps;
+    # r_t = num_t + q_t below X^d
+    quot = num[d:]
+    k = len(quot)
+    if d * d < k:
+        for r in range(d):
+            quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
+    else:
+        for hi in range(k - d, 0, -d):
+            lo = max(0, hi - d)
+            quot[lo:hi] = [a + b for a, b in zip(quot[lo:hi], quot[lo + d:hi + d])]
+    quot = [q % modulus for q in quot]
+    low = quot[:d] + [0] * (d - k)
+    return quot, poly_trim([(a + b) % modulus for a, b in zip(num, low)])
 
 
 @lru_cache(maxsize=None)
 def _packed_shift_power(c, level, modulus):
-    # (x + c)^(2^level) mod modulus, packed at the slot width of that level
+    # (x + c)^(2^level) mod modulus, packed at the slot width of that level;
+    # squared by _kronecker, not poly_mul, so that a first read of
+    # LambdaElement.coeffs after a traced span has closed opens no poly_mul
+    # span of its own (bench/tracer.py counts every span against job time)
     power = [c % modulus, 1]
     for _ in range(level):
-        power = poly_mul(power, power, modulus)
+        power = _kronecker(power, power, modulus)
     return _pack(power, _slot_bytes((1 << level) + 1, modulus))
 
 

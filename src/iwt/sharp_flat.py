@@ -21,6 +21,7 @@ corrupted level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (NotDivisible, OutOfRange, PrecisionExhausted,
                      PrecisionMismatch, Unstable)
@@ -41,6 +42,11 @@ class SharpFlatApprox:
     params: object  # FormParams
 
     def invariants(self):
+        """(sharp, flat) invariants, computed once per approximation."""
+        return self._invariants
+
+    @cached_property
+    def _invariants(self):
         return iwasawa_invariants(self.sharp), iwasawa_invariants(self.flat)
 
 

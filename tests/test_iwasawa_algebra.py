@@ -6,8 +6,7 @@ import pytest
 
 from iwt.errors import (LevelMismatch, NotAUnit, NotDivisible, OutOfRange,
                         PrecisionExhausted, PrecisionMismatch, ZeroInput)
-from iwt.iwasawa_algebra import (FormParams, LambdaElement, _modulus_poly,
-                                 _phi_coeffs, _reduce,
+from iwt.iwasawa_algebra import (FormParams, LambdaElement, _phi_coeffs,
                                  cyclotomic_phi, exact_divide_by_phi,
                                  half_twist_exponent, iwasawa_invariants,
                                  lift_nu, newton_vr, project_pi,
@@ -246,9 +245,11 @@ def test_half_twist_exponent():
 def test_binomial_kernels_match_math_comb(p, n):
     modulus, size = p ** M, p ** n
     row = [math.comb(size, k) % modulus for k in range(size + 1)]
-    assert _modulus_poly(p, n, modulus) == tuple([0] + row[1:])
+    # the relation (1+T)^(p^n) - 1, read one level up where it is not zero
+    relation = LambdaElement.unit_power(p, n + 1, M, size) - LambdaElement.one(p, n + 1, M)
+    assert relation.coeffs == tuple([0] + row[1:] + [0] * (p * size - size - 1))
     # T^(p^n) = -sum_{1<=k<p^n} C(p^n, k) T^k in the ring
-    assert _reduce([0] * size + [1], p, n, modulus) == poly_trim(
+    assert LambdaElement(p, n, M, [0] * size + [1]).coeffs == tuple(
         [0] + [-c % modulus for c in row[1:-1]])
     for i in range(1, n + 1):
         step = p ** (i - 1)
@@ -279,7 +280,7 @@ def test_reduction_of_a_high_power_at_high_precision():
     # at p = 2, n = 1 the relation is T^2 = -2T, so T^515 = (-2)^514 T,
     # which is nonzero mod 2^520
     modulus = 2 ** 520
-    assert _reduce([0] * 515 + [1], 2, 1, modulus) == [0, (-2) ** 514 % modulus]
+    assert LambdaElement(2, 1, 520, [0] * 515 + [1]).coeffs == (0, (-2) ** 514 % modulus)
 
 
 # The four Newton-minimum loops as they stood before padic_core.newton_min.

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from iwt.cyclotomic_ext import EisensteinElement, eval_lambda_at_zeta
 from iwt.errors import NotAUnit, OutOfRange, ZeroInput
-from iwt.iwasawa_algebra import (LambdaElement, _modulus_poly, _phi_coeffs,
-                                 _reduce, lift_nu, project_pi)
+from iwt.iwasawa_algebra import LambdaElement, _phi_coeffs, lift_nu, project_pi
 from iwt.padic_core import PadicInt
-from iwt.polyops import (_pack, _slot_bytes, _unpack, poly_divmod_monic, poly_mul,
-                         poly_taylor_shift, poly_trim)
+from iwt.polyops import (_pack, _slot_bytes, _unpack, poly_cyclic_mul_sparse,
+                         poly_divmod_monic, poly_fold, poly_mul, poly_taylor_shift,
+                         poly_trim)
+from tbasis_oracle import _modulus_poly
 
 PRIMES = (2, 3, 5, 7)
 
@@ -97,7 +98,41 @@ def test_structural_divisions_match_schoolbook(p, n, M):
     low = size // p
     wide = random_vector(rng, 2 * low - 1, modulus)
     relation = list(_modulus_poly(p, n - 1, modulus))
-    assert _reduce(wide, p, n - 1, modulus) == schoolbook_divmod(wide, relation, modulus)[1]
+    want = schoolbook_divmod(wide, relation, modulus)[1]
+    assert LambdaElement(p, n - 1, M, wide).coeffs == tuple(want + [0] * (low - len(want)))
+
+
+def test_binomial_division_matches_schoolbook():
+    # X^d - 1 takes the suffix-sum path, by residue class when the quotient
+    # is longer than d^2 and by blocks otherwise; X^d - c for other c, with
+    # short and long numerators, the Newton path
+    rng = random.Random(99)
+    for _ in range(400):
+        p = rng.choice(PRIMES)
+        modulus = p ** rng.randint(1, 20)
+        d = rng.choice((1, 2, 3, rng.randint(1, 30)))
+        c = rng.choice((1, 1, 1, 0, modulus - 1, rng.randrange(modulus)))
+        den = [-c % modulus] + [0] * (d - 1) + [1]
+        num = random_vector(rng, rng.randint(0, 4 * d + 3), modulus)
+        assert poly_divmod_monic(num, den, modulus) == schoolbook_divmod(num, den, modulus)
+
+
+def test_fold_and_sparse_cyclic_product_match_the_convolution():
+    rng = random.Random(41)
+    for _ in range(200):
+        p = rng.choice(PRIMES)
+        modulus = p ** rng.randint(1, 20)
+        size = rng.randint(1, 40)
+        coeffs = random_vector(rng, rng.randint(0, 3 * size + 2), modulus)
+        want = [sum(coeffs[i::size]) % modulus for i in range(size)]
+        assert poly_fold(coeffs, size, modulus) == want
+        dense = random_vector(rng, size, modulus)
+        sparse = [0] * size
+        for _ in range(rng.randint(0, 4)):
+            sparse[rng.randrange(size)] = rng.randrange(modulus)
+        wide = schoolbook_mul(dense, sparse, modulus)
+        assert poly_cyclic_mul_sparse(dense, sparse, modulus) \
+            == poly_fold(wide, size, modulus)
 
 
 def test_taylor_shift_matches_binomial_sum():
