@@ -16,14 +16,16 @@ ring is linear (kernels in `polyops`):
 * division by Phi_{p^i} multiplies by X^s - 1 (s = p^(i-1)) and divides
   by the binomial X^(ps) - 1 from the top; division by T is by X - 1.
 
-Conversions.  T-coefficients, a Taylor shift of `units` by +1, are made
-only where something reads them: the `coeffs` view (JSON reports,
-digests, tests), lambda, `newton_vr`, and the T-coefficient constructor
-`LambdaElement(p, n, M, coeffs)`, which shifts by -1.  mu needs none: the
-change of basis is a triangular integer matrix with unit diagonal, so the
-least coefficient valuation is the same in both bases.  lambda is the
-first index at which the T-coefficients of d / p^mu are nonzero mod p,
-read after one Taylor shift mod p.
+Conversions.  The T-coefficient constructor `LambdaElement(p, n, M,
+coeffs)` shifts by -1 to make `units`, and keeps its input as the
+`coeffs` view when that is already canonical (degree < p^n).  Otherwise
+`coeffs`, a Taylor shift of `units` by +1, is made on first read and
+kept; its readers are the JSON reports, digests and tests, lambda and
+`newton_vr`.  `sharp_flat.decompose` and `mazur_tate.synthesize_queue`
+return elements whose `coeffs` are already made.  mu needs no
+conversion: the change of basis is a triangular integer matrix with unit
+diagonal, so the least coefficient valuation is the same in both bases;
+lambda, the first index attaining it, is read off `coeffs`.
 
 The module also provides cyclotomic polynomials and their completed
 variants, exact division by them, vanishing orders at p-power roots of
@@ -106,7 +108,8 @@ class LambdaElement:
     The constructor takes T-coefficients of any length (longer vectors
     are reduced by the relation).  `units` is the stored group-basis
     vector; `coeffs` is the T-coefficient vector of the canonical
-    representative, computed on first read.
+    representative: the constructor's input when that has degree < p^n,
+    else computed on first read.
     """
 
     __slots__ = ("p", "level", "precision", "units", "_coeffs")
@@ -117,9 +120,12 @@ class LambdaElement:
         self.p = p
         self.level = level
         self.precision = precision
-        self.units = tuple(poly_fold(poly_taylor_shift(list(coeffs), -1, modulus),
-                                     p ** level, modulus))
-        self._coeffs = None
+        coeffs = [c % modulus for c in coeffs]
+        size = p ** level
+        self.units = tuple(poly_fold(poly_taylor_shift(coeffs, -1, modulus), size, modulus))
+        # input of degree < p^n is already the canonical representative
+        self._coeffs = (tuple(coeffs + [0] * (size - len(coeffs)))
+                        if len(coeffs) <= size else None)
 
     # -- constructors ------------------------------------------------------
 
@@ -368,18 +374,12 @@ def vanishing_order(x, m):
 
 
 def iwasawa_invariants(x):
-    """mu = least coefficient valuation, lambda = first index attaining it.
-
-    Both are read off the T-coefficients; mu is the same on the group
-    basis, and lambda needs the T-coefficients only mod p.
-    """
-    found = newton_min(x.units, x.p)
+    """mu = least coefficient valuation, lambda = first index attaining it,
+    both read off the T-coefficients."""
+    found = newton_min(x.coeffs, x.p)
     if found is None:
         raise PrecisionExhausted("all coefficients vanish mod p^M")
-    scale = x.p ** found[0]
-    low = poly_taylor_shift([d // scale for d in x.units], 1, x.p)
-    lam = next(i for i, c in enumerate(low) if c)
-    return IwasawaInvariants(mu=Fraction(found[0]), lam=lam)
+    return IwasawaInvariants(mu=Fraction(found[0]), lam=found[1])
 
 
 def newton_vr(x, s):

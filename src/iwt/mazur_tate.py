@@ -21,12 +21,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import comb
 
 from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
                      SchemaError)
 from .iwasawa_algebra import FormParams, LambdaElement, lift_nu, project_pi
 from .padic_core import (level_exponent, newton_min, padic_from_rational,
                          teichmuller, val_p)
+from .polyops import poly_mul
 
 
 def _is_prime(n):
@@ -289,7 +292,9 @@ def synthesize_queue(seed, params, n):
 
     Theta_0, Theta_1 are uniform; each later element is the canonical
     lift of the forced projection plus a random multiple of
-    (1+T)^(p^(m-1)) - 1.
+    (1+T)^(p^(m-1)) - 1.  Every element is built from its T-coefficients,
+    which it keeps: that multiple has degree < p^m, so it is a plain
+    product and the sum is already the canonical representative.
     """
     p, M = params.p, params.precision
     modulus = p ** M
@@ -302,10 +307,10 @@ def synthesize_queue(seed, params, n):
                 LambdaElement(p, 1, M, random_coeffs(p))]
     for m in range(2, n + 1):
         target = params.ap * elements[m - 1] - params.eps_p * lift_nu(elements[m - 2])
-        # the canonical representative of target, read one level up
-        lift = LambdaElement.from_unit_basis(p, m, M, target.units)
-        kernel_gen = (LambdaElement.unit_power(p, m, M, p ** (m - 1))
-                      - LambdaElement.one(p, m, M))
-        noise = LambdaElement(p, m, M, random_coeffs(p ** m - p ** (m - 1)))
-        elements.append(lift + noise * kernel_gen)
+        step = p ** (m - 1)
+        kernel_gen = [0] + [comb(step, k) % modulus for k in range(1, step + 1)]
+        noise = poly_mul(random_coeffs(p ** m - step), kernel_gen, modulus)
+        # the canonical representative of target, read one level up, plus noise
+        coeffs = [a + b for a, b in zip_longest(target.coeffs, noise, fillvalue=0)]
+        elements.append(LambdaElement(p, m, M, coeffs))
     return QueueSequence(params=params, elements=tuple(elements))

@@ -17,8 +17,7 @@ by a dense monic polynomial through a cached Newton inverse of the
 reversed divisor, and the Taylor shift f(x) -> f(x + c) by blocks that
 double each level (von zur Gathen & Gerhard, "Fast algorithms for Taylor
 shifts and certain difference equations", 1997).  The shift by +-1 is the
-change between the group basis and T-coefficients; the ring makes it only
-where T-coefficients are read.
+change between the group basis and T-coefficients.
 
 Slot layout: a slot holds the carry-free bound terms*(m-1)^2 of one
 product coefficient.  When that bound fits in 64 bits the slot is one
@@ -93,20 +92,15 @@ def _unpack(value, count, width, modulus):
             for i in range(0, count * width, width)]
 
 
-def _kronecker(a, b, modulus):
-    # the packed product of two nonempty vectors; poly_mul without the trim
-    width = _slot_bytes(min(len(a), len(b)), modulus)
-    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1,
-                   width, modulus)
-
-
 def poly_mul(a, b, modulus):
     """Convolution of residue vectors, reduced mod modulus (no ring relation)."""
     a = poly_trim(list(a))
     b = poly_trim(list(b))
     if not a or not b:
         return []
-    return _kronecker(a, b, modulus)
+    width = _slot_bytes(min(len(a), len(b)), modulus)
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1,
+                   width, modulus)
 
 
 def poly_fold(coeffs, size, modulus):
@@ -185,19 +179,13 @@ def poly_divmod_monic(num, den, modulus):
 
 
 def _divmod_cyclic(num, d, modulus):
-    # num = q * (X^d - 1) + r: q_t = num_(t+d) + q_(t+d) is a suffix sum
-    # along the residue class of t mod d, summed class by class or block by
-    # block of d from the top, whichever takes fewer Python-level steps;
-    # r_t = num_t + q_t below X^d
+    # num = q * (X^d - 1) + r: q_t = num_(t+d) + q_(t+d), a suffix sum along
+    # the residue class of t mod d; a class with one entry (t >= k - d) is
+    # already summed.  r_t = num_t + q_t below X^d
     quot = num[d:]
     k = len(quot)
-    if d * d < k:
-        for r in range(d):
-            quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
-    else:
-        for hi in range(k - d, 0, -d):
-            lo = max(0, hi - d)
-            quot[lo:hi] = [a + b for a, b in zip(quot[lo:hi], quot[lo + d:hi + d])]
+    for r in range(max(0, min(d, k - d))):
+        quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
     quot = [q % modulus for q in quot]
     low = quot[:d] + [0] * (d - k)
     return quot, poly_trim([(a + b) % modulus for a, b in zip(num, low)])
@@ -205,13 +193,10 @@ def _divmod_cyclic(num, d, modulus):
 
 @lru_cache(maxsize=None)
 def _packed_shift_power(c, level, modulus):
-    # (x + c)^(2^level) mod modulus, packed at the slot width of that level;
-    # squared by _kronecker, not poly_mul, so that a first read of
-    # LambdaElement.coeffs after a traced span has closed opens no poly_mul
-    # span of its own (bench/tracer.py counts every span against job time)
+    # (x + c)^(2^level) mod modulus, packed at the slot width of that level
     power = [c % modulus, 1]
     for _ in range(level):
-        power = _kronecker(power, power, modulus)
+        power = poly_mul(power, power, modulus)
     return _pack(power, _slot_bytes((1 << level) + 1, modulus))
 
 

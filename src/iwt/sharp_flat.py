@@ -79,11 +79,20 @@ def decompose_pair(theta_n, nu_prev, params, hatted=False, tame_index=None):
 
 
 def decompose(theta_n, theta_prev, params, hatted=False, tame_index=None):
-    """Decompose consecutive tower elements (Theta_n, Theta_{n-1})."""
+    """Decompose consecutive tower elements (Theta_n, Theta_{n-1}).
+
+    The pair comes back with its T-coefficients made: the callers of this
+    form (the decompose and invariants reports) read them, and making them
+    here charges the change of basis to the decomposition rather than to
+    whichever read comes first.  `decompose_pair` leaves them unmade.
+    """
     if theta_prev.level != theta_n.level - 1:
         raise OutOfRange("theta_prev must live one level below theta_n")
-    return decompose_pair(theta_n, lift_nu(theta_prev), params,
-                          hatted=hatted, tame_index=tame_index)
+    approx = decompose_pair(theta_n, lift_nu(theta_prev), params,
+                            hatted=hatted, tame_index=tame_index)
+    for x in (approx.sharp, approx.flat):
+        x.coeffs
+    return approx
 
 
 def step_product(params, level, hatted):

@@ -8,6 +8,7 @@ the bounds of test_polyops, so products sit on both sides of the one-word
 Kronecker slot and both sides of the sparse-multiply rule.
 """
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iwt.iwasawa_algebra as algebra
 import tbasis_oracle as oracle
 from iwt.cyclotomic_ext import eval_lambda_at_zeta
 from iwt.errors import IwtError, NotDivisible
@@ -23,7 +25,9 @@ from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  lift_nu, newton_vr, project_pi,
                                  substitute_inverse, vanishing_order)
 from iwt.logmatrix import det_identity_check, functional_equation_check
+from iwt.mazur_tate import synthesize_queue
 from iwt.padic_core import PadicInt
+from iwt.sharp_flat import decompose, decompose_pair
 from tbasis_oracle import TLambda
 
 PRIMES = (2, 3, 5, 7)
@@ -191,3 +195,81 @@ def test_the_oracle_raises_where_the_package_does():
     assert outcome(oracle.exact_divide_by_phi, tone, 2) is NotDivisible
     with pytest.raises(NotDivisible, match=r"division by Phi_\{p\^2\}"):
         exact_divide_by_phi(one, 2)
+
+
+@contextlib.contextmanager
+def counted_shifts():
+    """Lengths of the Taylor shifts that iwasawa_algebra makes inside the block."""
+    calls = []
+    shift = algebra.poly_taylor_shift
+
+    def counted(f, c, modulus):
+        calls.append(len(f))
+        return shift(f, c, modulus)
+
+    algebra.poly_taylor_shift = counted
+    try:
+        yield calls
+    finally:
+        algebra.poly_taylor_shift = shift
+
+
+@settings(max_examples=30, deadline=None)
+@given(rings())
+def test_the_constructor_keeps_canonical_input(ring):
+    p, n, M, rng = ring
+    size = p ** n
+    length = rng.choice([0, 1, 3, size - 1, size, size + 1, 2 * size + 1])
+    coeffs = [rng.randrange(-2 * p ** M, 2 * p ** M) for _ in range(length)]
+    x, tx = LambdaElement(p, n, M, coeffs), TLambda(p, n, M, coeffs)
+    with counted_shifts() as shifts:
+        same(x, tx)
+    # T-coefficients of degree < p^n are the canonical representative
+    assert len(shifts) == (length > size)
+
+
+def ring_synthesis(seed, params, n):
+    """synthesize_queue as ring arithmetic: the lift of the forced projection
+    plus noise (drawn as T-coefficients) times (1+T)^(p^(m-1)) - 1."""
+    p, M = params.p, params.precision
+    rng = random.Random(seed)
+
+    def draw(count):
+        return [rng.randrange(p ** M) for _ in range(count)]
+
+    elements = [LambdaElement(p, 0, M, draw(1)), LambdaElement(p, 1, M, draw(p))]
+    for m in range(2, n + 1):
+        target = params.ap * elements[m - 1] - params.eps_p * lift_nu(elements[m - 2])
+        lift = LambdaElement.from_unit_basis(p, m, M, target.to_unit_basis())
+        kernel_gen = (LambdaElement.unit_power(p, m, M, p ** (m - 1))
+                      - LambdaElement.one(p, m, M))
+        noise = LambdaElement(p, m, M, draw(p ** m - p ** (m - 1)))
+        elements.append(lift + noise * kernel_gen)
+    return elements
+
+
+@pytest.mark.parametrize("p, ap, n, M", [(2, 0, 6, 14), (3, -3, 4, 12), (5, 2, 3, 11),
+                                         (7, 0, 3, 5), (3, 1, 2, 1)])
+def test_synthesized_towers_carry_their_coefficients(p, ap, n, M):
+    params = FormParams(p, ap, 1, M)
+    seq = synthesize_queue(11 * p + n, params, n)
+    want = ring_synthesis(11 * p + n, params, n)
+    assert list(seq.elements) == want
+    with counted_shifts() as shifts:
+        assert [x.coeffs for x in seq.elements] == [x.coeffs for x in want]
+    # only the reference needed a shift per level to read them
+    assert len(shifts) == n - 1
+
+
+@pytest.mark.parametrize("p, ap, n, M, hatted", [(3, -3, 4, 12, False), (5, 0, 3, 11, True),
+                                                 (7, 2, 2, 10, True), (2, 0, 5, 13, False)])
+def test_decompose_makes_the_pair_coefficients(p, ap, n, M, hatted):
+    params = FormParams(p, ap, 1, M)
+    seq = synthesize_queue(5 * p + n, params, n)
+    approx = decompose(seq[n], seq[n - 1], params, hatted=hatted)
+    peeled = decompose_pair(seq[n], lift_nu(seq[n - 1]), params, hatted=hatted)
+    with counted_shifts() as shifts:
+        assert (approx.sharp.coeffs, approx.flat.coeffs) == (peeled.sharp.coeffs,
+                                                             peeled.flat.coeffs)
+    # the two reads of the bare peel were its only shifts
+    assert len(shifts) == 2

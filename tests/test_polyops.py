@@ -103,9 +103,9 @@ def test_structural_divisions_match_schoolbook(p, n, M):
 
 
 def test_binomial_division_matches_schoolbook():
-    # X^d - 1 takes the suffix-sum path, by residue class when the quotient
-    # is longer than d^2 and by blocks otherwise; X^d - c for other c, with
-    # short and long numerators, the Newton path
+    # X^d - 1 takes the suffix-sum path, with quotients shorter than d (no
+    # class to sum), up to 2d (some classes of one entry) and longer; X^d - c
+    # for other c, with short and long numerators, the Newton path
     rng = random.Random(99)
     for _ in range(400):
         p = rng.choice(PRIMES)
