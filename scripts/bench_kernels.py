@@ -15,6 +15,9 @@ prints one JSON document, at the points (p, n, M) of POINTS:
 * the basis change: `t_to_group` builds an element from T-coefficients
   and reads its group-basis vector, `group_to_t` the reverse;
   `from_unit_basis` and `to_unit_basis` alone;
+* `taylor_shift_p1` and `taylor_shift_m1`: the bare `poly_taylor_shift`
+  by +1 and -1 of a length-N residue vector, the kernel under the basis
+  change;
 * `kronecker_product`: the bare `poly_mul` of two length-N residue
   vectors, the packed product without the ring relation;
 * the table path on a table of maxN = N(n) (n+1 for odd p, n+2 for
@@ -125,7 +128,7 @@ def kernel_calls(p, n, M):
     from iwt.logmatrix import det_identity_check, functional_equation_check
     from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
                                 theta_sequence)
-    from iwt.polyops import poly_mul
+    from iwt.polyops import poly_mul, poly_taylor_shift
     generate_table = bench_module("gen_table").generate_table
     rng = random.Random(f"{p}-{n}-{M}")
     size, modulus = p ** n, p ** M
@@ -155,6 +158,8 @@ def kernel_calls(p, n, M):
             "group_to_t": lambda: LambdaElement.from_unit_basis(p, n, M, units).coeffs,
             "from_unit_basis": lambda: LambdaElement.from_unit_basis(p, n, M, units),
             "to_unit_basis": lambda: x.to_unit_basis(),
+            "taylor_shift_p1": lambda: poly_taylor_shift(coeffs, 1, modulus),
+            "taylor_shift_m1": lambda: poly_taylor_shift(coeffs, -1, modulus),
             "eval_at_zeta2": lambda: eval_lambda_at_zeta(x, 2),
             "kronecker_product": lambda: poly_mul(x.coeffs, y.coeffs, modulus),
             "loads_ingest": lambda: ingest_modular_symbols(json.loads(text)),

@@ -25,9 +25,14 @@ little-endian 8-byte word, so a whole vector moves between list and big
 integer through `array("Q")` in one C-level call; on the product sizes
 the CLI runs (M >= n+8) such a slot is at least 6 bytes wide once the
 product has 256 terms, so rounding it up to 8 barely widens the product.
-Wider bounds keep the narrowest whole number of bytes, packed one
-coefficient at a time: rounding them up to 16 bytes would make the
-big-integer product, which dominates there, up to twice as long.
+Wider bounds keep the narrowest whole number of bytes w, since rounding
+them up to 16 bytes would make the big-integer product, which dominates
+there, up to twice as long.  Those slots still move through word arrays:
+residues below 2^64 are packed by scattering the eight byte lanes of
+their words into the w-byte slots with strided slice copies, and slots
+of at most 16 bytes are unpacked by gathering their low and high words
+the same way.  Only residues of 2^64 and more, and slots wider than 16
+bytes, take one coefficient at a time.
 """
 
 from __future__ import annotations
@@ -63,33 +68,54 @@ _SWAP = sys.byteorder == "big"
 
 def _slot_bytes(terms, modulus):
     # a slot must hold a sum of `terms` products of residues without carrying
-    # over: one word while that bound fits in 64 bits, so that vectors pack in
-    # one C call, else the narrowest byte count, so that the big-integer
-    # product, the larger cost there, stays short
+    # over: one word while that bound fits in 64 bits, else the narrowest byte
+    # count, so that the big-integer product, the larger cost there, stays
+    # short; both move through word arrays (see the module docstring)
     bits = (terms * (modulus - 1) ** 2).bit_length()
     return _WORD if bits <= 8 * _WORD else (bits + 8) // 8
 
 
 def _pack(coeffs, width):
-    if width == _WORD:
+    try:
         words = array("Q", coeffs)
-        if _SWAP:
-            words.byteswap()
-        return int.from_bytes(words.tobytes(), "little")
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]),
-                          "little")
+    except OverflowError:
+        # residues of 2^64 and more: one coefficient at a time
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]),
+                              "little")
+    if _SWAP:
+        words.byteswap()
+    raw = words.tobytes()
+    if width == _WORD:
+        return int.from_bytes(raw, "little")
+    # byte j of word i goes to byte j of slot i; the top width - 8 bytes stay 0
+    slots = bytearray(len(words) * width)
+    for j in range(_WORD):
+        slots[j::width] = raw[j::_WORD]
+    return int.from_bytes(slots, "little")
+
+
+def _words(raw):
+    words = array("Q", raw)
+    if _SWAP:
+        words.byteswap()
+    return words
 
 
 def _unpack(value, count, width, modulus):
     raw = value.to_bytes(count * width, "little")
     if width == _WORD:
-        words = array("Q")
-        words.frombytes(raw)
-        if _SWAP:
-            words.byteswap()
-        return [c % modulus for c in words]
-    return [int.from_bytes(raw[i:i + width], "little") % modulus
-            for i in range(0, count * width, width)]
+        return [c % modulus for c in _words(raw)]
+    if width > 2 * _WORD:
+        return [int.from_bytes(raw[i:i + width], "little") % modulus
+                for i in range(0, count * width, width)]
+    # slot i = high_i * 2^64 + low_i: gather both words of every slot
+    low, high = bytearray(count * _WORD), bytearray(count * _WORD)
+    for j in range(_WORD):
+        low[j::_WORD] = raw[j::width]
+    for j in range(width - _WORD):
+        high[j::_WORD] = raw[_WORD + j::width]
+    r = (1 << 8 * _WORD) % modulus
+    return [(h * r + lo) % modulus for h, lo in zip(_words(high), _words(low))]
 
 
 def poly_mul(a, b, modulus):
@@ -192,12 +218,15 @@ def _divmod_cyclic(num, d, modulus):
 
 
 @lru_cache(maxsize=None)
-def _packed_shift_power(c, level, modulus):
-    # (x + c)^(2^level) mod modulus, packed at the slot width of that level
-    power = [c % modulus, 1]
-    for _ in range(level):
-        power = poly_mul(power, power, modulus)
-    return _pack(power, _slot_bytes((1 << level) + 1, modulus))
+def _shift_power(c, level, modulus):
+    # (x + c)^(2^level) mod modulus, the square of the level below, and its
+    # packing at the slot width of that level
+    if level:
+        below = _shift_power(c, level - 1, modulus)[0]
+        power = tuple(poly_mul(below, below, modulus))
+    else:
+        power = (c % modulus, 1)
+    return power, _pack(power, _slot_bytes((1 << level) + 1, modulus))
 
 
 def poly_taylor_shift(f, c, modulus):
@@ -221,7 +250,8 @@ def poly_taylor_shift(f, c, modulus):
                                   * (len(out) // block), "little")
         packed = _pack(out, width)
         high = (packed >> (8 * half_bytes)) & low_mask
-        out = _unpack(high * _packed_shift_power(c, level, modulus) + (packed & low_mask),
-                      len(out), width, modulus)
+        # the shift keeps the degree, so the slots from `size` on are all 0
+        out = _unpack(high * _shift_power(c, level, modulus)[1] + (packed & low_mask),
+                      size, width, modulus)
         half, level = block, level + 1
-    return out[:size]
+    return out

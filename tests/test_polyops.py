@@ -48,11 +48,13 @@ def schoolbook_mul(a, b, modulus):
     return [c % modulus for c in out]
 
 
+def binomial_term(f, c, modulus, k):
+    # coefficient of x^k in f(x + c): sum_j C(j, k) c^(j-k) f_j
+    return sum(math.comb(j, k) * c ** (j - k) * f[j] for j in range(k, len(f))) % modulus
+
+
 def binomial_shift(f, c, modulus):
-    # f(x + c) = sum_k x^k sum_j C(j, k) c^(j-k) f_j
-    n = len(f)
-    return [sum(math.comb(j, k) * c ** (j - k) * f[j] for j in range(k, n)) % modulus
-            for k in range(n)]
+    return [binomial_term(f, c, modulus, k) for k in range(len(f))]
 
 
 def horner_at_zeta(x, j):
@@ -145,6 +147,30 @@ def test_taylor_shift_matches_binomial_sum():
             assert poly_taylor_shift(f, c, modulus) == binomial_shift(f, c, modulus)
 
 
+@pytest.mark.parametrize("length", [33, 129, 2049, 2401])
+def test_taylor_shift_just_above_a_power_of_two(length):
+    # the top level's blocks are mostly padding, and only `length` slots are
+    # unpacked at each level; at 7^12 every slot is 9 or 10 bytes wide.  The
+    # binomial sum is quadratic, so long inputs check the top coefficients,
+    # those on each side of every power of two and a few at random, and
+    # the round trip restores every coefficient
+    rng = random.Random(length)
+    modulus = 7 ** 12
+    f = random_vector(rng, length, modulus)
+    if length < 256:
+        indices = range(length)
+    else:
+        indices = sorted({*range(length - 3, length), *rng.sample(range(length), 4),
+                          *(2 ** e + d for e in range(12) for d in (-1, 0)
+                            if 2 ** e < length)})
+    for c in (1, -1):
+        shifted = poly_taylor_shift(f, c, modulus)
+        assert len(shifted) == length
+        assert [shifted[k] for k in indices] \
+            == [binomial_term(f, c, modulus, k) for k in indices]
+        assert poly_taylor_shift(shifted, -c, modulus) == f
+
+
 # Kronecker slots hold terms * (m - 1)^2: one 64-bit word while that fits,
 # whole bytes above.  At m = 2^30 the bound of 16 terms has exactly 64 bits
 # and that of 17 terms 65; 9 terms at 1431655766 fill 64 bits, which the
@@ -174,15 +200,54 @@ def test_kernels_match_oracles_at_the_slot_bound(modulus):
             assert poly_taylor_shift(a + a, c, modulus) == binomial_shift(a + a, c, modulus)
 
 
-def test_word_packing_matches_the_byte_reference():
-    rng = random.Random(8)
-    coeffs = [rng.randrange(2 ** 64) for _ in range(40)] + [2 ** 64 - 1, 1, 0, 0]
-    reference = int.from_bytes(b"".join(c.to_bytes(8, "little") for c in coeffs),
-                               "little")
-    assert _pack(coeffs, 8) == reference
-    assert _unpack(reference, len(coeffs), 8, 2 ** 64) == coeffs
-    assert _unpack(reference, len(coeffs), 8, 3 ** 20) == [c % 3 ** 20 for c in coeffs]
-    assert _pack([], 8) == 0 and _unpack(0, 3, 8, 5) == [0, 0, 0]
+def byte_pack(coeffs, width):
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def byte_unpack(value, count, width, modulus):
+    raw = value.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") % modulus
+            for i in range(0, count * width, width)]
+
+
+# one word, every wide width that moves through word arrays, and two wider
+PACKING_WIDTHS = (8, *range(9, 17), 17, 24)
+
+
+@pytest.mark.parametrize("width", PACKING_WIDTHS)
+def test_word_packing_matches_the_byte_reference(width):
+    rng = random.Random(width)
+    # residues below 2^64 fill every byte lane of their words; those of 2^64
+    # and more (3^41) take the per-coefficient fallback
+    for modulus in (2 ** 64, 2 ** 32 + 15, *BOUNDARY_MODULI):
+        if modulus.bit_length() > 8 * width:
+            continue
+        coeffs = random_vector(rng, 40, modulus) + [modulus - 1, 1, 0, 0]
+        assert _pack(coeffs, width) == byte_pack(coeffs, width)
+    # slots filling the whole width, reduced by moduli on both sides of 2^64
+    top = 256 ** width
+    slots = [rng.randrange(top) for _ in range(40)] + [top - 1, 0, 1, top // 2]
+    value = byte_pack(slots, width)
+    for modulus in (2 ** 64, 2 ** 64 + 13, 3 ** 20, *BOUNDARY_MODULI):
+        assert _unpack(value, len(slots), width, modulus) \
+            == byte_unpack(value, len(slots), width, modulus)
+    assert _unpack(value, len(slots), width, top) == slots
+    assert _pack([], width) == 0 and _unpack(0, 3, width, 5) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("width", PACKING_WIDTHS)
+def test_products_at_the_bound_of_each_width(width):
+    # every coefficient m - 1, with m chosen so that terms * (m - 1)^2 has
+    # 8 * width - 1 bits, the most a slot of that width holds
+    for terms in (1, 2, 5, 100):
+        modulus = math.isqrt((2 ** (8 * width - 1) - 1) // terms) + 1
+        assert _slot_bytes(terms, modulus) == width
+        a = [modulus - 1] * terms
+        assert (terms * (modulus - 1) ** 2).bit_length() == 8 * width - 1
+        assert _unpack(_pack(a, width) ** 2, 2 * terms - 1, width, 256 ** width) \
+            == schoolbook_mul(a, a, 256 ** width)
+        assert poly_mul(a, a + [modulus - 1], modulus) \
+            == schoolbook_mul(a, a + [modulus - 1], modulus)
 
 
 def test_unit_basis_round_trip_at_depth():
