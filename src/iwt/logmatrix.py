@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from .errors import OutOfRange
 from .iwasawa_algebra import (LambdaElement, cyclotomic_phi,
-                              half_twist_exponent, newton_vr,
-                              substitute_inverse)
-from .padic_core import INF, ValMatrix
+                              half_twist_exponent, substitute_inverse)
 from .polyops import poly_mul, poly_sub, poly_trim
 
 
@@ -106,13 +104,6 @@ def log_truncation(params, level, hatted=False):
     one, zero = LambdaElement.one(p, level, M), LambdaElement.zero(p, level, M)
     return LambdaMatrix(tuple(push_steps(row, params.ap, params.eps_p, phis)
                               for row in ((one, zero), (zero, one))))
-
-
-def valuation_matrix_at(mat, s):
-    """Entrywise Newton valuations at exponent s; structural zeros map to oo."""
-    def v(e):
-        return INF if e.is_zero() else newton_vr(e, s)
-    return ValMatrix([[v(mat[0, 0]), v(mat[0, 1])], [v(mat[1, 0]), v(mat[1, 1])]])
 
 
 def det_identity_check(params, level):

@@ -6,8 +6,8 @@ are undone from the right, one exact division by Phi_i per index, with
 Phi_i the (completed, when hatted) i-th cyclotomic polynomial; the
 terminal pair is (sharp, flat).  The peel run forwards reproduces the
 input exactly, which is the round-trip contract every decomposition is
-tested against (forwards is `logmatrix.push_steps`; `step_product` is its
-matrix form, kept for the tests):
+tested against (forwards is `logmatrix.push_steps`; the tests keep its
+matrix form, `log_truncation` times `a_tilde_inverse`):
 
     (Theta_n, nu Theta_{n-1}) = (sharp, flat) . S_1 ... S_n . A~^(-1).
 
@@ -28,7 +28,7 @@ from .errors import (NotDivisible, OutOfRange, PrecisionExhausted,
 from .iwasawa_algebra import (IwasawaInvariants, LambdaElement,
                               cyclotomic_phi, exact_divide_by_phi,
                               iwasawa_invariants, lift_nu, vanishing_order)
-from .logmatrix import a_tilde_inverse, log_truncation, push_steps
+from .logmatrix import push_steps
 from .padic_core import PadicInt, padic_from_rational
 
 
@@ -93,11 +93,6 @@ def decompose(theta_n, theta_prev, params, hatted=False, tame_index=None):
     for x in (approx.sharp, approx.flat):
         x.coeffs
     return approx
-
-
-def step_product(params, level, hatted):
-    """S_1 ... S_n . A~^(-1), the forward matrix of the round trip."""
-    return log_truncation(params, level, hatted) @ a_tilde_inverse(params, level)
 
 
 def _forward(approx):

@@ -10,11 +10,18 @@ from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
 from iwt.logmatrix import (FunctionalEquationReport, LambdaMatrix,
                            a_tilde_inverse, det_identity_check,
                            functional_equation_check, half_logs,
-                           log_truncation, make_matrix, valuation_matrix_at)
-from iwt.padic_core import ExtRational, ValMatrix, tropical_mul
+                           log_truncation, make_matrix)
+from iwt.padic_core import INF, ExtRational, ValMatrix, tropical_mul
 
 M = 10
 F = Fraction
+
+
+def valuation_matrix_at(mat, s):
+    """Entrywise Newton valuations at exponent s; structural zeros map to oo."""
+    def v(e):
+        return INF if e.is_zero() else newton_vr(e, s)
+    return ValMatrix([[v(mat[0, 0]), v(mat[0, 1])], [v(mat[1, 0]), v(mat[1, 1])]])
 
 
 def test_constant_families():

@@ -210,12 +210,13 @@ def byte_unpack(value, count, width, modulus):
             for i in range(0, count * width, width)]
 
 
-# one word, every wide width that moves through word arrays, and two wider
-PACKING_WIDTHS = (8, *range(9, 17), 17, 24)
+def test_word_packing_matches_the_byte_reference():
+    # one word, every wide width that moves through word arrays, and two wider
+    for width in (8, *range(9, 17), 17, 24):
+        check_packing_at_width(width)
 
 
-@pytest.mark.parametrize("width", PACKING_WIDTHS)
-def test_word_packing_matches_the_byte_reference(width):
+def check_packing_at_width(width):
     rng = random.Random(width)
     # residues below 2^64 fill every byte lane of their words; those of 2^64
     # and more (3^41) take the per-coefficient fallback
@@ -233,12 +234,8 @@ def test_word_packing_matches_the_byte_reference(width):
             == byte_unpack(value, len(slots), width, modulus)
     assert _unpack(value, len(slots), width, top) == slots
     assert _pack([], width) == 0 and _unpack(0, 3, width, 5) == [0, 0, 0]
-
-
-@pytest.mark.parametrize("width", PACKING_WIDTHS)
-def test_products_at_the_bound_of_each_width(width):
-    # every coefficient m - 1, with m chosen so that terms * (m - 1)^2 has
-    # 8 * width - 1 bits, the most a slot of that width holds
+    # products of all-(m - 1) vectors, with m chosen so that terms * (m - 1)^2
+    # has 8 * width - 1 bits, the most a slot of that width holds
     for terms in (1, 2, 5, 100):
         modulus = math.isqrt((2 ** (8 * width - 1) - 1) // terms) + 1
         assert _slot_bytes(terms, modulus) == width

@@ -7,14 +7,19 @@ from iwt.errors import NotDivisible, OutOfRange, PrecisionMismatch, Unstable
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  iwasawa_invariants, lift_nu, project_pi,
                                  vanishing_order)
-from iwt.logmatrix import a_tilde_inverse, make_matrix
+from iwt.logmatrix import a_tilde_inverse, log_truncation, make_matrix
 from iwt.mazur_tate import QueueSequence, synthesize_queue, validate_queue
 from iwt.sharp_flat import (SharpFlatApprox, decompose, decompose_pair,
                             decompose_sequence, recompose,
                             special_value_check, stabilized_invariants,
-                            step_product, vector_vanishing_orders)
+                            vector_vanishing_orders)
 
 M = 12
+
+
+def step_product(params, level, hatted):
+    """S_1 ... S_n . A~^(-1), the matrix form of the peel run forwards."""
+    return log_truncation(params, level, hatted) @ a_tilde_inverse(params, level)
 
 
 def hats_for(p):
