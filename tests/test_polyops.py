@@ -149,7 +149,7 @@ def test_taylor_shift_matches_binomial_sum():
 
 @pytest.mark.parametrize("length", [33, 129, 2049, 2401])
 def test_taylor_shift_just_above_a_power_of_two(length):
-    # the top level's blocks are mostly padding, and only `length` slots are
+    # the top level's block is partly padding, and only `length` slots are
     # unpacked at each level; at 7^12 every slot is 9 or 10 bytes wide.  The
     # binomial sum is quadratic, so long inputs check the top coefficients,
     # those on each side of every power of two and a few at random, and
