@@ -10,8 +10,10 @@ prints one JSON document, at the points (p, n, M) of POINTS:
 * ring multiply of two dense elements (in the group basis: one Kronecker
   product and a fold mod X^N - 1), `phi_multiply` (times the completed
   Phi_{p^n}, plain for p = 2: p nonzero group coefficients), exact
-  division by Phi_{p^n}, `project_pi`, `lift_nu` and evaluation at
-  zeta_{p^2};
+  division by Phi_{p^n}, `project_pi`, `lift_nu`, evaluation at
+  zeta_{p^2} and, as `eval_at_zeta_top`, at zeta_{p^n}: the fold and
+  reduction mod Phi_{p^n} of the largest ring the level reaches, then
+  the shift to pi-coefficients;
 * the basis change: `t_to_group` builds an element from T-coefficients
   and reads its group-basis vector, `group_to_t` the reverse;
   `from_unit_basis` and `to_unit_basis` alone;
@@ -161,6 +163,7 @@ def kernel_calls(p, n, M):
             "taylor_shift_p1": lambda: poly_taylor_shift(coeffs, 1, modulus),
             "taylor_shift_m1": lambda: poly_taylor_shift(coeffs, -1, modulus),
             "eval_at_zeta2": lambda: eval_lambda_at_zeta(x, 2),
+            "eval_at_zeta_top": lambda: eval_lambda_at_zeta(x, n),
             "kronecker_product": lambda: poly_mul(x.coeffs, y.coeffs, modulus),
             "loads_ingest": lambda: ingest_modular_symbols(json.loads(text)),
             "theta_sequence": lambda: theta_sequence(table, n, 0, M),

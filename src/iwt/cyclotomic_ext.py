@@ -1,9 +1,16 @@
 """Exact arithmetic in Z_p[zeta_{p^j}], presented in pi = zeta - 1.
 
-The ring is Z_p[X]/(E(X), p^M) with E(X) = Phi_{p^j}(1+X), an Eisenstein
-polynomial of degree d = p^(j-1)(p-1); ord_p(pi) = 1/d.  Because the d
-exponents t/d (t = 0..d-1) have pairwise distinct fractional parts, the
-valuation of an element is read off its coefficient vector exactly:
+The ring is Z_p[X]/(Phi_{p^j}(X), p^M) with X = zeta, of degree
+d = p^(j-1)(p-1).  An element is stored as `units`, the coefficients of
+its canonical representative in powers of zeta, the group basis of
+`iwasawa_algebra`.  Phi_{p^j}(X) = sum_{k<p} X^(k s), s = p^(j-1),
+divides X^(p s) - 1, so reduction is a fold and one block subtraction.
+`coeffs`, the pi-coefficients, is a Taylor shift of `units` by +1, made
+on first read and kept; `eval_lambda_at_zeta` makes it before returning.
+
+ord_p(pi) = 1/d, and because the d exponents t/d (t = 0..d-1) have
+pairwise distinct fractional parts, the valuation of an element is read
+off `coeffs` exactly:
 
     ord(sum c_t pi^t) = min_t (val_p(c_t) + t/d),
 
@@ -19,29 +26,51 @@ from fractions import Fraction
 
 from .errors import (InvalidK, OutOfRange, PrecisionExhausted, RingMismatch,
                      ZeroInput)
-from .iwasawa_algebra import _phi_coeffs
 from .logmatrix import push_steps
 from .padic_core import ExtRational, PadicInt, ValMatrix, newton_min
-from .polyops import poly_divmod_monic, poly_fold, poly_mul, poly_taylor_shift
+from .polyops import poly_fold, poly_mul, poly_taylor_shift
+
+
+def _check_ring(j, precision):
+    if j < 1 or precision < 1:
+        raise OutOfRange(f"need j >= 1 and precision >= 1, got j={j}, M={precision}")
+
+
+def _reduce(units, p, j, modulus):
+    # the d residues mod (Phi_{p^j}(X), modulus): fold mod X^(p s) - 1, then
+    # X^((p-1)s + t) = -sum_{k<p-1} X^(k s + t) moves the top block down
+    s = p ** (j - 1)
+    d = (p - 1) * s
+    folded = poly_fold(units, p * s, modulus)
+    return [(a - b) % modulus for a, b in zip(folded[:d], folded[d:] * (p - 1))]
+
+
+def _element(p, j, precision, units, exact_zero=False):
+    """The element with reduced zeta-basis vector `units`."""
+    x = object.__new__(EisensteinElement)
+    x.p, x.j, x.precision = p, j, precision
+    x.units = tuple(units)
+    x.exact_zero = bool(exact_zero) and not any(x.units)
+    x._coeffs = None
+    return x
 
 
 class EisensteinElement:
-    """Element of Z_p[zeta_{p^j}] as a length-d vector of residues mod p^M."""
+    """Element of Z_p[zeta_{p^j}] as a length-d vector of residues mod p^M.
 
-    __slots__ = ("p", "j", "precision", "coeffs", "exact_zero")
+    The constructor takes pi-coefficients of any length; longer vectors
+    are reduced by the relation.
+    """
+
+    __slots__ = ("p", "j", "precision", "units", "exact_zero", "_coeffs")
 
     def __init__(self, p, j, precision, coeffs, exact_zero=False):
+        _check_ring(j, precision)
         modulus = p ** precision
-        d = p ** (j - 1) * (p - 1)
-        coeffs = [c % modulus for c in coeffs]
-        if len(coeffs) > d:
-            coeffs = poly_divmod_monic(coeffs, _phi_coeffs(p, j, modulus), modulus)[1]
-        coeffs.extend([0] * (d - len(coeffs)))
-        self.p = p
-        self.j = j
-        self.precision = precision
-        self.coeffs = tuple(coeffs)
-        self.exact_zero = bool(exact_zero) and all(c == 0 for c in coeffs)
+        self.p, self.j, self.precision = p, j, precision
+        self.units = tuple(_reduce(poly_taylor_shift(coeffs, -1, modulus), p, j, modulus))
+        self.exact_zero = bool(exact_zero) and not any(self.units)
+        self._coeffs = None
 
     # -- constructors ------------------------------------------------------
 
@@ -75,8 +104,15 @@ class EisensteinElement:
     def modulus(self):
         return self.p ** self.precision
 
+    @property
+    def coeffs(self):
+        """pi-coefficients of the canonical representative, d of them."""
+        if self._coeffs is None:
+            self._coeffs = tuple(poly_taylor_shift(list(self.units), 1, self.modulus))
+        return self._coeffs
+
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.units)
 
     def _check(self, other):
         if (self.p, self.j, self.precision) != (other.p, other.j, other.precision):
@@ -88,21 +124,23 @@ class EisensteinElement:
         if isinstance(other, EisensteinElement):
             self._check(other)
             return other
-        if isinstance(other, int):
-            return EisensteinElement.constant(self.p, self.j, self.precision, other)
         if isinstance(other, PadicInt):
             if other.p != self.p:
                 raise RingMismatch("mixed primes")
-            return EisensteinElement.constant(self.p, self.j, self.precision, other.residue)
+            other = other.residue
+        if isinstance(other, int):
+            return EisensteinElement.constant(self.p, self.j, self.precision, other)
         return None
+
+    def _new(self, units, exact_zero):
+        return _element(self.p, self.j, self.precision, units, exact_zero)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        coeffs = [(a + b) % self.modulus for a, b in zip(self.coeffs, other.coeffs)]
-        return EisensteinElement(self.p, self.j, self.precision, coeffs,
-                                 exact_zero=self.exact_zero and other.exact_zero)
+        return self._new([(a + b) % self.modulus for a, b in zip(self.units, other.units)],
+                         self.exact_zero and other.exact_zero)
 
     __radd__ = __add__
 
@@ -110,25 +148,25 @@ class EisensteinElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        coeffs = [(a - b) % self.modulus for a, b in zip(self.coeffs, other.coeffs)]
-        return EisensteinElement(self.p, self.j, self.precision, coeffs,
-                                 exact_zero=self.exact_zero and other.exact_zero)
+        return self._new([(a - b) % self.modulus for a, b in zip(self.units, other.units)],
+                         self.exact_zero and other.exact_zero)
 
     def __neg__(self):
-        return EisensteinElement(self.p, self.j, self.precision,
-                                 [-c for c in self.coeffs], exact_zero=self.exact_zero)
+        return self._new([-c % self.modulus for c in self.units], self.exact_zero)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod = poly_mul(self.coeffs, other.coeffs, self.modulus)
-        return EisensteinElement(self.p, self.j, self.precision, prod,
-                                 exact_zero=self.exact_zero or other.exact_zero)
+        prod = poly_mul(self.units, other.units, self.modulus)
+        return self._new(_reduce(prod, self.p, self.j, self.modulus),
+                         self.exact_zero or other.exact_zero)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        if e < 0:
+            raise OutOfRange(f"exponent must be >= 0, got {e}")
         out = EisensteinElement.constant(self.p, self.j, self.precision, 1)
         base = self
         while e:
@@ -141,11 +179,11 @@ class EisensteinElement:
     def __eq__(self, other):
         if not isinstance(other, EisensteinElement):
             return NotImplemented
-        return (self.p, self.j, self.precision, self.coeffs) == \
-               (other.p, other.j, other.precision, other.coeffs)
+        return (self.p, self.j, self.precision, self.units) == \
+               (other.p, other.j, other.precision, other.units)
 
     def __hash__(self):
-        return hash((self.p, self.j, self.precision, self.coeffs))
+        return hash((self.p, self.j, self.precision, self.units))
 
     def __repr__(self):
         return f"EisensteinElement(p={self.p}, j={self.j}, {list(self.coeffs)})"
@@ -177,27 +215,32 @@ class EisensteinElement:
 def eval_lambda_at_zeta(x, j):
     """Ring homomorphism L_n -> Z_p[zeta_{p^j}] sending T to zeta - 1.
 
-    1+T goes to zeta, whose p^j-th power is 1, so the group-basis vector
-    is folded mod X^(p^j) - 1 first; T and pi = zeta - 1 share the
-    coordinate, so the image is that short vector's T-coefficients
-    reduced mod E(X) = Phi_{p^j}(1+X).
+    1+T goes to zeta, so the group-basis vector is reduced as it is; the
+    pi view is made here, since every caller reads it.
     """
     if j > x.level:
         raise OutOfRange(f"j={j} exceeds the element's level {x.level}")
     if j < 1:
         raise OutOfRange("j must be >= 1 (use at_zero for the trivial point)")
-    folded = poly_fold(x.units, x.p ** j, x.modulus)
-    return EisensteinElement(x.p, j, x.precision,
-                             poly_taylor_shift(folded, 1, x.modulus))
+    out = _element(x.p, j, x.precision, _reduce(x.units, x.p, j, x.modulus))
+    out.coeffs
+    return out
 
 
 def phi_at_zeta(p, i, j, precision):
-    """Phi_{p^i}(zeta_{p^j}): the polynomial Phi_{p^i}(1+X) reduced mod E(X).
+    """Phi_{p^i}(zeta_{p^j}): sum_{k<p} X^(k p^(i-1)) reduced mod Phi_{p^j}(X).
 
     At i = j it is a structural zero, and its valuation is infinite.
     """
-    return EisensteinElement(p, j, precision, _phi_coeffs(p, i, p ** precision),
-                             exact_zero=i == j)
+    if i < 1:
+        raise OutOfRange(f"need i >= 1, got i={i}")
+    _check_ring(j, precision)
+    size, step = p ** j, p ** (i - 1)
+    units = [0] * size
+    for k in range(p):
+        units[k * step % size] += 1
+    return _element(p, j, precision, _reduce(units, p, j, p ** precision),
+                    exact_zero=i == j)
 
 
 def h_matrix(a, m, j, eps_p=1):

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (LevelMismatch, MixedPrime, NotAUnit, NotDivisible,
                      OutOfRange, PrecisionExhausted, PrecisionMismatch,
@@ -280,16 +279,6 @@ def lift_nu(x):
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials and exact division
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _phi_coeffs(p, i, modulus):
-    # Phi_{p^i}(1+T), degree p^(i-1)(p-1): the T-coefficients of
-    # sum_{k<p} X^(k p^(i-1)), for evaluation at zeta
-    step = p ** (i - 1)
-    units = [0] * (step * (p - 1) + 1)
-    units[::step] = [1] * p
-    return tuple(poly_taylor_shift(units, 1, modulus))
-
 
 def half_twist_exponent(p, i):
     """The exponent e = p^(i-1)(p-1)/2 used by the completed variant."""

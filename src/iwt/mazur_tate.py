@@ -196,7 +196,7 @@ def ingest_modular_symbols(document, allow_denominator=1):
         values=values, lratio=lratio, denominator_scale=allow_denominator)
 
 
-def tame_sign(p, tame_index):
+def tame_sign(tame_index):
     """omega^i(-1): +1 for even i, -1 for odd i."""
     return -1 if tame_index % 2 else 1
 
@@ -219,7 +219,7 @@ def build_theta(table, n, tame_index, precision):
     n_tame = 2 if p == 2 else p - 1
     if not 0 <= tame_index < n_tame:
         raise OutOfRange(f"tame index {tame_index} outside 0..{n_tame - 1}")
-    sign = tame_sign(p, tame_index)
+    sign = tame_sign(tame_index)
     modulus = p ** precision
     big_modulus = p ** big_n
     gamma = 1 + 2 * p

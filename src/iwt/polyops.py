@@ -4,7 +4,8 @@ Polynomials are plain lists of integer residues, index i holding the
 coefficient of the i-th power of the variable.  `iwasawa_algebra` stores
 its elements in the group basis X = 1+T, where the ring relation is the
 binomial X^(p^n) - 1 and every cyclotomic factor and unit power is
-sparse, so most of the ring runs on the linear kernels here:
+sparse, and `cyclotomic_ext` stores its elements in the same X = zeta, so
+most of both rings runs on the linear kernels here:
 
 * `poly_fold` reduces mod X^n - 1 by adding blocks of n coefficients;
 * `poly_cyclic_mul_sparse` multiplies mod X^n - 1 by a factor with few
@@ -12,12 +13,12 @@ sparse, so most of the ring runs on the linear kernels here:
 * `poly_divmod_monic` divides by X^d - 1 by suffix sums.
 
 The kernels above linear cost are Kronecker products (vectors packed
-into big integers with carry-free slots): the product itself, division
-by a dense monic polynomial through a cached Newton inverse of the
-reversed divisor, and the Taylor shift f(x) -> f(x + c) by blocks that
-double each level (von zur Gathen & Gerhard, "Fast algorithms for Taylor
-shifts and certain difference equations", 1997).  The shift by +-1 is the
-change between the group basis and T-coefficients.
+into big integers with carry-free slots): the product itself and the
+Taylor shift f(x) -> f(x + c) by blocks that double each level (von zur
+Gathen & Gerhard, "Fast algorithms for Taylor shifts and certain
+difference equations", 1997).  The shift by +-1 is the change between
+the group basis and T-coefficients, and between the zeta-basis of
+`cyclotomic_ext` and its pi-coefficients.
 
 Slot layout: a slot holds the carry-free bound terms*(m-1)^2 of one
 product coefficient.  When that bound fits in 64 bits the slot is one
@@ -42,7 +43,7 @@ from array import array
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import NotAUnit, ZeroInput
+from .errors import NotAUnit, OutOfRange, ZeroInput
 
 
 def poly_trim(coeffs):
@@ -156,60 +157,27 @@ def poly_cyclic_mul_sparse(dense, sparse, modulus):
     return [a % modulus for a in out]
 
 
-@lru_cache(maxsize=256)
-def _reversed_inverse(den, modulus):
-    # power series 1/rev(den) mod modulus; _inverse_prefix lengthens it in place
-    return [1]
-
-
-def _inverse_prefix(den, length, modulus):
-    """The first `length` terms of 1/rev(den) for a monic tuple den."""
-    inv = _reversed_inverse(den, modulus)
-    rev = den[::-1]
-    while len(inv) < length:
-        # Newton step: if rev*inv = 1 + x^h*e mod x^m, then inv - x^h*inv*e
-        # is the inverse mod x^m
-        h = len(inv)
-        m = min(2 * h, length)
-        err = poly_mul(rev[:m], inv, modulus)[h:m]
-        step = poly_mul(inv[:m - h], err, modulus)[:m - h]
-        inv.extend((-c) % modulus for c in step)
-        inv.extend([0] * (m - len(inv)))
-    return inv[:length]
-
-
 def poly_divmod_monic(num, den, modulus):
-    """Quotient and remainder by a monic divisor; exact over Z/p^M.
+    """Quotient and remainder by X^d - 1, d >= 1; exact over Z/p^M.
 
-    The quotient has len(num) - deg(den) coefficients.  For a divisor
-    X^d - 1 it is a set of suffix sums, in linear time; otherwise it is
-    rev(num) / rev(den) mod x^k with k that length, and the remainder, of
-    degree < deg(den), is the low part of num - quotient * den.
+    The quotient, of len(num) - d coefficients, is a set of suffix sums.
+    Every divisor of the package is such a binomial; others raise OutOfRange.
     """
     den = tuple(poly_trim([c % modulus for c in den]))
     if not den:
         raise ZeroInput("division by the zero polynomial")
     if den[-1] != 1:
         raise NotAUnit(f"divisor must be monic, leading coefficient is {den[-1]}")
-    num = [c % modulus for c in num]
     d = len(den) - 1
-    k = len(num) - d
-    if k <= 0:
-        return [], num
-    if d and den[0] == modulus - 1 and not any(den[1:d]):
-        return _divmod_cyclic(num, d, modulus)
-    head = poly_mul(num[d:][::-1], _inverse_prefix(den, k, modulus), modulus)[:k]
-    quot = (head + [0] * (k - len(head)))[::-1]
-    low = poly_mul(quot[:d], den[:d], modulus)[:d]
-    return quot, poly_trim(poly_sub(num[:d], low, modulus))
-
-
-def _divmod_cyclic(num, d, modulus):
+    if not d or den[0] != modulus - 1 or any(den[1:d]):
+        raise OutOfRange(f"divisor must be X^d - 1 with d >= 1, got {list(den)}")
+    num = [c % modulus for c in num]
     # num = q * (X^d - 1) + r: q_t = num_(t+d) + q_(t+d), a suffix sum along
     # the residue class of t mod d; a class with one entry (t >= k - d) is
     # already summed.  r_t = num_t + q_t below X^d
-    quot = num[d:]
-    k = len(quot)
+    quot, k = num[d:], len(num) - d
+    if k <= 0:
+        return [], num
     for r in range(max(0, min(d, k - d))):
         quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
     quot = [q % modulus for q in quot]

@@ -1,19 +1,21 @@
-"""The T-basis ring as it stood before the group-basis storage: the oracle.
+"""The rings as they stood before the group- and zeta-basis storage: the oracle.
 
-Elements are stored by the T-coefficients of the canonical degree < p^n
-representative.  Every product is reduced by a Newton division by the
-dense relation (1+T)^(p^n) - 1, Phi_{p^i}(1+T) and the unit powers are
-binomial rows, and the group basis is reached by a Taylor shift.  The
-differential tests in test_group_basis.py hold the package's ring to
-this code; test_polyops.py and test_iwasawa_algebra.py read its
-relation and reduction.  Only `poly_mul`, `poly_taylor_shift` and
+Elements of L_n are stored by the T-coefficients of the canonical
+degree < p^n representative.  Every product is reduced by a Newton
+division by the dense relation (1+T)^(p^n) - 1, Phi_{p^i}(1+T) and the
+unit powers are binomial rows, and the group basis is reached by a
+Taylor shift.  Elements of Z_p[zeta_{p^j}] (`PiElement`) are stored by
+their pi-coefficients, pi = zeta - 1, and reduced by the same Newton
+division by E(pi) = Phi_{p^j}(1+pi).  The differential tests in
+test_group_basis.py and test_cyclotomic_ext.py hold the package's rings
+to this code; test_polyops.py and test_iwasawa_algebra.py read its
+relation and division.  Only `poly_mul`, `poly_taylor_shift` and
 `poly_trim`, whose behaviour did not change, come from the package.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from iwt.cyclotomic_ext import EisensteinElement
 from iwt.errors import (LevelMismatch, NotDivisible, OutOfRange,
                         PrecisionExhausted, ZeroInput)
 from iwt.iwasawa_algebra import IwasawaInvariants, half_twist_exponent
@@ -243,8 +245,64 @@ def substitute_inverse(x):
     return TLambda.from_unit_basis(x.p, x.level, x.precision, flipped)
 
 
+class PiElement:
+    """Element of Z_p[zeta_{p^j}] stored by its d pi-coefficients.
+
+    It compares equal to any element of the same ring with the same
+    `coeffs`, the package's included.
+    """
+
+    __slots__ = ("p", "j", "precision", "coeffs", "exact_zero")
+
+    def __init__(self, p, j, precision, coeffs, exact_zero=False):
+        modulus = p ** precision
+        d = p ** (j - 1) * (p - 1)
+        coeffs = newton_divmod(coeffs, _phi_coeffs(p, j, modulus), modulus)[1]
+        self.p = p
+        self.j = j
+        self.precision = precision
+        self.coeffs = tuple(coeffs + [0] * (d - len(coeffs)))
+        self.exact_zero = bool(exact_zero) and not any(coeffs)
+
+    def _new(self, coeffs, exact_zero):
+        return PiElement(self.p, self.j, self.precision, coeffs, exact_zero)
+
+    def __add__(self, other):
+        return self._new([a + b for a, b in zip(self.coeffs, other.coeffs)],
+                         self.exact_zero and other.exact_zero)
+
+    def __sub__(self, other):
+        return self._new([a - b for a, b in zip(self.coeffs, other.coeffs)],
+                         self.exact_zero and other.exact_zero)
+
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs], self.exact_zero)
+
+    def __mul__(self, other):
+        return self._new(poly_mul(self.coeffs, other.coeffs, self.p ** self.precision),
+                         self.exact_zero or other.exact_zero)
+
+    def __eq__(self, other):
+        return (self.p, self.j, self.precision, self.coeffs) == \
+               (other.p, other.j, other.precision, tuple(other.coeffs))
+
+    def ord(self):
+        if self.exact_zero:
+            return ExtRational.infinity()
+        found = newton_min(self.coeffs, self.p, Fraction(1, len(self.coeffs)))
+        if found is None:
+            raise PrecisionExhausted(f"valuation not separable from >= {self.precision}")
+        return ExtRational(found[0])
+
+
+def phi_at_zeta(p, i, j, precision):
+    return PiElement(p, j, precision, list(_phi_coeffs(p, i, p ** precision)),
+                     exact_zero=i == j)
+
+
 def eval_lambda_at_zeta(x, j):
-    return EisensteinElement(x.p, j, x.precision, x.coeffs)
+    # T and pi share the coordinate: the T-coefficients reduced mod E(pi)
+    return PiElement(x.p, j, x.precision, list(x.coeffs))
 
 
 def log_truncation(params, level, hatted=False):

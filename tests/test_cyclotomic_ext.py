@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import tbasis_oracle as oracle
 from iwt.cyclotomic_ext import (EisensteinElement, eval_lambda_at_zeta,
                                 h_matrix, h_matrix_valuations, minimal_k,
                                 phi_at_zeta, v2_invariant)
@@ -266,3 +268,73 @@ def test_h_matrix_matches_the_step_by_step_product():
                     assert INF in got_vals.entries[0] + got_vals.entries[1]
                 if m == 1:
                     assert h_matrix_valuations(a, m, j, eps).entries[1][1] == INF
+
+
+def test_negative_power_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        EisensteinElement.zeta(3, 1, 5) ** -1
+
+
+def test_ring_level_below_one_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        EisensteinElement(3, 0, 5, [1])
+
+
+def test_ring_precision_below_one_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        EisensteinElement(3, 1, 0, [1])
+
+
+def test_phi_index_below_one_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        phi_at_zeta(3, 0, 2, 5)
+
+
+def ord_or_error(x):
+    try:
+        return x.ord()
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+def same(got, want):
+    # the package's zeta-basis element against the oracle's pi-basis one
+    assert (got.p, got.j, got.precision) == (want.p, want.j, want.precision)
+    assert (got.coeffs, got.exact_zero) == (want.coeffs, want.exact_zero)
+    assert ord_or_error(got) == ord_or_error(want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ring_matches_the_pi_basis_oracle(p):
+    # constructor on pi-vectors up to 3d long, the ring operations, the
+    # structural-zero flag and valuations, Phi at i < j, i = j and i > j,
+    # and evaluation at every j <= n; one-residue moduli, one-word and wider
+    # Kronecker slots
+    rng = random.Random(p)
+    n = 3
+    for precision, j in product((1, 6, 30), range(1, n + 1)):
+        modulus = p ** precision
+        d = p ** (j - 1) * (p - 1)
+        inputs = [([rng.randrange(modulus) for _ in range(length)], False)
+                  for length in sorted({1, d - 1, d, d + 1, 2 * d - 1, 3 * d})]
+        inputs += [([], True), ([0] * d, False), ([p ** (precision - 1)] * 2, False),
+                   ([0] * (d - 1) + [p], False),
+                   (list(oracle._phi_coeffs(p, j, modulus)), True)]
+        pairs = []
+        for coeffs, exact_zero in inputs:
+            got = EisensteinElement(p, j, precision, coeffs, exact_zero)
+            want = oracle.PiElement(p, j, precision, coeffs, exact_zero)
+            same(got, want)
+            same(-got, -want)
+            pairs.append((got, want))
+        # each input with itself and with the next: every structural-zero
+        # combination occurs
+        for (a, ta), (b, tb) in [*zip(pairs, pairs), *zip(pairs, pairs[1:] + pairs[:1])]:
+            same(a + b, ta + tb)
+            same(a - b, ta - tb)
+            same(a * b, ta * tb)
+        for i in range(1, j + 2):
+            same(phi_at_zeta(p, i, j, precision), oracle.phi_at_zeta(p, i, j, precision))
+        x = LambdaElement(p, n, precision, [rng.randrange(modulus) for _ in range(p ** n)])
+        tx = oracle.TLambda(p, n, precision, x.coeffs)
+        same(eval_lambda_at_zeta(x, j), oracle.eval_lambda_at_zeta(tx, j))

@@ -6,11 +6,10 @@ import pytest
 
 from iwt.errors import (LevelMismatch, NotAUnit, NotDivisible, OutOfRange,
                         PrecisionExhausted, PrecisionMismatch, ZeroInput)
-from iwt.iwasawa_algebra import (FormParams, LambdaElement, _phi_coeffs,
-                                 cyclotomic_phi, exact_divide_by_phi,
-                                 half_twist_exponent, iwasawa_invariants,
-                                 lift_nu, newton_vr, project_pi,
-                                 substitute_inverse, vanishing_order)
+from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
+                                 exact_divide_by_phi, half_twist_exponent,
+                                 iwasawa_invariants, lift_nu, newton_vr,
+                                 project_pi, substitute_inverse, vanishing_order)
 from iwt.cyclotomic_ext import EisensteinElement
 from iwt.mazur_tate import QueueSequence, validate_queue
 from iwt.padic_core import ExtRational, val_p
@@ -255,7 +254,7 @@ def test_binomial_kernels_match_math_comb(p, n):
         step = p ** (i - 1)
         phi = [sum(math.comb(k * step, j) for k in range(p)) % modulus
                for j in range(step * (p - 1) + 1)]
-        assert _phi_coeffs(p, i, modulus) == tuple(phi)
+        assert cyclotomic_phi(p, i, n, M).coeffs == tuple(phi + [0] * (size - len(phi)))
     s = size - 1
     assert LambdaElement.unit_power(p, n, M, s).coeffs == tuple(
         math.comb(s, j) % modulus for j in range(size))

@@ -111,7 +111,7 @@ def test_build_theta_out_of_range_and_tame_sign():
         build_theta(table, 1, 0, M)     # needs N = 2 > maxN
     with pytest.raises(OutOfRange):
         build_theta(table, 0, 5, M)
-    assert tame_sign(3, 0) == 1 and tame_sign(3, 1) == -1
+    assert tame_sign(0) == 1 and tame_sign(1) == -1
 
 
 def test_synthesized_queue_is_valid_and_deterministic():
@@ -163,7 +163,7 @@ def per_residue_theta(table, n, tame_index, precision):
     for a in range(1, p ** big_n):
         if a % p == 0:
             continue
-        value = table.symbol(a, big_n, tame_sign(p, tame_index))
+        value = table.symbol(a, big_n, tame_sign(tame_index))
         c = padic_from_rational(p, value, precision).residue
         c *= pow(teichmuller(a, p, precision).residue, tame_index, modulus)
         t = log_gamma(a, p, big_n)

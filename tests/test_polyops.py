@@ -2,11 +2,14 @@
 
 The schoolbook division, the binomial sum and the Horner loop below are
 the quadratic kernels the package used before; they stay here as the
-references the fast kernels must reproduce exactly.
+references the fast kernels must reproduce exactly.  The package divides
+only by X^d - 1; division by a dense monic divisor is the oracle's
+Newton division, held to the schoolbook here.
 """
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +17,12 @@ from hypothesis import strategies as st
 
 from iwt.cyclotomic_ext import EisensteinElement, eval_lambda_at_zeta
 from iwt.errors import NotAUnit, OutOfRange, ZeroInput
-from iwt.iwasawa_algebra import LambdaElement, _phi_coeffs, lift_nu, project_pi
+from iwt.iwasawa_algebra import LambdaElement, lift_nu, project_pi
 from iwt.padic_core import PadicInt
 from iwt.polyops import (_pack, _slot_bytes, _unpack, poly_cyclic_mul_sparse,
                          poly_divmod_monic, poly_fold, poly_mul, poly_taylor_shift,
                          poly_trim)
-from tbasis_oracle import _modulus_poly
+from tbasis_oracle import _modulus_poly, _phi_coeffs, newton_divmod
 
 PRIMES = (2, 3, 5, 7)
 
@@ -83,7 +86,7 @@ def test_division_matches_schoolbook_on_random_inputs():
         den = random_vector(rng, rng.randint(0, 40), modulus) + [1]
         num = random_vector(rng, rng.randint(0, 120), modulus)
         num += [0] * rng.choice((0, 0, 3))
-        assert poly_divmod_monic(num, den, modulus) \
+        assert newton_divmod(num, den, modulus) \
             == schoolbook_divmod(num, den, modulus)
 
 
@@ -96,7 +99,7 @@ def test_structural_divisions_match_schoolbook(p, n, M):
     modulus, size = p ** M, p ** n
     num = random_vector(rng, size, modulus)
     phi = list(_phi_coeffs(p, n, modulus))
-    assert poly_divmod_monic(num, phi, modulus) == schoolbook_divmod(num, phi, modulus)
+    assert newton_divmod(num, phi, modulus) == schoolbook_divmod(num, phi, modulus)
     low = size // p
     wide = random_vector(rng, 2 * low - 1, modulus)
     relation = list(_modulus_poly(p, n - 1, modulus))
@@ -105,9 +108,10 @@ def test_structural_divisions_match_schoolbook(p, n, M):
 
 
 def test_binomial_division_matches_schoolbook():
-    # X^d - 1 takes the suffix-sum path, with quotients shorter than d (no
-    # class to sum), up to 2d (some classes of one entry) and longer; X^d - c
-    # for other c, with short and long numerators, the Newton path
+    # X^d - 1 takes the package's suffix sums, with quotients shorter than d
+    # (no class to sum), up to 2d (some classes of one entry) and longer;
+    # X^d - c for other c, with short and long numerators, the oracle's
+    # Newton division
     rng = random.Random(99)
     for _ in range(400):
         p = rng.choice(PRIMES)
@@ -116,7 +120,8 @@ def test_binomial_division_matches_schoolbook():
         c = rng.choice((1, 1, 1, 0, modulus - 1, rng.randrange(modulus)))
         den = [-c % modulus] + [0] * (d - 1) + [1]
         num = random_vector(rng, rng.randint(0, 4 * d + 3), modulus)
-        assert poly_divmod_monic(num, den, modulus) == schoolbook_divmod(num, den, modulus)
+        divmod_ = poly_divmod_monic if c % modulus == 1 else newton_divmod
+        assert divmod_(num, den, modulus) == schoolbook_divmod(num, den, modulus)
 
 
 def test_fold_and_sparse_cyclic_product_match_the_convolution():
@@ -194,7 +199,7 @@ def test_kernels_match_oracles_at_the_slot_bound(modulus):
             assert poly_mul(a, b, modulus) == schoolbook_mul(a, b, modulus)
         den = a + [1]
         for num in (a + a + a, [top] * (terms + 1)):
-            assert poly_divmod_monic(num, den, modulus) \
+            assert newton_divmod(num, den, modulus) \
                 == schoolbook_divmod(num, den, modulus)
         for c in (1, -1):
             assert poly_taylor_shift(a + a, c, modulus) == binomial_shift(a + a, c, modulus)
@@ -275,6 +280,15 @@ def test_division_input_errors():
         poly_divmod_monic([1, 2, 3], [0, 0], 27)
     with pytest.raises(NotAUnit):
         poly_divmod_monic([1, 2, 3], [1, 2], 27)
+
+
+@pytest.mark.parametrize("den", [[1, 1], [3, 0, 1], [26, 1, 1], [5, 2, 0, 1], [1]])
+def test_division_rejects_divisors_other_than_x_d_minus_1(den):
+    # X + 1, X^2 + 3, X^2 + X - 1, a dense cubic and the constant 1 (d = 0);
+    # the error names the divisor, and X^2 - 1 itself divides
+    with pytest.raises(OutOfRange, match=re.escape(str(den))):
+        poly_divmod_monic([1, 2, 3, 4], den, 27)
+    assert poly_divmod_monic([1, 2, 3, 4], [26, 0, 1], 27) == ([3, 4], [4, 6])
 
 
 def test_out_of_range_constructors():
