@@ -24,8 +24,11 @@ prints one JSON document, at the points (p, n, M) of POINTS:
   vectors, the packed product without the ring relation;
 * the table path on a table of maxN = N(n) (n+1 for odd p, n+2 for
   p = 2) from `bench/gen_table.py`: `json.loads` plus
-  `ingest_modular_symbols` of its text, `theta_sequence` up to level n
-  at precision M, and `cli.build_parser` (the same work at every point);
+  `ingest_modular_symbols` of its text (`loads_ingest`),
+  `ingest_modular_symbols` alone of the parsed document (`ingest`) and of
+  the same table with every value k spelled k/1 (`ingest_fractions`, as
+  in the 37a fixture), `theta_sequence` up to level n at precision M, and
+  `cli.build_parser` (the same work at every point);
 * `verify_battery`: `det_identity_check` plus `functional_equation_check`
   at level min(n, 3) and precision M, the two step-product checks of
   `iwt verify`;
@@ -48,7 +51,9 @@ and tables.
 
 The second form times the kernels of this checkout and of the checkout
 in DIR in fresh processes, alternating the two sides over KERNEL_ROUNDS
-rounds, and reports the per-row medians over the rounds.  It then runs
+rounds, and reports the per-row medians over the rounds, with
+`warm_spread_ms`, the max - min of a row's warm medians across the
+rounds: a row that moves by no more than that shows nothing.  It then runs
 `bench/run.py --trace 0` ten times (seeds 1 to 10, 40 s each) on the
 three workloads of BENCHMARK.json in both checkouts, alternating which
 side runs first, and writes everything with the git SHAs, the Python
@@ -144,7 +149,11 @@ def kernel_calls(p, n, M):
     lower = project_pi(x)
     units = x.to_unit_basis()
     text = json.dumps(generate_table(1, p, -1, 1, level_exponent(p, n)))
-    table = ingest_modular_symbols(json.loads(text))
+    document = json.loads(text)
+    fractions = dict(document, symbols=[
+        dict(entry, plus=f"{entry['plus']}/1", minus=f"{entry['minus']}/1")
+        for entry in document["symbols"]])
+    table = ingest_modular_symbols(document)
     params, level = FormParams(p, -1, 1, M), min(n, 3)
 
     def verify_battery():
@@ -166,6 +175,8 @@ def kernel_calls(p, n, M):
             "eval_at_zeta_top": lambda: eval_lambda_at_zeta(x, n),
             "kronecker_product": lambda: poly_mul(x.coeffs, y.coeffs, modulus),
             "loads_ingest": lambda: ingest_modular_symbols(json.loads(text)),
+            "ingest": lambda: ingest_modular_symbols(document),
+            "ingest_fractions": lambda: ingest_modular_symbols(fractions),
             "theta_sequence": lambda: theta_sequence(table, n, 0, M),
             "build_parser": build_parser,
             "verify_battery": verify_battery,
@@ -225,12 +236,15 @@ def kernels_of(checkout):
 
 
 def median_rows(rounds):
-    """Per-row medians of cold_ms and warm_ms over several runs of time_kernels."""
+    """Per-row medians of cold_ms and warm_ms over several runs of
+    time_kernels, and the spread of warm_ms across them."""
     rows = []
     for same in zip(*rounds):
         row = dict(same[0])
         for key in ("cold_ms", "warm_ms", "scale"):
             row[key] = round(statistics.median(r[key] for r in same), 3)
+        warm = [r["warm_ms"] for r in same]
+        row["warm_spread_ms"] = round(max(warm) - min(warm), 3)
         rows.append(row)
     return rows
 

@@ -3,7 +3,9 @@
 A table holds exact rationals [a/p^N]^+- for every residue a coprime to
 p and every 1 <= N <= maxN, each an int when integral and a Fraction
 otherwise, so build_theta works on numerators and denominators as plain
-integers.  Every unit mod p^N is uniquely a = w * gamma^t with w a
+integers.  They are stored as one row per level N and sign: a list of
+length p^N indexed by the residue a, holding None at the multiples of p.
+Every unit mod p^N is uniquely a = w * gamma^t with w a
 Teichmuller root (+-1 for p = 2), gamma = 1 + 2p and t in [0, p^n), where
 N = n+1 for odd p and n+2 for p = 2.  From a fixed tame character
 the level-n element is the weighted sum of (1+T)^t over these residues,
@@ -14,15 +16,29 @@ Consecutive elements satisfy the three-term compatibility
 
 which validate_queue checks to working precision and synthesize_queue
 realizes for pseudorandom data.
+
+ingest_modular_symbols checks a document in this order: the top-level
+fields, then each symbol entry in document order (its keys, N, a, then
+the plus and minus values, each against a conflicting duplicate), then
+coverage of every slot, then the sign symmetry, then lratio.  The error
+raised names the first bad entry in document order, and for coverage the
+first missing slot in (N, a, sign) order.  A document that holds every
+slot once, spelled as canonical integers or a/b, is checked by passes over
+whole columns and rows; any other document, valid or not, goes through
+the entry-by-entry loop, which alone decides which error comes first.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from functools import partial
+from itertools import repeat, zip_longest
 from math import comb
+from operator import add, is_not, itemgetter, mod, mul, neg, setitem
 
 from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
                      SchemaError)
@@ -31,15 +47,34 @@ from .padic_core import (level_exponent, newton_min, padic_from_rational,
                          teichmuller, val_p)
 from .polyops import poly_mul
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, 2015); no complete table has p that large
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 def _is_prime(n):
+    """Whether n passes Miller-Rabin to every base of _MR_BASES: exactly
+    whether n is prime for n < _MR_BOUND; above it False still proves n
+    composite."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for base in _MR_BASES:
+        if n % base == 0:
+            return n == base
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _MR_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -86,29 +121,59 @@ def _parse_rational(text, where):
     return value.numerator if value.denominator == 1 else value
 
 
+# the strings _parse_rational accepts, one after another, separated by
+# spaces; the regex engine keeps about 350 bytes of backtracking state per
+# repetition, so a column is matched in chunks of _CHUNK values, which bounds
+# it where one match over the whole column would raise the peak memory of
+# ingest (by 2.3 MB for 6560 values)
+_RATIONAL = r"[+-]?[0-9]+(?:/[+-]?[0-9]+)?"
+_RATIONAL_RUN = re.compile(f"{_RATIONAL}(?: {_RATIONAL})*")
+_CHUNK = 256
 _ENTRY_KEYS = frozenset(("a", "N", "plus", "minus"))
 
 
 @dataclass(frozen=True)
 class ModularSymbolTable:
+    """An exact table of modular symbols [a/p^N]^sign, sign in {+1, -1}.
+
+    rows[(N, sign)] is a list of length p^N whose entry a, for a coprime
+    to p, is [a/p^N]^sign: an int when integral, else a Fraction.  Its
+    entries at the multiples of p are None.  ingest_modular_symbols fills
+    every such slot; slot_rows builds the rows of a dict of slots.
+    """
+
     p: int
     conductor: int
     ap: int
     eps_p: int
     maxN: int
     period_convention: str
-    # (a, N, sign) -> [a/p^N]^sign, sign in {+1, -1}: an int when integral,
-    # else a Fraction
-    values: dict
+    rows: dict
     lratio: Fraction | None = None
     denominator_scale: int = 1
 
     def symbol(self, a, big_n, sign):
         a %= self.p ** big_n
-        try:
-            return self.values[(a, big_n, sign)]
-        except KeyError:
+        row = self.rows.get((big_n, sign))
+        value = None if row is None else row[a]
+        if value is None:
             raise MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
+        return value
+
+
+def slot_rows(p, max_n, slots):
+    """The rows of ModularSymbolTable holding slots, a dict (a, N, sign) ->
+    [a/p^N]^sign with 0 <= a < p^N and 1 <= N <= max_n; every slot the
+    dict lacks reads None."""
+    rows = _empty_rows(p, max_n)
+    for (a, big_n, sign), value in slots.items():
+        rows[big_n, sign][a] = value
+    return rows
+
+
+def _empty_rows(p, max_n):
+    return {(big_n, sign): [None] * p ** big_n
+            for big_n in range(1, max_n + 1) for sign in (1, -1)}
 
 
 def _first_missing(p, max_n, values):
@@ -122,37 +187,84 @@ def _first_missing(p, max_n, values):
                     return MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
 
 
-def ingest_modular_symbols(document, allow_denominator=1):
-    """Validate a symbols document and return the exact table.
+def _column_numbers(column, p):
+    """The numbers a column of value spellings holds, or None unless every
+    spelling is a string _parse_rational accepts whose denominator, if any,
+    is a p-unit."""
+    if set(map(type, column)) != {str}:
+        return None
+    chunks = [" ".join(column[i:i + _CHUNK]) for i in range(0, len(column), _CHUNK)]
+    if not all(map(_RATIONAL_RUN.fullmatch, chunks)):
+        return None
+    try:
+        if not any("/" in chunk for chunk in chunks):
+            return list(map(int, column))
+        numbers = [_parse_rational(text, "symbols") if "/" in text else int(text)
+                   for text in column]
+    # a space inside a spelling, beyond int()'s digit limit, or b = 0
+    except (ValueError, SchemaError):
+        return None
+    if any(type(x) is not int and x.denominator % p == 0 for x in numbers):
+        return None
+    return numbers
 
-    Rejects mistyped fields, incomplete residue coverage, non p-integral
-    denominators (beyond the explicit allow_denominator bound) and
-    violations of the sign symmetry [-a/m]^+- = +-[a/m]^+-.
+
+def _column_rows(p, max_n, symbols):
+    """The rows of a document of p^maxN - 1 entries, by passes over whole
+    columns and rows, or None when any pass fails.
+
+    The passes accept exactly the documents the entry loop accepts that
+    hold every slot once, with int fields and string values and no p in a
+    denominator.
     """
-    if not isinstance(document, dict):
-        raise SchemaError("document must be a JSON object")
-    for key in ("p", "conductor", "ap", "eps_p", "maxN", "symbols"):
-        if key not in document:
-            raise SchemaError(f"missing key {key!r}")
-    p = document["p"]
-    if not isinstance(p, int):
-        raise SchemaError(f"field 'p' must be an integer, got {p!r}")
-    if not _is_prime(p):
-        raise SchemaError(f"p={p} is not prime")
-    conductor = _int_field(document["conductor"], "conductor")
-    if conductor % p == 0:
-        raise SchemaError(f"p={p} divides the conductor {conductor}; need a good prime")
-    eps_p = _int_field(document["eps_p"], "eps_p")
-    if eps_p % p == 0:
-        raise SchemaError("eps_p must be a p-adic unit")
-    max_n = _int_field(document["maxN"], "maxN")
-    if max_n < 1:
-        raise SchemaError("maxN must be >= 1")
-    symbols = document["symbols"]
-    if not isinstance(symbols, list):
-        raise SchemaError(f"field 'symbols' must be a list, got {type(symbols).__name__}")
-
+    if set(map(type, symbols)) != {dict}:
+        return None
+    try:
+        residues, big_ns, pluses, minuses = (list(map(itemgetter(key), symbols))
+                                             for key in ("a", "N", "plus", "minus"))
+    except KeyError:
+        return None
+    if (set(map(type, big_ns)) != {int} or set(map(type, residues)) != {int}
+            or min(big_ns) < 1 or max(big_ns) > max_n):
+        return None
     moduli = [p ** big_n for big_n in range(max_n + 1)]
+    residues = list(map(mod, residues, map(moduli.__getitem__, big_ns)))
+    if not all(map(mod, residues, repeat(p))):
+        return None
+    rows = _empty_rows(p, max_n)
+    for sign, column in ((1, pluses), (-1, minuses)):
+        numbers = _column_numbers(column, p)
+        if numbers is None:
+            return None
+        by_level = [None] + [rows[big_n, sign] for big_n in range(1, max_n + 1)]
+        deque(map(setitem, map(by_level.__getitem__, big_ns), residues, numbers),
+              maxlen=0)
+    # the rows hold every value now; hold no column beside them
+    del residues, big_ns, pluses, minuses, numbers
+    # the entries fill p^maxN - 1 distinct unit slots of each sign, all of them,
+    # exactly when no two share one
+    filled = sum(len(row) - row.count(None) for (_, sign), row in rows.items()
+                 if sign == 1)
+    if filled != len(symbols):
+        return None
+    for big_n in range(1, max_n + 1):
+        # [-a/m]^+ = [a/m]^+ and [-a/m]^- = -[a/m]^-; the units of the
+        # minus row read backwards are the values at -a
+        plus, minus = rows[big_n, 1], rows[big_n, -1]
+        units = list(filter(partial(is_not, None), minus))
+        if plus[1:] != plus[:0:-1] or units[::-1] != list(map(neg, units)):
+            return None
+    return rows
+
+
+def _entry_rows(p, max_n, symbols, allow_denominator, units):
+    """The rows of a document, checked entry by entry in document order.
+
+    units is p^maxN - 1, or None when that exceeds len(symbols), so that
+    an incomplete document with a huge maxN forms no power of p beyond
+    those its entries name.
+    """
+    moduli = {}
     values = {}
     for entry in symbols:
         if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
@@ -160,6 +272,8 @@ def ingest_modular_symbols(document, allow_denominator=1):
         big_n = _int_field(entry["N"], "N")
         if not 1 <= big_n <= max_n:
             raise SchemaError(f"symbol has N={big_n} outside 1..{max_n}")
+        if big_n not in moduli:
+            moduli[big_n] = p ** big_n
         a = _int_field(entry["a"], "a") % moduli[big_n]
         if a % p == 0:
             raise SchemaError(f"residue a={entry['a']} at N={big_n} is divisible by {p}")
@@ -177,7 +291,7 @@ def ingest_modular_symbols(document, allow_denominator=1):
 
     # every key is a valid slot, so the count decides coverage:
     # 2 * sum over N of phi(p^N) = 2 * (p^maxN - 1)
-    if len(values) != 2 * (moduli[max_n] - 1):
+    if units is None or len(values) != 2 * units:
         raise _first_missing(p, max_n, values)
 
     # [-a/m]^+ = [a/m]^+ and [-a/m]^- = -[a/m]^- hold for genuine symbols
@@ -185,6 +299,49 @@ def ingest_modular_symbols(document, allow_denominator=1):
         a, big_n, sign = slot
         if values[(moduli[big_n] - a, big_n, sign)] != sign * value:
             raise SchemaError(f"sign symmetry violated at {_where(slot)}")
+    return slot_rows(p, max_n, values)
+
+
+def ingest_modular_symbols(document, allow_denominator=1):
+    """Validate a symbols document and return the exact table.
+
+    Rejects mistyped fields, incomplete residue coverage, non p-integral
+    denominators (beyond the explicit allow_denominator bound) and
+    violations of the sign symmetry [-a/m]^+- = +-[a/m]^+-, raising for
+    the first bad entry in document order (see the module docstring).
+    """
+    if not isinstance(document, dict):
+        raise SchemaError("document must be a JSON object")
+    for key in ("p", "conductor", "ap", "eps_p", "maxN", "symbols"):
+        if key not in document:
+            raise SchemaError(f"missing key {key!r}")
+    p = document["p"]
+    if not isinstance(p, int):
+        raise SchemaError(f"field 'p' must be an integer, got {p!r}")
+    if not _is_prime(p):
+        raise SchemaError(f"p={p} is not prime")
+    if p >= _MR_BOUND:
+        raise SchemaError(f"p={p} is not below {_MR_BOUND}, where primality is "
+                          f"certified; no complete table is that large")
+    conductor = _int_field(document["conductor"], "conductor")
+    if conductor % p == 0:
+        raise SchemaError(f"p={p} divides the conductor {conductor}; need a good prime")
+    eps_p = _int_field(document["eps_p"], "eps_p")
+    if eps_p % p == 0:
+        raise SchemaError("eps_p must be a p-adic unit")
+    max_n = _int_field(document["maxN"], "maxN")
+    if max_n < 1:
+        raise SchemaError("maxN must be >= 1")
+    symbols = document["symbols"]
+    if not isinstance(symbols, list):
+        raise SchemaError(f"field 'symbols' must be a list, got {type(symbols).__name__}")
+
+    # each entry names one unit a mod p^N, and there are p^maxN - 1 of them;
+    # p^maxN >= 2^maxN exceeds len(symbols) + 1 once maxN > its bit length
+    units = p ** max_n - 1 if max_n <= len(symbols).bit_length() else None
+    rows = _column_rows(p, max_n, symbols) if len(symbols) == units else None
+    if rows is None:
+        rows = _entry_rows(p, max_n, symbols, allow_denominator, units)
 
     lratio = document.get("lratio")
     if lratio is not None:
@@ -193,7 +350,7 @@ def ingest_modular_symbols(document, allow_denominator=1):
     return ModularSymbolTable(
         p=p, conductor=conductor, ap=_int_field(document["ap"], "ap"), eps_p=eps_p,
         maxN=max_n, period_convention=str(document.get("period_convention", "")),
-        values=values, lratio=lratio, denominator_scale=allow_denominator)
+        rows=rows, lratio=lratio, denominator_scale=allow_denominator)
 
 
 def tame_sign(tame_index):
@@ -209,8 +366,10 @@ def build_theta(table, n, tame_index, precision):
     the Teichmuller roots of 1..p-1 (+-1 for p = 2) and t over [0, p^n), so
     t = log_gamma(a) needs no lookup and omega^i(a) = w^i mod p^M is formed
     once per root.  A symbol [a/p^N] = u/d contributes u * (scale/d) mod p^M,
-    with scale/d mod p^M formed once per distinct denominator d.  The sum
-    is accumulated in the group basis, the ring's storage basis.
+    with scale/d mod p^M formed once per distinct denominator d.  The symbols
+    of one root are read from the row in one pass; when all are ints they
+    are added as one column.  The sum is accumulated in the group basis,
+    the ring's storage basis.
     """
     p = table.p
     big_n = level_exponent(p, n)
@@ -222,24 +381,34 @@ def build_theta(table, n, tame_index, precision):
     sign = tame_sign(tame_index)
     modulus = p ** precision
     big_modulus = p ** big_n
+    row = table.rows[big_n, sign]
     gamma = 1 + 2 * p
-    values = table.values
+    gamma_powers = [1] * p ** n      # gamma^t mod p^N
+    for t in range(1, p ** n):
+        gamma_powers[t] = gamma_powers[t - 1] * gamma % big_modulus
     factors = {}   # denominator d -> scale/d mod p^M
+
+    def factor(den):
+        if den not in factors:
+            factors[den] = padic_from_rational(
+                p, Fraction(table.denominator_scale, den), precision).residue
+        return factors[den]
+
     unit_coeffs = [0] * p ** n
     for root in ((1, -1) if p == 2 else range(1, p)):
-        a = teichmuller(root, p, big_n).residue
+        w = teichmuller(root, p, big_n).residue
         weight = pow(teichmuller(root, p, precision).residue, tame_index, modulus)
-        for t in range(p ** n):
-            try:
-                value = values[(a, big_n, sign)]
-            except KeyError:
-                raise MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
-            den = value.denominator
-            if den not in factors:
-                factors[den] = padic_from_rational(
-                    p, Fraction(table.denominator_scale, den), precision).residue
-            unit_coeffs[t] += value.numerator * factors[den] * weight
-            a = a * gamma % big_modulus
+        residues = list(map(mod, map(mul, gamma_powers, repeat(w)), repeat(big_modulus)))
+        values = list(map(row.__getitem__, residues))
+        if set(map(type, values)) == {int}:
+            unit_coeffs = list(map(add, unit_coeffs,
+                                   map(mul, values, repeat(factor(1) * weight))))
+            continue
+        for t, value in enumerate(values):
+            if value is None:
+                raise MissingSymbol(f"no symbol for a={residues[t]}, N={big_n}, "
+                                    f"sign={sign:+d}")
+            unit_coeffs[t] += value.numerator * factor(value.denominator) * weight
     return LambdaElement.from_unit_basis(p, n, precision, unit_coeffs)
 
 

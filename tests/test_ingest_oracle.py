@@ -14,7 +14,7 @@ import pytest
 
 from iwt.errors import (IwtError, MissingSymbol, NonIntegralDenominator,
                         SchemaError)
-from iwt.mazur_tate import ModularSymbolTable, ingest_modular_symbols
+from iwt.mazur_tate import ModularSymbolTable, ingest_modular_symbols, slot_rows
 from iwt.padic_core import val_p
 
 
@@ -99,15 +99,26 @@ def oracle_ingest(document, allow_denominator=1):
     return ModularSymbolTable(
         p=p, conductor=conductor, ap=int(document["ap"]), eps_p=eps_p,
         maxN=max_n, period_convention=str(document.get("period_convention", "")),
-        values=values, lratio=lratio, denominator_scale=allow_denominator)
+        rows=slot_rows(p, max_n, values), lratio=lratio,
+        denominator_scale=allow_denominator)
+
+
+def table_slots(table):
+    """Every slot (a, N, sign) of a table, read through symbol(), in
+    (N, a, sign) order."""
+    p = table.p
+    return {(a, big_n, sign): table.symbol(a, big_n, sign)
+            for big_n in range(1, table.maxN + 1)
+            for a in range(1, p ** big_n) if a % p
+            for sign in (1, -1)}
 
 
 MAX_N = {2: 4, 3: 3, 5: 2, 7: 2}
 
 
-def symmetric_document(p, rng):
+def symmetric_document(p, rng, max_n=None):
     """A valid document whose values are integer strings, in shuffled order."""
-    max_n = MAX_N[p]
+    max_n = MAX_N[p] if max_n is None else max_n
     values = {}
     for big_n in range(1, max_n + 1):
         m = p ** big_n
@@ -226,4 +237,91 @@ def test_integral_values_are_ints_and_the_rest_fractions():
                        {"a": 2, "N": 1, "plus": "2/1", "minus": "-1/3"}]}
     table = ingest_modular_symbols(doc, allow_denominator=3)
     assert table == oracle_ingest(doc, allow_denominator=3)
-    assert [type(v) for v in table.values.values()] == [int, Fraction, int, Fraction]
+    assert [type(v) for v in table_slots(table).values()] == [int, Fraction, int, Fraction]
+
+
+def _json_ints(doc, rng):
+    for entry in doc["symbols"]:
+        entry["plus"], entry["minus"] = int(entry["plus"]), int(entry["minus"])
+
+
+def _over_one(doc, rng):
+    # every value k spelled k/1 or (k*d)/d, d = p among them
+    for entry in doc["symbols"]:
+        for key in ("plus", "minus"):
+            d = rng.choice([1, 1, 2, 3, -1, -5])
+            entry[key] = f"{int(entry[key]) * d}/{d}"
+
+
+def _duplicate_first(doc, rng):
+    # an equal duplicate placed before its original
+    symbols = doc["symbols"]
+    symbols.insert(0, dict(symbols[rng.randrange(len(symbols))]))
+
+
+def _top_mirror(doc, rng):
+    entry = rng.choice([e for e in doc["symbols"] if e["N"] == doc["maxN"]])
+    key = rng.choice(["plus", "minus"])
+    entry[key] = _bump(entry[key])
+
+
+def _pair_replaced(doc, rng):
+    # the entries of a and -a at the top level replaced by equal copies of
+    # two others: as many entries as slots, the rows still symmetric
+    symbols, m = doc["symbols"], doc["p"] ** doc["maxN"]
+    entry = rng.choice([e for e in symbols if e["N"] == doc["maxN"]])
+    pair = [i for i, e in enumerate(symbols)
+            if e["N"] == entry["N"] and e["a"] in (entry["a"], m - entry["a"])]
+    others = [e for e in symbols if e["N"] < doc["maxN"]]
+    for i in pair:
+        symbols[i] = dict(rng.choice(others))
+
+
+def _non_dict_entry(doc, rng):
+    entry = rng.choice(doc["symbols"])
+    doc["symbols"][doc["symbols"].index(entry)] = list(entry.values())
+
+
+def _inner_space(doc, rng):
+    # two spellings that each pass, joined by the column check's separator
+    rng.choice(doc["symbols"])[rng.choice(["plus", "minus"])] = "1 2"
+
+
+def _long_value(doc, rng):
+    # longer than int()'s 4300-digit limit for str
+    rng.choice(doc["symbols"])[rng.choice(["plus", "minus"])] = "7" * 4301
+
+
+# case -> (mutation, the class and message start the oracle must report,
+# or None for a table)
+DEEP_CASES = {
+    "valid": (lambda doc, rng: None, None),
+    "json-ints": (_json_ints, None),
+    "over-one": (_over_one, None),
+    "duplicate-first": (_duplicate_first, None),
+    "top-mirror": (_top_mirror, (SchemaError, "sign symmetry violated at ")),
+    "long-value": (_long_value, (SchemaError, "(a=")),
+    "inner-space": (_inner_space, (SchemaError, "(a=")),
+    "pair-replaced": (_pair_replaced, (MissingSymbol, "no symbol for a=")),
+    "non-dict-entry": (_non_dict_entry, (SchemaError, "malformed symbol entry [")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_CASES))
+def test_ingest_matches_the_oracle_on_a_deep_table(case):
+    # the shape of the tower-table workload's table: p = 3, maxN = 8
+    rng = random.Random(f"ingest-deep-{case}")
+    doc = symmetric_document(3, rng, max_n=8)
+    mutation, error = DEEP_CASES[case]
+    mutation(doc, rng)
+    want = outcome(oracle_ingest, doc, 1)
+    got = outcome(ingest_modular_symbols, doc, 1)
+    if error is None:
+        assert isinstance(want, ModularSymbolTable)
+        assert isinstance(got, ModularSymbolTable)
+        assert table_slots(got) == table_slots(want)
+    else:
+        assert want[0] is error[0] and want[1].startswith(error[1])
+        assert got == want
+    if case in ("long-value", "inner-space"):
+        assert "bad rational" in want[1]

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,10 @@ from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  exact_divide_by_phi, lift_nu)
 from iwt.mazur_tate import (ModularSymbolTable, build_theta,
                             ingest_modular_symbols, level_exponent,
-                            synthesize_queue, tame_sign, theta_sequence,
-                            validate_queue)
+                            slot_rows, synthesize_queue, tame_sign,
+                            theta_sequence, validate_queue)
 from iwt.padic_core import log_gamma, padic_from_rational, teichmuller
+from test_ingest_oracle import table_slots
 
 M = 10
 
@@ -28,7 +31,7 @@ def minimal_document(p=3, values=None):
 
 def test_minimal_roundtrip():
     table = ingest_modular_symbols(minimal_document())
-    assert len(table.values) == 4
+    assert sum(v is not None for row in table.rows.values() for v in row) == 4
     assert table.symbol(1, 1, 1) == Fraction(1)
     assert table.symbol(2, 1, -1) == Fraction(0)
 
@@ -186,7 +189,8 @@ def random_symmetric_table(p, max_n, rng):
                 values[(a, big_n, sign)] = value
                 values[((-a) % mod, big_n, sign)] = sign * value
     return ModularSymbolTable(p=p, conductor=11, ap=1, eps_p=1, maxN=max_n,
-                              period_convention="test", values=values)
+                              period_convention="test",
+                              rows=slot_rows(p, max_n, values))
 
 
 @pytest.mark.parametrize("p, top", [(2, 6), (3, 4), (5, 3), (7, 2)])
@@ -264,11 +268,11 @@ def test_digit_string_integer_fields_are_accepted():
 def scaled_copy(table):
     """The same symbols times denominator_scale, with scale 1."""
     values = {slot: Fraction(v) * table.denominator_scale
-              for slot, v in table.values.items()}
+              for slot, v in table_slots(table).items()}
     return ModularSymbolTable(p=table.p, conductor=table.conductor, ap=table.ap,
                               eps_p=table.eps_p, maxN=table.maxN,
                               period_convention=table.period_convention,
-                              values=values)
+                              rows=slot_rows(table.p, table.maxN, values))
 
 
 @pytest.mark.parametrize("p, top", [(2, 4), (3, 3), (5, 2), (7, 1)])
@@ -276,7 +280,7 @@ def test_build_theta_with_a_denominator_scale(p, top):
     rng = random.Random(10 * p)
     base = random_symmetric_table(p, level_exponent(p, top), rng)
     symbols = {}
-    for (a, big_n, sign), value in base.values.items():
+    for (a, big_n, sign), value in table_slots(base).items():
         entry = symbols.setdefault((a, big_n), {"a": a, "N": big_n})
         entry["plus" if sign == 1 else "minus"] = str(value)
     # divide about a third of the residue pairs {a, -a} by p, keeping the symmetry
@@ -289,7 +293,7 @@ def test_build_theta_with_a_denominator_scale(p, top):
     doc = {"p": p, "conductor": 11, "ap": 1, "eps_p": 1, "maxN": base.maxN,
            "symbols": list(symbols.values())}
     table = ingest_modular_symbols(doc, allow_denominator=p)
-    assert any(Fraction(v).denominator % p == 0 for v in table.values.values())
+    assert any(Fraction(v).denominator % p == 0 for v in table_slots(table).values())
     for tame_index in range(2 if p == 2 else p - 1):
         for n in range(top + 1):
             assert build_theta(table, n, tame_index, M) == \
@@ -301,7 +305,7 @@ def test_build_theta_rejects_a_denominator_beyond_the_scale():
     values = {(1, 1, 1): Fraction(1, 9), (2, 1, 1): Fraction(1, 9),
               (1, 1, -1): 0, (2, 1, -1): 0}
     table = ModularSymbolTable(p=3, conductor=11, ap=1, eps_p=1, maxN=1,
-                               period_convention="test", values=values,
+                               period_convention="test", rows=slot_rows(3, 1, values),
                                denominator_scale=3)
     with pytest.raises(NotAUnit, match="^denominator 3 is divisible by 3$"):
         build_theta(table, 0, 0, M)
@@ -309,7 +313,9 @@ def test_build_theta_rejects_a_denominator_beyond_the_scale():
 
 def test_build_theta_names_a_missing_symbol():
     table = ingest_modular_symbols(minimal_document())
-    del table.values[(2, 1, 1)]
+    slots = table_slots(table)
+    del slots[(2, 1, 1)]
+    table = dataclasses.replace(table, rows=slot_rows(3, 1, slots))
     with pytest.raises(MissingSymbol, match="a=2, N=1, sign=[+]1"):
         build_theta(table, 0, 0, M)
 
@@ -326,5 +332,46 @@ def test_signed_and_integral_rationals_are_accepted():
     doc = minimal_document(values={1: ("-6/-2", "+0"), 2: ("3/1", "0/-5")})
     doc["lratio"] = 4
     table = ingest_modular_symbols(doc)
-    assert table.values == {(1, 1, 1): 3, (2, 1, 1): 3, (1, 1, -1): 0, (2, 1, -1): 0}
+    assert table_slots(table) == {(1, 1, 1): 3, (2, 1, 1): 3, (1, 1, -1): 0, (2, 1, -1): 0}
     assert table.lratio == 4
+
+
+def test_a_huge_max_level_fails_on_coverage_without_forming_its_power():
+    # forming p^N for every N <= maxN took time quadratic in maxN
+    doc = minimal_document()
+    doc["maxN"] = 10 ** 5
+    start = time.perf_counter()
+    with pytest.raises(MissingSymbol, match="^no symbol for a=1, N=2, sign=[+]1$"):
+        ingest_modular_symbols(doc)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_large_prime_passes_the_primality_check():
+    # trial division took about a second at this p; coverage fails next
+    doc = minimal_document()
+    doc["p"] = 10 ** 14 + 31
+    with pytest.raises(MissingSymbol, match="^no symbol for a=3, N=1, sign=[+]1$"):
+        ingest_modular_symbols(doc)
+
+
+@pytest.mark.parametrize("p", [
+    (10 ** 7 + 19) * (10 ** 7 + 79),    # two prime factors above 41
+    3215031751,                          # Carmichael, strong pseudoprime to 2, 3, 5, 7
+    561,                                 # the least Carmichael number
+    318665857834031151167461,            # strong pseudoprime to every base up to 37
+    2 ** 89 + 1])                        # composite above the certified range
+def test_a_composite_p_is_not_prime(p):
+    doc = minimal_document()
+    doc["p"] = p
+    with pytest.raises(SchemaError, match=f"^p={p} is not prime$"):
+        ingest_modular_symbols(doc)
+
+
+@pytest.mark.parametrize("p", [2 ** 89 - 1, 3317044064679887385961981])
+def test_a_prime_beyond_the_certified_range_is_a_schema_error(p):
+    # 2^89 - 1 is prime; 3317044064679887385961981 is the least composite
+    # that passes Miller-Rabin to every prime base up to 41
+    doc = minimal_document()
+    doc["p"] = p
+    with pytest.raises(SchemaError, match=f"^p={p} is not below "):
+        ingest_modular_symbols(doc)
