@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat, zip_longest
 from math import comb
-from operator import add, is_not, itemgetter, mod, mul, neg, setitem
+from operator import is_not, itemgetter, mod, neg, setitem
 
 from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
                      SchemaError)
@@ -366,10 +366,8 @@ def build_theta(table, n, tame_index, precision):
     the Teichmuller roots of 1..p-1 (+-1 for p = 2) and t over [0, p^n), so
     t = log_gamma(a) needs no lookup and omega^i(a) = w^i mod p^M is formed
     once per root.  A symbol [a/p^N] = u/d contributes u * (scale/d) mod p^M,
-    with scale/d mod p^M formed once per distinct denominator d.  The symbols
-    of one root are read from the row in one pass; when all are ints they
-    are added as one column.  The sum is accumulated in the group basis,
-    the ring's storage basis.
+    with scale/d mod p^M formed once per distinct denominator d.  The sum
+    is accumulated in the group basis, the ring's storage basis.
     """
     p = table.p
     big_n = level_exponent(p, n)
@@ -381,34 +379,23 @@ def build_theta(table, n, tame_index, precision):
     sign = tame_sign(tame_index)
     modulus = p ** precision
     big_modulus = p ** big_n
-    row = table.rows[big_n, sign]
     gamma = 1 + 2 * p
-    gamma_powers = [1] * p ** n      # gamma^t mod p^N
-    for t in range(1, p ** n):
-        gamma_powers[t] = gamma_powers[t - 1] * gamma % big_modulus
+    row = table.rows[big_n, sign]
     factors = {}   # denominator d -> scale/d mod p^M
-
-    def factor(den):
-        if den not in factors:
-            factors[den] = padic_from_rational(
-                p, Fraction(table.denominator_scale, den), precision).residue
-        return factors[den]
-
     unit_coeffs = [0] * p ** n
     for root in ((1, -1) if p == 2 else range(1, p)):
-        w = teichmuller(root, p, big_n).residue
+        a = teichmuller(root, p, big_n).residue
         weight = pow(teichmuller(root, p, precision).residue, tame_index, modulus)
-        residues = list(map(mod, map(mul, gamma_powers, repeat(w)), repeat(big_modulus)))
-        values = list(map(row.__getitem__, residues))
-        if set(map(type, values)) == {int}:
-            unit_coeffs = list(map(add, unit_coeffs,
-                                   map(mul, values, repeat(factor(1) * weight))))
-            continue
-        for t, value in enumerate(values):
+        for t in range(p ** n):
+            value = row[a]
             if value is None:
-                raise MissingSymbol(f"no symbol for a={residues[t]}, N={big_n}, "
-                                    f"sign={sign:+d}")
-            unit_coeffs[t] += value.numerator * factor(value.denominator) * weight
+                raise MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
+            den = value.denominator
+            if den not in factors:
+                factors[den] = padic_from_rational(
+                    p, Fraction(table.denominator_scale, den), precision).residue
+            unit_coeffs[t] += value.numerator * factors[den] * weight
+            a = a * gamma % big_modulus
     return LambdaElement.from_unit_basis(p, n, precision, unit_coeffs)
 
 
