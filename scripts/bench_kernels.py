@@ -25,10 +25,11 @@ prints one JSON document, at the points (p, n, M) of POINTS:
 * the table path on a table of maxN = N(n) (n+1 for odd p, n+2 for
   p = 2) from `bench/gen_table.py`: `json.loads` plus
   `ingest_modular_symbols` of its text (`loads_ingest`),
-  `ingest_modular_symbols` alone of the parsed document (`ingest`) and of
-  the same table with every value k spelled k/1 (`ingest_fractions`, as
-  in the 37a fixture), `theta_sequence` up to level n at precision M, and
-  `cli.build_parser` (the same work at every point);
+  `ingest_modular_symbols` alone of the parsed document (`ingest`, the
+  column pass) and of the same table with every value k spelled k/1
+  (`ingest_fractions`, as in the 37a fixture: the entry-by-entry loop),
+  `theta_sequence` up to level n at precision M, and `cli.build_parser`
+  (the same work at every point);
 * `verify_battery`: `det_identity_check` plus `functional_equation_check`
   at level min(n, 3) and precision M, the two step-product checks of
   `iwt verify`;
@@ -54,7 +55,11 @@ in DIR in fresh processes, alternating the two sides over KERNEL_ROUNDS
 rounds, and reports the per-row medians over the rounds, with
 `warm_spread_ms`, the max - min of a row's warm medians across the
 rounds: a row that moves by no more than that shows nothing.  It then runs
-`bench/run.py --trace 0` ten times (seeds 1 to 10, 40 s each) on the
+`bench/run.py --trace 1` five times (seeds 1 to 5, 10 s each) on every
+workload in both checkouts and records each run's `correct`, `failed`,
+`trace_missing` and problem lines, since the benchmark's own traced runs
+check that the reported self times make up the jobs' wall time.  Last it
+runs `bench/run.py --trace 0` ten times (seeds 1 to 10, 40 s each) on the
 three workloads of BENCHMARK.json in both checkouts, alternating which
 side runs first, and writes everything with the git SHAs, the Python
 version and the CPU count to --out.  It refuses to start while either
@@ -87,6 +92,8 @@ WARM_REPS = 5
 KERNEL_ROUNDS = 3     # alternating fresh-process kernel timings per side
 BENCH_RUNS = 10       # bench/run.py runs per side and workload, seeds 1..10
 BENCH_SECONDS = 40    # run_seconds of BENCHMARK.json
+TRACE_RUNS = 5        # bench/run.py --trace 1 runs per side and workload, seeds 1..5
+TRACE_SECONDS = 10
 
 
 def clear_caches():
@@ -249,16 +256,22 @@ def median_rows(rounds):
     return rows
 
 
-def bench_run(checkout, workload, seed, seconds):
-    """End-to-end metrics of one `bench/run.py --trace 0` run in a checkout."""
+def bench_run(checkout, workload, seed, seconds, trace=0):
+    """One `bench/run.py` run in a checkout: its end-to-end metrics, or with
+    trace 1 its traced checks (`trace_missing` and the problem lines)."""
     result = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                              "--seed", str(seed), "--seconds", str(seconds),
-                             "--trace", "0"],
+                             "--trace", str(trace)],
                             cwd=checkout, env=child_env(), capture_output=True, text=True,
                             check=True)
-    report = json.loads(result.stdout.strip().splitlines()[-1])
-    return {"correct": report["correct"], "failed": report["failed"],
-            **{name: report["metrics"][name]["value"] for name in METRICS}}
+    lines = result.stdout.strip().splitlines()
+    report = json.loads(lines[-1])
+    run = {"correct": report["correct"], "failed": report["failed"]}
+    if not trace:
+        return dict(run, **{name: report["metrics"][name]["value"] for name in METRICS})
+    env = json.loads(next(line for line in lines if line.startswith("env: "))[5:])
+    return dict(run, seed=seed, trace_missing=env["trace_missing"],
+                problems=[line for line in lines if line.startswith("problem: ")])
 
 
 def compare(parent):
@@ -266,13 +279,18 @@ def compare(parent):
     doc = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
            "points": [dict(zip("pnM", point)) for point in POINTS],
            "cold_reps": COLD_REPS, "warm_reps": WARM_REPS, "kernel_rounds": KERNEL_ROUNDS,
-           "bench_runs": BENCH_RUNS, "bench_seconds": BENCH_SECONDS}
+           "bench_runs": BENCH_RUNS, "bench_seconds": BENCH_SECONDS,
+           "trace_runs": TRACE_RUNS, "trace_seconds": TRACE_SECONDS}
     rounds = {side: [] for side in sides}
     for index in range(KERNEL_ROUNDS):
         for side in (list(sides) if index % 2 == 0 else list(sides)[::-1]):
             rounds[side].append(kernels_of(sides[side]))
     for side, checkout in sides.items():
-        doc[side] = {"git_sha": git_sha(checkout), "kernels": median_rows(rounds[side])}
+        doc[side] = {"git_sha": git_sha(checkout), "kernels": median_rows(rounds[side]),
+                     "traced": {workload: [bench_run(checkout, workload, seed,
+                                                     TRACE_SECONDS, trace=1)
+                                           for seed in range(1, TRACE_RUNS + 1)]
+                                for workload in WORKLOADS}}
     for workload in WORKLOADS:
         samples = {side: [] for side in sides}
         for seed in range(1, BENCH_RUNS + 1):

@@ -80,18 +80,16 @@ def _frac_str(x):
     return str(x)
 
 
+def _fraction(value, name):
+    return Fraction(_parse_rational(value, f"field {name!r}"))
+
+
 def _parse_ext(text, name):
+    """A rational as _fraction reads it, or infinity, spaces around it allowed."""
     text = str(text).strip()
     if text in ("inf", "oo", "infinity"):
         return ExtRational.infinity()
-    try:
-        return ExtRational(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"field {name!r} must be a rational or inf, got {text!r}") from exc
-
-
-def _fraction(value, name):
-    return Fraction(_parse_rational(value, f"field {name!r}"))
+    return ExtRational(_fraction(text, name))
 
 
 def _kind(value, name):
@@ -250,7 +248,7 @@ def cmd_sha_growth(args):
 
 def cmd_modesty_map(args):
     v_values = [_parse_ext(v, "--v-values") for v in args.v_values.split(",")]
-    mu_gaps = [Fraction(g) for g in args.mu_gaps.split(",")]
+    mu_gaps = [_fraction(g.strip(), "--mu-gaps") for g in args.mu_gaps.split(",")]
     rows = modesty_map(args.p, v_values, mu_gaps, args.lambda_sharp,
                        args.lambda_flat, depth=args.depth)
     lines = ["v,mu_gap,n_parity,star"]

@@ -22,22 +22,23 @@ fields, then each symbol entry in document order (its keys, N, a, then
 the plus and minus values, each against a conflicting duplicate), then
 coverage of every slot, then the sign symmetry, then lratio.  The error
 raised names the first bad entry in document order, and for coverage the
-first missing slot in (N, a, sign) order.  A document that holds every
-slot once, spelled as canonical integers or a/b, is checked by passes over
-whole columns and rows; any other document, valid or not, goes through
-the entry-by-entry loop, which alone decides which error comes first.
+first missing slot in (N, a, sign) order.  A value is a string a or a/b,
+each side one optional sign and ASCII digits, read by _parse_rational
+(a JSON int is read as its decimal string).  A document that holds every
+slot once, with int fields and every value a string of one optional sign
+and ASCII digits, is checked by passes over whole columns and rows; any
+other document, valid or not, goes through the entry-by-entry loop, which
+alone decides which error comes first.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import repeat, zip_longest
-from math import comb
 from operator import is_not, itemgetter, mod, neg, setitem
 
 from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
@@ -45,7 +46,7 @@ from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
 from .iwasawa_algebra import FormParams, LambdaElement, lift_nu, project_pi
 from .padic_core import (level_exponent, newton_min, padic_from_rational,
                          teichmuller, val_p)
-from .polyops import poly_mul
+from .polyops import poly_mul, poly_taylor_shift
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound
 # (Sorenson and Webster, 2015); no complete table has p that large
@@ -103,6 +104,8 @@ def _parse_rational(text, where):
     """The rational a/b or a in `text`: an int when integral, else a Fraction.
 
     Each side is a signed run of ASCII digits, stricter than int() alone.
+    This is the grammar of every rational the package reads: symbol
+    values, lratio and the rational fields and options of the CLI.
     """
     string = str(text)
     num, slash, den = string.partition("/")
@@ -121,14 +124,6 @@ def _parse_rational(text, where):
     return value.numerator if value.denominator == 1 else value
 
 
-# the strings _parse_rational accepts, one after another, separated by
-# spaces; the regex engine keeps about 350 bytes of backtracking state per
-# repetition, so a column is matched in chunks of _CHUNK values, which bounds
-# it where one match over the whole column would raise the peak memory of
-# ingest (by 2.3 MB for 6560 values)
-_RATIONAL = r"[+-]?[0-9]+(?:/[+-]?[0-9]+)?"
-_RATIONAL_RUN = re.compile(f"{_RATIONAL}(?: {_RATIONAL})*")
-_CHUNK = 256
 _ENTRY_KEYS = frozenset(("a", "N", "plus", "minus"))
 
 
@@ -160,6 +155,11 @@ class ModularSymbolTable:
             raise MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
         return value
 
+    def __hash__(self):
+        # equal tables have equal scalar fields; the rows are a dict
+        return hash((self.p, self.conductor, self.ap, self.eps_p, self.maxN,
+                     self.period_convention, self.lratio, self.denominator_scale))
+
 
 def slot_rows(p, max_n, slots):
     """The rows of ModularSymbolTable holding slots, a dict (a, N, sign) ->
@@ -187,26 +187,20 @@ def _first_missing(p, max_n, values):
                     return MissingSymbol(f"no symbol for a={a}, N={big_n}, sign={sign:+d}")
 
 
-def _column_numbers(column, p):
-    """The numbers a column of value spellings holds, or None unless every
-    spelling is a string _parse_rational accepts whose denominator, if any,
-    is a p-unit."""
-    if set(map(type, column)) != {str}:
-        return None
-    chunks = [" ".join(column[i:i + _CHUNK]) for i in range(0, len(column), _CHUNK)]
-    if not all(map(_RATIONAL_RUN.fullmatch, chunks)):
-        return None
+def _column_numbers(column):
+    """The ints of a column of value spellings, or None unless every
+    spelling is a string of one optional sign and ASCII digits."""
     try:
-        if not any("/" in chunk for chunk in chunks):
+        # int() alone also takes surrounding whitespace, "_" and non-ASCII
+        # digits; "".join takes only strings
+        joined = "".join(column)
+        if joined.isascii() and "_" not in joined and joined.split() == [joined]:
             return list(map(int, column))
-        numbers = [_parse_rational(text, "symbols") if "/" in text else int(text)
-                   for text in column]
-    # a space inside a spelling, beyond int()'s digit limit, or b = 0
-    except (ValueError, SchemaError):
-        return None
-    if any(type(x) is not int and x.denominator % p == 0 for x in numbers):
-        return None
-    return numbers
+    # a value that is no string, that int() rejects ("", "+-5", "1/2"), or
+    # that is beyond int()'s digit limit
+    except (TypeError, ValueError):
+        pass
+    return None
 
 
 def _column_rows(p, max_n, symbols):
@@ -214,8 +208,9 @@ def _column_rows(p, max_n, symbols):
     columns and rows, or None when any pass fails.
 
     The passes accept exactly the documents the entry loop accepts that
-    hold every slot once, with int fields and string values and no p in a
-    denominator.
+    hold every slot once, with int fields a and N and every value a string
+    of one optional sign and ASCII digits.  Any other spelling, such as
+    k/1, a/b or a JSON int, is left to the entry loop.
     """
     if set(map(type, symbols)) != {dict}:
         return None
@@ -233,7 +228,7 @@ def _column_rows(p, max_n, symbols):
         return None
     rows = _empty_rows(p, max_n)
     for sign, column in ((1, pluses), (-1, minuses)):
-        numbers = _column_numbers(column, p)
+        numbers = _column_numbers(column)
         if numbers is None:
             return None
         by_level = [None] + [rows[big_n, sign] for big_n in range(1, max_n + 1)]
@@ -464,7 +459,8 @@ def synthesize_queue(seed, params, n):
     for m in range(2, n + 1):
         target = params.ap * elements[m - 1] - params.eps_p * lift_nu(elements[m - 2])
         step = p ** (m - 1)
-        kernel_gen = [0] + [comb(step, k) % modulus for k in range(1, step + 1)]
+        # (1+T)^step - 1: the coefficients of T^step - 1 shifted by T -> T + 1
+        kernel_gen = poly_taylor_shift([-1] + [0] * (step - 1) + [1], 1, modulus)
         noise = poly_mul(random_coeffs(p ** m - step), kernel_gen, modulus)
         # the canonical representative of target, read one level up, plus noise
         coeffs = [a + b for a, b in zip_longest(target.coeffs, noise, fillvalue=0)]

@@ -137,6 +137,24 @@ def test_sha_growth_and_modesty_map(tmp_path):
     assert len(lines) == 1 + 4 * 2
 
 
+@pytest.mark.parametrize("flag, value", [("--mu-gaps", "abc"), ("--mu-gaps", "0,1e-1"),
+                                         ("--v-values", "0.5"), ("--v-values", "1/6,1_0")])
+def test_modesty_map_reads_strict_rationals(tmp_path, capsys, flag, value):
+    argv = {"--v-values": "1/6", "--mu-gaps": "0", flag: value}
+    assert run(["modesty-map", "--p", 3, *(x for item in argv.items() for x in item),
+                "--out", tmp_path]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "SchemaError" and repr(flag) in report["message"]
+
+
+def test_modesty_map_lists_allow_spaces_around_values(tmp_path):
+    assert run(["modesty-map", "--p", 3, "--v-values", "1/6, 1/18,inf,0",
+                "--mu-gaps", "0, -1/2", "--out", tmp_path]) == 0
+    lines = (tmp_path / "modesty_map.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 4 * 2 * 2
+    assert {line.split(",")[1] for line in lines[1:]} == {"0", "-1/2"}
+
+
 def test_selfcheck_passes():
     assert run(["selfcheck"]) == 0
 
@@ -232,6 +250,8 @@ RANK_INPUT = {"p": 3, "mu_sharp": "0", "mu_flat": "0", "lambda_sharp": 1,
     (dict(RANK_INPUT, lambda_sharp=1.7, lambda_flat=True), "lambda_sharp"),
     (dict(RANK_INPUT, lambda_flat=True), "lambda_flat"),
     (dict(RANK_INPUT, p=3.0), "p"),
+    (dict(RANK_INPUT, v="1_0"), "v"),
+    (dict(RANK_INPUT, v="0.5"), "v"),
 ])
 def test_malformed_invariants_file_is_a_schema_error(tmp_path, capsys, doc, field):
     path = tmp_path / "invariants.json"
@@ -265,6 +285,7 @@ RECORD = {"kind": "elliptic", "r_infinity": 7, "mu_sharp": "0", "mu_flat": "0",
     ([{k: v for k, v in RECORD.items() if k != "lambda_flat"}], "lambda_flat"),
     ([{"kind": "ordinary", "r_infinity": 0, "mu": "0"}], "lam"),
     ([{"kind": "ordinary", "r_infinity": 0, "lam": 1}], "mu"),
+    ([dict(RECORD, v2="1e-1")], "v2"),
 ])
 def test_malformed_records_file_is_a_schema_error(tmp_path, capsys, records, field):
     path = tmp_path / "records.json"

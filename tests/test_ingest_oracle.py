@@ -14,7 +14,8 @@ import pytest
 
 from iwt.errors import (IwtError, MissingSymbol, NonIntegralDenominator,
                         SchemaError)
-from iwt.mazur_tate import ModularSymbolTable, ingest_modular_symbols, slot_rows
+from iwt.mazur_tate import (ModularSymbolTable, _column_rows, ingest_modular_symbols,
+                            slot_rows)
 from iwt.padic_core import val_p
 
 
@@ -325,3 +326,42 @@ def test_ingest_matches_the_oracle_on_a_deep_table(case):
         assert got == want
     if case in ("long-value", "inner-space"):
         assert "bad rational" in want[1]
+
+
+# spellings of one value; only those of one optional sign and ASCII digits
+# take the column pass, the rest the entry loop, whose verdict the
+# oracle's must match
+SPELLINGS = [" 5", "5 ", "5\n", "1_0", "\u0663", "+-5", "", "+5", "-0", "05",
+             "7" * 4301, 5, True, 5.0, None]
+COLUMN_SPELLINGS = ("+5", "05")
+
+
+def _deep_five(rng):
+    # a full integer table (p = 3, maxN = 8) in which some top-level entry
+    # and its mirror have plus value "5"
+    doc = symmetric_document(3, rng, max_n=8)
+    entry = next(e for e in doc["symbols"] if e["N"] == 8)
+    _set_pair(doc, entry, "plus", "5", "5")
+    return doc, entry
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS, ids=repr)
+def test_one_respelled_value_matches_the_oracle(spelling):
+    doc, entry = _deep_five(random.Random("ingest-spelling"))
+    entry["plus"] = spelling
+    want = outcome(oracle_ingest, doc, 1)
+    got = outcome(ingest_modular_symbols, doc, 1)
+    if isinstance(want, ModularSymbolTable):
+        assert isinstance(got, ModularSymbolTable)
+        assert table_slots(got) == table_slots(want)
+    else:
+        assert got == want
+    columns = _column_rows(3, 8, doc["symbols"])
+    assert (columns is not None) == (spelling in COLUMN_SPELLINGS)
+
+
+def test_the_column_pass_takes_integer_strings_and_leaves_fractions(e37a_document):
+    doc, _ = _deep_five(random.Random("ingest-spelling"))
+    assert _column_rows(3, 8, doc["symbols"]) == ingest_modular_symbols(doc).rows
+    doc = e37a_document
+    assert _column_rows(doc["p"], doc["maxN"], doc["symbols"]) is None

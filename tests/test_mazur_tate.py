@@ -157,6 +157,14 @@ def test_e37a_table_and_queues(e37a_table):
         assert validate_queue(seq).valid
 
 
+def test_equal_tables_hash_equal(e37a_document):
+    a, b = (ingest_modular_symbols(e37a_document) for _ in range(2))
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(dataclasses.replace(a, ap=a.ap + 1)) != hash(a)
+
+
 def per_residue_theta(table, n, tame_index, precision):
     # reference: one Teichmuller lift and one discrete log per residue a
     p = table.p

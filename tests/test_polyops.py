@@ -152,6 +152,14 @@ def test_taylor_shift_matches_binomial_sum():
             assert poly_taylor_shift(f, c, modulus) == binomial_shift(f, c, modulus)
 
 
+@pytest.mark.parametrize("step", [7, 49, 343])
+def test_taylor_shift_of_a_power_minus_one_gives_the_binomials(step):
+    # synthesize_queue's kernel (1+T)^step - 1: T^step - 1 shifted by T -> T + 1
+    modulus = 7 ** 12
+    kernel = poly_taylor_shift([-1] + [0] * (step - 1) + [1], 1, modulus)
+    assert kernel == [0] + [math.comb(step, k) % modulus for k in range(1, step + 1)]
+
+
 @pytest.mark.parametrize("length", [33, 129, 2049, 2401])
 def test_taylor_shift_just_above_a_power_of_two(length):
     # the top level's block is partly padding, and only `length` slots are
