@@ -33,6 +33,12 @@ prints one JSON document, at the points (p, n, M) of POINTS:
 * `verify_battery`: `det_identity_check` plus `functional_equation_check`
   at level min(n, 3) and precision M, the two step-product checks of
   `iwt verify`;
+* the peel and the invariants on that table's tower (tame index 0):
+  `peel_top`, `decompose_pair` on the top pair (Theta_n, nu Theta_{n-1});
+  `invariants_top`, `iwasawa_invariants` of both components of that
+  peel, each rebuilt from its group-basis vector by `from_unit_basis`
+  on every call, so that no T-coefficient view is left over from an
+  earlier call;
 * the crossover of the sparse multiply, where `polyops` has it: a dense
   vector times one with w nonzero entries, w in (1, p, 2p, 4p), mod
   X^N - 1, by rotations (`sparse_rotate_w`) and by a Kronecker product
@@ -138,11 +144,13 @@ def kernel_calls(p, n, M):
     from iwt.cli import build_parser
     from iwt.cyclotomic_ext import eval_lambda_at_zeta
     from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
-                                     exact_divide_by_phi, lift_nu, project_pi)
+                                     exact_divide_by_phi, iwasawa_invariants,
+                                     lift_nu, project_pi)
     from iwt.logmatrix import det_identity_check, functional_equation_check
     from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
                                 theta_sequence)
     from iwt.polyops import poly_mul, poly_taylor_shift
+    from iwt.sharp_flat import decompose_pair
     generate_table = bench_module("gen_table").generate_table
     rng = random.Random(f"{p}-{n}-{M}")
     size, modulus = p ** n, p ** M
@@ -162,10 +170,17 @@ def kernel_calls(p, n, M):
         for entry in document["symbols"]])
     table = ingest_modular_symbols(document)
     params, level = FormParams(p, -1, 1, M), min(n, 3)
+    tower = theta_sequence(table, n, 0, M)
+    top, nu_prev = tower[n], lift_nu(tower[n - 1])
+    peel = decompose_pair(top, nu_prev, tower.params)
 
     def verify_battery():
         det_identity_check(params, level)
         functional_equation_check(params, level)
+
+    def invariants_top():
+        for x in (peel.sharp, peel.flat):
+            iwasawa_invariants(LambdaElement.from_unit_basis(p, n, M, x.units))
 
     return {"multiply": lambda: x * y,
             "phi_multiply": lambda: x * phi,
@@ -187,6 +202,8 @@ def kernel_calls(p, n, M):
             "theta_sequence": lambda: theta_sequence(table, n, 0, M),
             "build_parser": build_parser,
             "verify_battery": verify_battery,
+            "peel_top": lambda: decompose_pair(top, nu_prev, tower.params),
+            "invariants_top": invariants_top,
             **sparse_calls(p, n, M, rng)}
 
 

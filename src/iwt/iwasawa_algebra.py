@@ -20,12 +20,11 @@ Conversions.  The T-coefficient constructor `LambdaElement(p, n, M,
 coeffs)` shifts by -1 to make `units`, and keeps its input as the
 `coeffs` view when that is already canonical (degree < p^n).  Otherwise
 `coeffs`, a Taylor shift of `units` by +1, is made on first read and
-kept; its readers are the JSON reports, digests and tests, lambda and
+kept; its readers are the JSON reports, digests and tests, and
 `newton_vr`.  `sharp_flat.decompose` and `mazur_tate.synthesize_queue`
-return elements whose `coeffs` are already made.  mu needs no
-conversion: the change of basis is a triangular integer matrix with unit
-diagonal, so the least coefficient valuation is the same in both bases;
-lambda, the first index attaining it, is read off `coeffs`.
+return elements whose `coeffs` are already made.  mu and lambda need no
+conversion at p^M: `iwasawa_invariants` reads both off `units` (see its
+docstring), shifting at most one fold of the unit vector mod p.
 
 The module also provides cyclotomic polynomials and their completed
 variants, exact division by them, vanishing orders at p-power roots of
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (LevelMismatch, MixedPrime, NotAUnit, NotDivisible,
                      OutOfRange, PrecisionExhausted, PrecisionMismatch,
@@ -305,8 +305,8 @@ def cyclotomic_phi(p, i, level, precision, hatted=False):
 
 
 def _phi_divmod(units, p, m, modulus):
-    """Quotient and remainder of a group-basis polynomial by Phi_{p^m}(X),
-    by X - 1 for m = 0.
+    """Quotient and remainder of a group-basis polynomial (a list) by
+    Phi_{p^m}(X), by X - 1 for m = 0.
 
     With s = p^(m-1), Phi_{p^m}(X) (X^s - 1) = X^(ps) - 1: the quotient is
     that of units * (X^s - 1) by the binomial, and the remainder, of
@@ -315,28 +315,36 @@ def _phi_divmod(units, p, m, modulus):
     if m == 0:
         return poly_divmod_monic(units, (-1, 1), modulus)
     s = p ** (m - 1)
-    units = list(units)
     num = [a - b for a, b in zip([0] * s + units, units + [0] * s)]
     return poly_divmod_monic(num, [-1] + [0] * (p * s - 1) + [1], modulus)
 
 
-def exact_divide_by_phi(x, i, hatted=False):
-    """Exact quotient of the canonical representative by Phi_{p^i}.
+def divide_by_phi(units, p, i, modulus, hatted=False):
+    """Group-basis vector of the exact quotient by Phi_{p^i}.
 
-    Phi is monic, so no precision is lost.  The completed variant
-    post-multiplies by (1+T)^e.  Raises NotDivisible when the remainder
-    is nonzero mod p^M.
+    `units` is a list of p^n integers, the group-basis vector of the
+    canonical representative up to reduction mod `modulus`; the quotient
+    comes back as p^n residues.  Phi is monic, so no precision is lost.
+    The completed variant post-multiplies by X^e, e = p^(i-1)(p-1)/2.
+    Raises NotDivisible when the remainder is nonzero mod p^M.
     """
-    if not 1 <= i <= x.level:
-        raise OutOfRange(f"need 1 <= i <= n, got i={i}, n={x.level}")
-    quot, rem = _phi_divmod(x.units, x.p, i, x.modulus)
+    quot, rem = _phi_divmod(units, p, i, modulus)
     if rem:
         raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
                            f"at working precision")
     # the quotient has degree < p^n - 2e, so the twist by X^e does not wrap
-    e = half_twist_exponent(x.p, i) if hatted else 0
-    size = x.p ** x.level
-    return _element(x.p, x.level, x.precision, ([0] * e + quot + [0] * size)[:size])
+    e = half_twist_exponent(p, i) if hatted else 0
+    size = len(units)
+    return ([0] * e + quot + [0] * size)[:size]
+
+
+def exact_divide_by_phi(x, i, hatted=False):
+    """Exact quotient of the canonical representative by Phi_{p^i}
+    (`divide_by_phi` on the element's group-basis vector)."""
+    if not 1 <= i <= x.level:
+        raise OutOfRange(f"need 1 <= i <= n, got i={i}, n={x.level}")
+    return _element(x.p, x.level, x.precision,
+                    divide_by_phi(list(x.units), x.p, i, x.modulus, hatted))
 
 
 def vanishing_order(x, m):
@@ -363,12 +371,31 @@ def vanishing_order(x, m):
 
 
 def iwasawa_invariants(x):
-    """mu = least coefficient valuation, lambda = first index attaining it,
-    both read off the T-coefficients."""
-    found = newton_min(x.coeffs, x.p)
-    if found is None:
+    """mu = least T-coefficient valuation, lambda = first index attaining it,
+    both read off the group-basis vector.
+
+    Both are basis-free.  The change of basis is a triangular integer
+    matrix with unit diagonal, so mu = v_p(gcd(units, p^M)) is the least
+    valuation in either basis.  Then g = units / p^mu mod p is the
+    reduction of x / p^mu, and lambda is the order of T = X - 1 in g(X)
+    over F_p.  There (X - 1)^(p^k) = X^(p^k) - 1, so lambda >= p^k exactly
+    when the fold of g mod X^(p^k) - 1 vanishes.  The last nonzero fold h,
+    of length p^k, agrees with g mod (X - 1)^(p^k) and has lambda < p^k,
+    so lambda is the first nonzero T-coefficient of h: a shift mod p of
+    p^k entries, never one at p^M.
+    """
+    scale = gcd(*x.units, x.modulus)
+    if scale == x.modulus:
         raise PrecisionExhausted("all coefficients vanish mod p^M")
-    return IwasawaInvariants(mu=Fraction(found[0]), lam=found[1])
+    p = x.p
+    g = [d // scale % p for d in x.units]
+    while len(g) > 1:
+        fold = poly_fold(g, len(g) // p, p)
+        if not any(fold):
+            break
+        g = fold
+    lam = next(i for i, c in enumerate(poly_taylor_shift(g, 1, p)) if c)
+    return IwasawaInvariants(mu=Fraction(val_p(scale, p)), lam=lam)
 
 
 def newton_vr(x, s):

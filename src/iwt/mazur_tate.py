@@ -215,8 +215,15 @@ def _column_rows(p, max_n, symbols):
     if set(map(type, symbols)) != {dict}:
         return None
     try:
-        residues, big_ns, pluses, minuses = (list(map(itemgetter(key), symbols))
-                                             for key in ("a", "N", "plus", "minus"))
+        # the value columns first: a table spelled k/1 or a/b leaves here,
+        # before the a and N columns are extracted and reduced
+        columns = []
+        for key in ("plus", "minus"):
+            numbers = _column_numbers(list(map(itemgetter(key), symbols)))
+            if numbers is None:
+                return None
+            columns.append(numbers)
+        residues, big_ns = (list(map(itemgetter(key), symbols)) for key in ("a", "N"))
     except KeyError:
         return None
     if (set(map(type, big_ns)) != {int} or set(map(type, residues)) != {int}
@@ -227,15 +234,12 @@ def _column_rows(p, max_n, symbols):
     if not all(map(mod, residues, repeat(p))):
         return None
     rows = _empty_rows(p, max_n)
-    for sign, column in ((1, pluses), (-1, minuses)):
-        numbers = _column_numbers(column)
-        if numbers is None:
-            return None
+    for sign, numbers in zip((1, -1), columns):
         by_level = [None] + [rows[big_n, sign] for big_n in range(1, max_n + 1)]
         deque(map(setitem, map(by_level.__getitem__, big_ns), residues, numbers),
               maxlen=0)
     # the rows hold every value now; hold no column beside them
-    del residues, big_ns, pluses, minuses, numbers
+    del residues, big_ns, columns, numbers
     # the entries fill p^maxN - 1 distinct unit slots of each sign, all of them,
     # exactly when no two share one
     filled = sum(len(row) - row.count(None) for (_, sign), row in rows.items()

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (NotDivisible, OutOfRange, PrecisionExhausted,
-                     PrecisionMismatch, Unstable)
-from .iwasawa_algebra import (IwasawaInvariants, LambdaElement,
-                              cyclotomic_phi, exact_divide_by_phi,
+from .errors import (MixedPrime, NotDivisible, OutOfRange,
+                     PrecisionExhausted, PrecisionMismatch, Unstable)
+from .iwasawa_algebra import (IwasawaInvariants, LambdaElement, _element,
+                              cyclotomic_phi, divide_by_phi,
                               iwasawa_invariants, lift_nu, vanishing_order)
 from .logmatrix import push_steps
 from .padic_core import PadicInt, padic_from_rational
@@ -64,27 +64,38 @@ def decompose_pair(theta_n, nu_prev, params, hatted=False, tame_index=None):
         # the completion twists (1+T)^(-2^(i-2)) evaluate to -1 at the
         # next-lower 2-power point and break exact peel divisibility
         raise OutOfRange("completed decomposition is supported for odd p only")
-    eps_inv = pow(params.eps_p, -1, params.modulus)
-    # (x, y) = (Theta_n, nu Theta_{n-1}) . A~
-    x = params.ap * theta_n - params.eps_p * nu_prev
-    y = theta_n
+    if nu_prev.p != theta_n.p:
+        raise MixedPrime(f"primes {theta_n.p} and {nu_prev.p}")
+    p, M, modulus = theta_n.p, theta_n.precision, theta_n.modulus
+    ap, eps = params.ap, params.eps_p
+    eps_inv = pow(eps, -1, params.modulus)
+    # (x, y) = (Theta_n, nu Theta_{n-1}) . A~, as group-basis vectors; each
+    # step divides (ap y - x) / eps_p, formed in one pass, by Phi_i
+    x = [ap * a - eps * b for a, b in zip(theta_n.units, nu_prev.units)]
+    y = theta_n.units
     for i in range(n, 0, -1):
         try:
-            u = exact_divide_by_phi((params.ap * y - x) * eps_inv, i, hatted=hatted)
+            u = divide_by_phi([(ap * b - a) * eps_inv for a, b in zip(x, y)],
+                              p, i, modulus, hatted)
         except NotDivisible as exc:
             raise NotDivisible(f"peel index {i}: {exc}", index=i) from exc
         x, y = y, u
-    return SharpFlatApprox(level=n, tame_index=tame_index, sharp=x, flat=y,
+    # n >= 1 steps ran, so x and y are reduced residue vectors
+    return SharpFlatApprox(level=n, tame_index=tame_index,
+                           sharp=_element(p, n, M, x), flat=_element(p, n, M, y),
                            hatted=hatted, params=params)
 
 
 def decompose(theta_n, theta_prev, params, hatted=False, tame_index=None):
     """Decompose consecutive tower elements (Theta_n, Theta_{n-1}).
 
-    The pair comes back with its T-coefficients made: the callers of this
-    form (the decompose and invariants reports) read them, and making them
-    here charges the change of basis to the decomposition rather than to
-    whichever read comes first.  `decompose_pair` leaves them unmade.
+    The pair comes back with its T-coefficients made.  Of the commands,
+    only the decompose report reads them (`iwt invariants` peels with
+    `decompose_pair` and reads mu/lambda off the group basis); library
+    callers, such as the synthetic peel of bench/worker.py, read them after
+    the call.  Making them here charges the change of basis to the
+    decomposition rather than to whichever read comes first, so a timing
+    of this call includes it.  `decompose_pair` leaves them unmade.
     """
     if theta_prev.level != theta_n.level - 1:
         raise OutOfRange("theta_prev must live one level below theta_n")

@@ -9,17 +9,21 @@ Kronecker slot and both sides of the sparse-multiply rule.
 """
 
 import contextlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iwt.iwasawa_algebra as algebra
+import iwt.sharp_flat as sharp_flat
 import tbasis_oracle as oracle
 from iwt.cyclotomic_ext import eval_lambda_at_zeta
-from iwt.errors import IwtError, NotDivisible
+from iwt.cli import main
+from iwt.errors import IwtError, NotDivisible, PrecisionExhausted
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  exact_divide_by_phi, iwasawa_invariants,
                                  lift_nu, newton_vr, project_pi,
@@ -29,6 +33,8 @@ from iwt.mazur_tate import synthesize_queue
 from iwt.padic_core import PadicInt
 from iwt.sharp_flat import decompose, decompose_pair
 from tbasis_oracle import TLambda
+
+FIXTURE = Path(__file__).parent / "fixtures" / "e37a_p3.json"
 
 PRIMES = (2, 3, 5, 7)
 MAX_LEVEL = {2: 11, 3: 7, 5: 4, 7: 4}          # p^n <= 2401
@@ -199,12 +205,13 @@ def test_the_oracle_raises_where_the_package_does():
 
 @contextlib.contextmanager
 def counted_shifts():
-    """Lengths of the Taylor shifts that iwasawa_algebra makes inside the block."""
+    """(length, modulus) of each Taylor shift that iwasawa_algebra makes
+    inside the block."""
     calls = []
     shift = algebra.poly_taylor_shift
 
     def counted(f, c, modulus):
-        calls.append(len(f))
+        calls.append((len(f), modulus))
         return shift(f, c, modulus)
 
     algebra.poly_taylor_shift = counted
@@ -273,3 +280,48 @@ def test_decompose_makes_the_pair_coefficients(p, ap, n, M, hatted):
                                                              peeled.flat.coeffs)
     # the two reads of the bare peel were its only shifts
     assert len(shifts) == 2
+
+
+@pytest.mark.parametrize("p, n, M", [(2, 5, 6), (3, 3, 5), (5, 2, 4), (7, 2, 3)])
+def test_invariants_at_prescribed_mu_and_lambda(p, n, M):
+    # every lambda < p^n, those >= p^(n-1) included, where the first fold
+    # already vanishes and the whole vector is shifted, at every mu < M; the
+    # elements are built from their group-basis vectors, so no T-coefficient
+    # view exists to read
+    rng = random.Random(p ** n * M)
+    size, modulus = p ** n, p ** M
+    for mu in range(M):
+        for lam in range(size):
+            coeffs = ([p ** (mu + 1) * rng.randrange(modulus) for _ in range(lam)]
+                      + [p ** mu * (rng.randrange(1, p) + p * rng.randrange(modulus))]
+                      + [p ** mu * rng.randrange(modulus) for _ in range(lam + 1, size)])
+            tx = TLambda(p, n, M, coeffs)
+            x = LambdaElement.from_unit_basis(p, n, M, tx.to_unit_basis())
+            with counted_shifts() as shifts:
+                got = iwasawa_invariants(x)
+            assert got.pair() == oracle.iwasawa_invariants(tx).pair() == (mu, lam)
+            # one shift, of a fold mod p longer than lambda, and no view made
+            assert len(shifts) == 1 and shifts[0][1] == p and shifts[0][0] > lam
+            assert x._coeffs is None
+    assert outcome(iwasawa_invariants, LambdaElement.zero(p, n, M)) is PrecisionExhausted
+    assert outcome(oracle.iwasawa_invariants, TLambda.zero(p, n, M)) is PrecisionExhausted
+
+
+@pytest.mark.parametrize("tame, hatted", [(0, False), (1, True)])
+def test_the_invariants_command_converts_nothing(tmp_path, monkeypatch, tame, hatted):
+    read = []
+
+    def recorded(x):
+        read.append(x)
+        return iwasawa_invariants(x)
+
+    monkeypatch.setattr(sharp_flat, "iwasawa_invariants", recorded)
+    argv = ["invariants", "--input", str(FIXTURE), "--level", "4", "--tame", str(tame),
+            "--out", str(tmp_path)] + ["--hatted"] * hatted
+    with counted_shifts() as shifts:
+        assert main(argv) == 0
+    doc = json.loads((tmp_path / "invariants.json").read_text())
+    # both components of levels 1..4, each read once, none converted
+    assert len(read) == 8 and all(x._coeffs is None for x in read)
+    assert shifts and all(modulus == 3 for _, modulus in shifts)
+    assert doc["precision"] > 1

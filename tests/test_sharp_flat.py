@@ -3,16 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from iwt.errors import NotDivisible, OutOfRange, PrecisionMismatch, Unstable
+import tbasis_oracle as oracle
+from iwt.errors import (MixedPrime, NotDivisible, OutOfRange, PrecisionMismatch,
+                        Unstable)
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
-                                 iwasawa_invariants, lift_nu, project_pi,
-                                 vanishing_order)
-from iwt.logmatrix import a_tilde_inverse, log_truncation, make_matrix
-from iwt.mazur_tate import QueueSequence, synthesize_queue, validate_queue
+                                 exact_divide_by_phi, iwasawa_invariants,
+                                 lift_nu, project_pi, vanishing_order)
+from iwt.logmatrix import (a_tilde_inverse, log_truncation, make_matrix,
+                           push_steps)
+from iwt.mazur_tate import (QueueSequence, synthesize_queue, theta_sequence,
+                            validate_queue)
 from iwt.sharp_flat import (SharpFlatApprox, decompose, decompose_pair,
                             decompose_sequence, recompose,
                             special_value_check, stabilized_invariants,
                             vector_vanishing_orders)
+from tbasis_oracle import TLambda
 
 M = 12
 
@@ -226,6 +231,13 @@ def test_decompose_pair_rejects_a_precision_mismatch():
         decompose_pair(seq[2], coarse, params)
 
 
+def test_decompose_pair_rejects_two_primes():
+    params = FormParams(3, -3, 1, M)
+    theta = LambdaElement(3, 1, M, [1, 2, 3])
+    with pytest.raises(MixedPrime):
+        decompose_pair(theta, LambdaElement(5, 1, M, [1, 2, 3]), params)
+
+
 def matrix_route(approx):
     """(sharp, flat) . S_1 ... S_n through the step-matrix objects."""
     family = "CCC-hat" if approx.hatted else "CCC"
@@ -256,3 +268,95 @@ def test_forward_product_matches_the_matrix_route(p):
         want = {m: min(vanishing_order(e, m) for e in vec if not e.is_zero())
                 for m in m_range}
         assert vector_vanishing_orders(approx, m_range).orders == want
+
+
+def ring_peel(theta_n, nu_prev, params, hatted, divide):
+    """The peel as ring operations, one exact division per index: the loop
+    decompose_pair ran before it worked on group-basis vectors.  Runs in
+    either ring, with that ring's division by Phi_{p^i}."""
+    eps_inv = pow(params.eps_p, -1, params.modulus)
+    # (x, y) = (Theta_n, nu Theta_{n-1}) . A~
+    x = theta_n * params.ap - nu_prev * params.eps_p
+    y = theta_n
+    for i in range(theta_n.level, 0, -1):
+        try:
+            u = divide((y * params.ap - x) * eps_inv, i, hatted)
+        except NotDivisible as exc:
+            raise NotDivisible(f"peel index {i}: {exc}", index=i) from exc
+        x, y = y, u
+    return x, y
+
+
+def peel_outcomes(theta_n, nu_prev, params, hatted):
+    """The pair's T-coefficients, or the (index, message) of NotDivisible,
+    from decompose_pair and from the ring-op peel in the package's ring and
+    in the T-basis ring of tbasis_oracle."""
+    p, n, M = theta_n.p, theta_n.level, theta_n.precision
+
+    def t_ring(x):
+        return TLambda(p, n, M, list(x.coeffs))
+
+    runs = [lambda: decompose_pair(theta_n, nu_prev, params, hatted=hatted),
+            lambda: ring_peel(theta_n, nu_prev, params, hatted, exact_divide_by_phi),
+            lambda: ring_peel(t_ring(theta_n), t_ring(nu_prev), params, hatted,
+                              oracle.exact_divide_by_phi)]
+    outcomes = []
+    for run in runs:
+        try:
+            pair = run()
+        except NotDivisible as exc:
+            outcomes.append((exc.index, str(exc)))
+            continue
+        if isinstance(pair, SharpFlatApprox):
+            pair = pair.sharp, pair.flat
+        outcomes.append(tuple(x.coeffs for x in pair))
+    return outcomes
+
+
+TOWERS = {2: (3, 6, 14), 3: (-3, 4, 12), 5: (2, 3, 11), 7: (0, 3, 10)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_peel_matches_the_ring_op_peel(p):
+    # a non-trivial eps_p, so that every step's division by it shows
+    ap, top, M_p = TOWERS[p]
+    params = FormParams(p, ap, p + 1, M_p)
+    seq = synthesize_queue(31 * p, params, top)
+    for n in range(1, top + 1):
+        for hatted in hats_for(p):
+            got, ring, t_ring = peel_outcomes(seq[n], lift_nu(seq[n - 1]), params, hatted)
+            assert got == ring == t_ring and not isinstance(got[0], int)
+
+
+@pytest.mark.parametrize("tame", [0, 1])
+def test_the_peel_matches_the_ring_op_peel_on_37a(e37a_table, tame):
+    seq = theta_sequence(e37a_table, 4, tame, 12)
+    for n in range(1, 5):
+        for hatted in (False, True):
+            got, ring, t_ring = peel_outcomes(seq[n], lift_nu(seq[n - 1]), seq.params,
+                                              hatted)
+            assert got == ring == t_ring and not isinstance(got[0], int)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_corrupted_level_names_its_peel_index(p):
+    # The peel state before index i is (sharp, flat) . S_1 ... S_i.  Bumping
+    # its first entry by a unit power X^s leaves (ap y - x) / eps_p short of a
+    # multiple of Phi_i; run forwards through S_(i+1) ... S_n and A~^(-1), it
+    # makes a pair whose peel passes indices n .. i+1 and fails at i.
+    ap, n, M_p = TOWERS[p]
+    params = FormParams(p, ap, p + 1, M_p)
+    seq = synthesize_queue(7 * p, params, n)
+    rng = random.Random(p)
+    eps_inv = pow(params.eps_p, -1, params.modulus)
+    for hatted in hats_for(p):
+        approx = decompose_pair(seq[n], lift_nu(seq[n - 1]), params, hatted=hatted)
+        phis = [cyclotomic_phi(p, i, n, M_p, hatted) for i in range(1, n + 1)]
+        for index in range(1, n + 1):
+            x, y = push_steps((approx.sharp, approx.flat), ap, params.eps_p, phis[:index])
+            x += LambdaElement.unit_power(p, n, M_p, rng.randrange(p ** n))
+            x, y = push_steps((x, y), ap, params.eps_p, phis[index:])
+            outcomes = peel_outcomes(y, (ap * y - x) * eps_inv, params, hatted)
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            assert outcomes[0][0] == index
+            assert outcomes[0][1].startswith(f"peel index {index}: division by Phi")
