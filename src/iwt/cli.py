@@ -175,10 +175,7 @@ def cmd_decompose(args):
 
 def cmd_invariants(args):
     table, data, seq = _table_tower(args)
-    # mu/lambda read the group basis: no level is converted to T-coefficients
-    apprs = [decompose_pair(seq[m], lift_nu(seq[m - 1]), seq.params, hatted=args.hatted,
-                            tame_index=seq.tame_index)
-             for m in range(1, seq.top_level + 1)]
+    apprs = decompose_sequence(seq, hatted=args.hatted)
     sharp, flat = stabilized_invariants(apprs)
     params = seq.params
     per_level = []

@@ -22,7 +22,8 @@ coeffs)` shifts by -1 to make `units`, and keeps its input as the
 `coeffs`, a Taylor shift of `units` by +1, is made on first read and
 kept; its readers are the JSON reports, digests and tests, and
 `newton_vr`.  `sharp_flat.decompose` and `mazur_tate.synthesize_queue`
-return elements whose `coeffs` are already made.  mu and lambda need no
+return elements whose `coeffs` are already made; `decompose_pair` and
+`decompose_sequence` leave them unmade.  mu and lambda need no
 conversion at p^M: `iwasawa_invariants` reads both off `units` (see its
 docstring), shifting at most one fold of the unit vector mod p.
 

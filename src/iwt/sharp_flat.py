@@ -89,13 +89,9 @@ def decompose_pair(theta_n, nu_prev, params, hatted=False, tame_index=None):
 def decompose(theta_n, theta_prev, params, hatted=False, tame_index=None):
     """Decompose consecutive tower elements (Theta_n, Theta_{n-1}).
 
-    The pair comes back with its T-coefficients made.  Of the commands,
-    only the decompose report reads them (`iwt invariants` peels with
-    `decompose_pair` and reads mu/lambda off the group basis); library
-    callers, such as the synthetic peel of bench/worker.py, read them after
-    the call.  Making them here charges the change of basis to the
-    decomposition rather than to whichever read comes first, so a timing
-    of this call includes it.  `decompose_pair` leaves them unmade.
+    The pair comes back with its T-coefficients made, so a timing of this
+    call (the synthetic peel of bench/worker.py) includes the change of
+    basis that its caller reads afterwards.
     """
     if theta_prev.level != theta_n.level - 1:
         raise OutOfRange("theta_prev must live one level below theta_n")
@@ -123,9 +119,13 @@ def recompose(approx):
 
 
 def decompose_sequence(seq, hatted=False):
-    """Decompositions of (Theta_m, Theta_{m-1}) for every level m >= 1."""
-    return [decompose(seq[m], seq[m - 1], seq.params, hatted=hatted,
-                      tame_index=seq.tame_index) for m in range(1, seq.top_level + 1)]
+    """Decompositions of (Theta_m, Theta_{m-1}) for every level m >= 1.
+
+    T-coefficients are left unmade: the invariants read the group basis.
+    """
+    return [decompose_pair(seq[m], lift_nu(seq[m - 1]), seq.params, hatted=hatted,
+                           tame_index=seq.tame_index)
+            for m in range(1, seq.top_level + 1)]
 
 
 def stabilized_invariants(approxes):
