@@ -34,7 +34,7 @@ prints one JSON document, at the points (p, n, M) of POINTS:
   at level min(n, 3) and precision M, the two step-product checks of
   `iwt verify`;
 * the peel and the invariants on that table's tower (tame index 0):
-  `peel_top`, `decompose_pair` on the top pair (Theta_n, nu Theta_{n-1});
+  `peel_top`, `decompose_pair` on the top pair (Theta_n, Theta_{n-1});
   `invariants_top`, `iwasawa_invariants` of both components of that
   peel, each rebuilt from its group-basis vector by `from_unit_basis`
   on every call, so that no T-coefficient view is left over from an
@@ -57,8 +57,9 @@ are drawn from a fixed seed, so two checkouts time the same elements
 and tables.
 
 The second form times the kernels of this checkout and of the checkout
-in DIR in fresh processes, alternating the two sides over KERNEL_ROUNDS
-rounds, and reports the per-row medians over the rounds, with
+in DIR in fresh processes, each side by its own copy of this script, so
+that a row calls that side's API.  It alternates the two sides over
+KERNEL_ROUNDS rounds and reports the per-row medians over the rounds, with
 `warm_spread_ms`, the max - min of a row's warm medians across the
 rounds: a row that moves by no more than that shows nothing.  It then runs
 `bench/run.py --trace 1` five times (seeds 1 to 5, 10 s each) on every
@@ -171,8 +172,8 @@ def kernel_calls(p, n, M):
     table = ingest_modular_symbols(document)
     params, level = FormParams(p, -1, 1, M), min(n, 3)
     tower = theta_sequence(table, n, 0, M)
-    top, nu_prev = tower[n], lift_nu(tower[n - 1])
-    peel = decompose_pair(top, nu_prev, tower.params)
+    top, lower_theta = tower[n], tower[n - 1]
+    peel = decompose_pair(top, lower_theta, tower.params)
 
     def verify_battery():
         det_identity_check(params, level)
@@ -202,7 +203,7 @@ def kernel_calls(p, n, M):
             "theta_sequence": lambda: theta_sequence(table, n, 0, M),
             "build_parser": build_parser,
             "verify_battery": verify_battery,
-            "peel_top": lambda: decompose_pair(top, nu_prev, tower.params),
+            "peel_top": lambda: decompose_pair(top, lower_theta, tower.params),
             "invariants_top": invariants_top,
             **sparse_calls(p, n, M, rng)}
 
@@ -252,9 +253,11 @@ def bytecode_caches(checkouts):
 
 
 def kernels_of(checkout):
-    """Kernel timings of a checkout, measured in a fresh interpreter."""
+    """Kernel timings of a checkout by its own copy of this script, measured
+    in a fresh interpreter."""
     env = child_env(PYTHONPATH=str(Path(checkout) / "src"))
-    result = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--kernels-only"],
+    script = Path(checkout) / "scripts" / "bench_kernels.py"
+    result = subprocess.run([sys.executable, str(script), "--kernels-only"],
                             env=env, capture_output=True, text=True, check=True)
     return json.loads(result.stdout)
 

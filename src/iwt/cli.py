@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .bsd_analytics import (ShaRecord, modesty_map, rank_bound, sha_growth)
-from .errors import IwtError, OutOfRange, SchemaError
+from .errors import InvalidParams, IwtError, OutOfRange, SchemaError
 from .iwasawa_algebra import FormParams, lift_nu
 from .logmatrix import det_identity_check, functional_equation_check
 from .mazur_tate import (_int_field, _parse_rational, ingest_modular_symbols,
@@ -126,7 +126,7 @@ def _precision(args, level):
     floor = level + 8
     m = args.precision if args.precision is not None else floor
     if m < floor:
-        raise IwtError(f"precision M={m} below the headroom floor n+8={floor}")
+        raise OutOfRange(f"precision M={m} below the headroom floor n+8={floor}")
     return m
 
 
@@ -139,7 +139,7 @@ def _table_tower(args):
     for name, got in (("p", args.p), ("ap", args.ap), ("eps", args.eps)):
         want = {"p": table.p, "ap": table.ap, "eps": table.eps_p}[name]
         if got is not None and got != want:
-            raise IwtError(f"--{name}={got} contradicts the table value {want}")
+            raise InvalidParams(f"--{name}={got} contradicts the table value {want}")
     level = table.maxN - level_exponent(table.p, 0) if args.level is None else args.level
     m = _precision(args, level)
     return table, data, theta_sequence(table, level, args.tame, m)
@@ -156,8 +156,8 @@ def _invariants_json(inv):
 
 def cmd_decompose(args):
     table, data, seq = _table_tower(args)
-    # no pre-validation: corrupted data surfaces as NotDivisible with the
-    # failing peel index, which pinpoints the broken level
+    # no pre-validation: corrupted data surfaces as NotDivisible naming the
+    # levels of the first pair that fails to peel; verify locates the level
     apprs = decompose_sequence(seq, hatted=args.hatted)
     _write(args, "decompose.json", {
         "provenance": _provenance(vars(args), data),
@@ -267,7 +267,7 @@ def cmd_verify(args):
 
     if args.synthetic_seed is not None:
         if args.p is None or args.ap is None:
-            raise IwtError("synthetic verify needs --p and --ap")
+            raise InvalidParams("synthetic verify needs --p and --ap")
         level = 3 if args.level is None else args.level
         eps = 1 if args.eps is None else args.eps
         params = FormParams(args.p, args.ap, eps, _precision(args, level))
@@ -284,11 +284,10 @@ def cmd_verify(args):
            f"fails at level {queue_report.first_failure_level}")
 
     if queue_report.valid:
-        nu_prev = lift_nu(seq[level - 1])
-        top = decompose_pair(seq[level], nu_prev, params, hatted=args.hatted,
+        top = decompose_pair(seq[level], seq[level - 1], params, hatted=args.hatted,
                              tame_index=seq.tame_index)
-        theta, nu_back = recompose(top)
-        record("round trip", theta == seq[level] and nu_back == nu_prev)
+        theta, nu_prev = recompose(top)
+        record("round trip", theta == seq[level] and nu_prev == lift_nu(seq[level - 1]))
     record("determinant identity", det_identity_check(params, min(level, 3)))
     fe = functional_equation_check(params, min(level, 3))
     record("functional equation", fe.ok,

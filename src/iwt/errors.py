@@ -32,10 +32,6 @@ class OutOfRange(IwtError):
 class NotDivisible(IwtError):
     """Exact polynomial division left a nonzero remainder."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class ZeroInput(IwtError):
     """Operation is undefined on the zero element."""
@@ -58,7 +54,8 @@ class InvalidK(IwtError):
 
 
 class InvalidParams(IwtError):
-    """Kurihara-term parameters are inconsistent."""
+    """Parameters are missing or inconsistent: Kurihara terms, or command
+    flags against each other or against the input."""
 
 
 class SchemaError(IwtError):

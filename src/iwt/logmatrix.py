@@ -37,12 +37,6 @@ class LambdaMatrix:
             out.append(tuple(row))
         return LambdaMatrix(tuple(out))
 
-    def vec_mul(self, vec):
-        """(x, y) . self, the row-vector action used by decompositions."""
-        x, y = vec
-        a = self.entries
-        return (x * a[0][0] + y * a[1][0], x * a[0][1] + y * a[1][1])
-
     def map_entries(self, fn):
         return LambdaMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
@@ -82,17 +76,6 @@ def make_matrix(family, params, level, i=None):
     if family == "A-tilde":
         return LambdaMatrix(((ap, one), (meps, zero)))
     raise OutOfRange(f"unknown family {family!r}")
-
-
-def a_tilde_inverse(params, level):
-    """The explicit adjugate inverse of A-tilde (determinant eps_p, a unit)."""
-    p, M = params.p, params.precision
-    eps_inv = pow(params.eps_p, -1, p ** M)
-    zero = LambdaElement.zero(p, level, M)
-    one = LambdaElement.one(p, level, M)
-    m_eps_inv = LambdaElement.constant(p, level, M, -eps_inv)
-    ap_eps_inv = LambdaElement.constant(p, level, M, params.ap * eps_inv)
-    return LambdaMatrix(((zero, m_eps_inv), (one, ap_eps_inv)))
 
 
 def log_truncation(params, level, hatted=False):

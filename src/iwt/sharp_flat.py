@@ -1,21 +1,25 @@
 """Peeling level-n tower data into its sharp/flat components.
 
-The pair (Theta_n, nu Theta_{n-1}) is first hit with the unit-determinant
-constant matrix A~, then the steps (x, y) . S_i = (ap x - eps_p Phi_i y, x)
-are undone from the right, one exact division by Phi_i per index, with
-Phi_i the (completed, when hatted) i-th cyclotomic polynomial; the
-terminal pair is (sharp, flat).  The peel run forwards reproduces the
-input exactly, which is the round-trip contract every decomposition is
-tested against (forwards is `logmatrix.push_steps`; the tests keep its
-matrix form, `log_truncation` times `a_tilde_inverse`):
+The peel starts from (Theta_n, X^e Theta_{n-1}), with Theta_{n-1} read as
+a polynomial of degree < p^(n-1) in X = 1+T and e the completion twist of
+index n (0 unless hatted).  It undoes the steps
+(x, y) . S_i = (ap x - eps_p Phi_i y, x) from the right, one exact division
+by Phi_i (completed when hatted) per index n-1, ..., 1; the terminal pair
+is (sharp, flat):
+
+    (Theta_n, X^e Theta_{n-1}) = (sharp, flat) . S_1 ... S_(n-1).
+
+Since Phi_n X^e Theta_{n-1} = nu Theta_{n-1}, one more step and the inverse
+of A~ = [[ap, 1], [-eps_p, 0]] give the tower pair; `recompose` runs the
+peel forwards to it (by `logmatrix.push_steps`), the round trip every
+decomposition is tested against:
 
     (Theta_n, nu Theta_{n-1}) = (sharp, flat) . S_1 ... S_n . A~^(-1).
 
-Each division is exact on genuine tower data: the second loop entry is
-the image of a fiber-sum lift at the top step and inherits vanishing at
-the earlier p-power roots of unity from the three-term relation below.
-A NotDivisible error therefore names the peel index that exposed the
-corrupted level.
+Each division is exact when Theta_n and Theta_{n-1} satisfy the
+three-term relation.  A failing one cannot tell which of the two breaks
+it, so NotDivisible names the pair's levels; `iwt verify` checks the
+relation level by level.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .errors import (MixedPrime, NotDivisible, OutOfRange,
                      PrecisionExhausted, PrecisionMismatch, Unstable)
 from .iwasawa_algebra import (IwasawaInvariants, LambdaElement, _element,
                               cyclotomic_phi, divide_by_phi,
-                              iwasawa_invariants, lift_nu, vanishing_order)
+                              half_twist_exponent, iwasawa_invariants,
+                              vanishing_order)
 from .logmatrix import push_steps
 from .padic_core import PadicInt, padic_from_rational
 
@@ -50,53 +55,46 @@ class SharpFlatApprox:
         return iwasawa_invariants(self.sharp), iwasawa_invariants(self.flat)
 
 
-def decompose_pair(theta_n, nu_prev, params, hatted=False, tame_index=None):
-    """Peel (Theta_n, nu Theta_{n-1}) into the terminal (sharp, flat) pair."""
+def decompose_pair(theta_n, theta_prev, params, hatted=False, tame_index=None):
+    """Peel (Theta_n, Theta_{n-1}) into the terminal (sharp, flat) pair."""
     n = theta_n.level
-    if nu_prev.level != n:
-        raise OutOfRange("nu Theta_{n-1} must live at level n")
-    if nu_prev.precision != theta_n.precision:
+    if theta_prev.level != n - 1:
+        raise OutOfRange("theta_prev must live one level below theta_n")
+    if theta_prev.precision != theta_n.precision:
         raise PrecisionMismatch(
-            f"Theta_n at M={theta_n.precision}, nu Theta_{{n-1}} at M={nu_prev.precision}")
-    if n < 1:
-        raise OutOfRange("decomposition needs level >= 1")
+            f"Theta_n at M={theta_n.precision}, Theta_{{n-1}} at M={theta_prev.precision}")
     if hatted and params.p == 2:
         # the completion twists (1+T)^(-2^(i-2)) evaluate to -1 at the
         # next-lower 2-power point and break exact peel divisibility
         raise OutOfRange("completed decomposition is supported for odd p only")
-    if nu_prev.p != theta_n.p:
-        raise MixedPrime(f"primes {theta_n.p} and {nu_prev.p}")
+    if theta_prev.p != theta_n.p:
+        raise MixedPrime(f"primes {theta_n.p} and {theta_prev.p}")
     p, M, modulus = theta_n.p, theta_n.precision, theta_n.modulus
-    ap, eps = params.ap, params.eps_p
-    eps_inv = pow(eps, -1, params.modulus)
-    # (x, y) = (Theta_n, nu Theta_{n-1}) . A~, as group-basis vectors; each
-    # step divides (ap y - x) / eps_p, formed in one pass, by Phi_i
-    x = [ap * a - eps * b for a, b in zip(theta_n.units, nu_prev.units)]
-    y = theta_n.units
-    for i in range(n, 0, -1):
+    ap, eps_inv = params.ap, pow(params.eps_p, -1, params.modulus)
+    # (x, y) = (Theta_n, X^e Theta_{n-1}) as group-basis vectors; each step
+    # divides (ap y - x) / eps_p, formed in one pass, by Phi_i
+    e = half_twist_exponent(p, n) if hatted else 0
+    x, y = theta_n.units, ([0] * e + list(theta_prev.units) + [0] * p ** n)[:p ** n]
+    for i in range(n - 1, 0, -1):
         try:
             u = divide_by_phi([(ap * b - a) * eps_inv for a, b in zip(x, y)],
                               p, i, modulus, hatted)
         except NotDivisible as exc:
-            raise NotDivisible(f"peel index {i}: {exc}", index=i) from exc
+            raise NotDivisible(
+                f"Theta_n or Theta_{{n-1}} breaks the three-term relation (levels {n} "
+                f"and {n - 1}); iwt verify checks the relation level by level") from exc
         x, y = y, u
-    # n >= 1 steps ran, so x and y are reduced residue vectors
     return SharpFlatApprox(level=n, tame_index=tame_index,
                            sharp=_element(p, n, M, x), flat=_element(p, n, M, y),
                            hatted=hatted, params=params)
 
 
 def decompose(theta_n, theta_prev, params, hatted=False, tame_index=None):
-    """Decompose consecutive tower elements (Theta_n, Theta_{n-1}).
-
-    The pair comes back with its T-coefficients made, so a timing of this
-    call (the synthetic peel of bench/worker.py) includes the change of
-    basis that its caller reads afterwards.
-    """
-    if theta_prev.level != theta_n.level - 1:
-        raise OutOfRange("theta_prev must live one level below theta_n")
-    approx = decompose_pair(theta_n, lift_nu(theta_prev), params,
-                            hatted=hatted, tame_index=tame_index)
+    """`decompose_pair` with the pair's T-coefficients made, so a timing of
+    this call (the synthetic peel of bench/worker.py) includes the change of
+    basis that its caller reads afterwards."""
+    approx = decompose_pair(theta_n, theta_prev, params, hatted=hatted,
+                            tame_index=tame_index)
     for x in (approx.sharp, approx.flat):
         x.coeffs
     return approx
@@ -123,7 +121,7 @@ def decompose_sequence(seq, hatted=False):
 
     T-coefficients are left unmade: the invariants read the group basis.
     """
-    return [decompose_pair(seq[m], lift_nu(seq[m - 1]), seq.params, hatted=hatted,
+    return [decompose_pair(seq[m], seq[m - 1], seq.params, hatted=hatted,
                            tame_index=seq.tame_index)
             for m in range(1, seq.top_level + 1)]
 

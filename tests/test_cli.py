@@ -81,17 +81,32 @@ def test_verify_reports_match_golden_digests(tmp_path, argv):
     assert hashlib.sha256(report).hexdigest() == VERIFY_GOLDEN[argv]
 
 
-def test_flag_contradiction_is_rejected(tmp_path):
+def last_error(capsys):
+    """The JSON error report of the last failed command."""
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_flag_contradiction_is_rejected(tmp_path, capsys):
     assert run(["decompose", "--input", FIXTURE, "--level", 2, "--tame", 0,
                 "--ap", 5, "--out", tmp_path]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "InvalidParams" and "--ap=5" in report["message"]
 
 
-def test_precision_floor_enforced(tmp_path):
+def test_precision_floor_enforced(tmp_path, capsys):
     assert run(["decompose", "--input", FIXTURE, "--level", 3, "--tame", 0,
                 "--precision", 4, "--out", tmp_path]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "OutOfRange" and "n+8=11" in report["message"]
 
 
-def test_corrupted_table_names_the_peel_index(tmp_path, capsys):
+def test_synthetic_verify_needs_the_form(capsys):
+    assert run(["verify", "--synthetic-seed", 9, "--p", 3]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "InvalidParams" and "--ap" in report["message"]
+
+
+def test_corrupted_table_names_the_level_pair(tmp_path, capsys):
     doc = json.loads(FIXTURE.read_text())
     for entry in doc["symbols"]:
         # keep the +- symmetry so ingestion passes: bump a mirrored pair
@@ -101,10 +116,11 @@ def test_corrupted_table_names_the_peel_index(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(["decompose", "--input", bad, "--level", 3, "--tame", 0,
                 "--out", tmp_path]) == 1
-    err = capsys.readouterr().err
-    report = json.loads(err.strip().splitlines()[-1])
+    report = last_error(capsys)
     assert report["error"] == "NotDivisible"
-    assert "peel index" in report["message"]
+    assert report["message"] == ("Theta_n or Theta_{n-1} breaks the three-term relation "
+                                 "(levels 3 and 2); iwt verify checks the relation "
+                                 "level by level")
 
 
 def test_verify_fixture_and_synthetic(tmp_path, capsys):

@@ -274,7 +274,7 @@ def test_decompose_makes_the_pair_coefficients(p, ap, n, M, hatted):
     params = FormParams(p, ap, 1, M)
     seq = synthesize_queue(5 * p + n, params, n)
     approx = decompose(seq[n], seq[n - 1], params, hatted=hatted)
-    peeled = decompose_pair(seq[n], lift_nu(seq[n - 1]), params, hatted=hatted)
+    peeled = decompose_pair(seq[n], seq[n - 1], params, hatted=hatted)
     with counted_shifts() as shifts:
         assert (approx.sharp.coeffs, approx.flat.coeffs) == (peeled.sharp.coeffs,
                                                              peeled.flat.coeffs)

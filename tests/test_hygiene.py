@@ -1,9 +1,9 @@
 """Static hygiene of the package source.
 
-Every imported name is used, every private module-level function is read
-somewhere in the package, and every public module-level function and
-class is read somewhere in the package, the tests, the benchmark or the
-scripts.
+Every imported name is used, no module raises the base class IwtError,
+every private module-level function is read somewhere in the package, and
+every public module-level function and class is read somewhere in the
+package, the tests, the benchmark or the scripts.
 """
 
 import ast
@@ -84,3 +84,22 @@ def test_no_unread_public_definitions():
     read = set().union(*(names_read(path.read_text()) for path in CALLERS))
     defined = set().union(*(public_definitions(module.read_text()) for module in MODULES))
     assert sorted(defined - read) == []
+
+
+def base_class_raises(source):
+    """Lines that raise the base class IwtError itself, called or not."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
+                  and getattr(node.exc, "func", node.exc).id == "IwtError")
+
+
+def test_checker_finds_a_base_class_raise():
+    source = ("def f(x):\n    if x:\n        raise IwtError('x')\n"
+              "    raise OutOfRange('y')\n\ndef g():\n    raise IwtError\n")
+    assert base_class_raises(source) == [3, 7]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
+def test_no_base_class_raises(module):
+    assert base_class_raises(module.read_text()) == []

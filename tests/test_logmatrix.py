@@ -8,10 +8,10 @@ from iwt.errors import OutOfRange
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  newton_vr, substitute_inverse)
 from iwt.logmatrix import (FunctionalEquationReport, LambdaMatrix,
-                           a_tilde_inverse, det_identity_check,
-                           functional_equation_check, half_logs,
-                           log_truncation, make_matrix)
+                           det_identity_check, functional_equation_check,
+                           half_logs, log_truncation, make_matrix)
 from iwt.padic_core import INF, ExtRational, ValMatrix, tropical_mul
+from peel_oracle import a_tilde_inverse
 
 M = 10
 F = Fraction

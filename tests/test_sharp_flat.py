@@ -9,14 +9,14 @@ from iwt.errors import (MixedPrime, NotDivisible, OutOfRange, PrecisionMismatch,
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  exact_divide_by_phi, iwasawa_invariants,
                                  lift_nu, project_pi, vanishing_order)
-from iwt.logmatrix import (a_tilde_inverse, log_truncation, make_matrix,
-                           push_steps)
+from iwt.logmatrix import log_truncation, make_matrix, push_steps
 from iwt.mazur_tate import (QueueSequence, synthesize_queue, theta_sequence,
                             validate_queue)
 from iwt.sharp_flat import (SharpFlatApprox, decompose, decompose_pair,
                             decompose_sequence, recompose,
                             special_value_check, stabilized_invariants,
                             vector_vanishing_orders)
+from peel_oracle import PeelIndexError, a_tilde_inverse, nu_peel, vec_mul
 from tbasis_oracle import TLambda
 
 M = 12
@@ -45,7 +45,7 @@ def test_roundtrip_both_directions_small_grid():
                 theta, nu_prev = recompose(appr)
                 assert theta == seq[n]
                 assert nu_prev == lift_nu(seq[n - 1])
-                back = decompose_pair(theta, nu_prev, params, hatted=hatted)
+                back = nu_peel(theta, nu_prev, params, hatted=hatted)
                 assert back.sharp == appr.sharp and back.flat == appr.flat
 
 
@@ -68,7 +68,7 @@ def test_completed_variant_rejected_for_p2():
         decompose(seq[2], seq[1], params, hatted=True)
 
 
-def test_not_divisible_names_the_peel_index():
+def test_not_divisible_names_the_level_pair():
     params = FormParams(3, -3, 1, M)
     seq = synthesize_queue(11, params, 3)
     bumped = list(seq[3].coeffs)
@@ -76,7 +76,9 @@ def test_not_divisible_names_the_peel_index():
     broken = LambdaElement(3, 3, M, bumped)
     with pytest.raises(NotDivisible) as err:
         decompose(broken, seq[2], params)
-    assert err.value.index is not None
+    assert str(err.value) == ("Theta_n or Theta_{n-1} breaks the three-term relation "
+                              "(levels 3 and 2); iwt verify checks the relation "
+                              "level by level")
 
 
 def test_precision_is_preserved():
@@ -92,8 +94,7 @@ def test_recompose_level_zero_base_case():
     f = LambdaElement.constant(3, 0, M, 7)
     appr = SharpFlatApprox(level=0, tame_index=None, sharp=s, flat=f,
                            hatted=False, params=params)
-    from iwt.logmatrix import a_tilde_inverse
-    assert recompose(appr) == a_tilde_inverse(params, 0).vec_mul((s, f))
+    assert recompose(appr) == vec_mul(a_tilde_inverse(params, 0), (s, f))
 
 
 def test_recompose_is_linear():
@@ -126,7 +127,7 @@ def test_level_compatibility_against_the_step_product():
             vec = (project_pi(hi.sharp) - lo.sharp,
                    project_pi(hi.flat) - lo.flat)
             for i in range(1, lo.level + 1):
-                vec = make_matrix("CCC", params, lo.level, i).vec_mul(vec)
+                vec = vec_mul(make_matrix("CCC", params, lo.level, i), vec)
             assert vec[0].is_zero() and vec[1].is_zero()
             assert hi.sharp.at_zero() == lo.sharp.at_zero()
             assert hi.flat.at_zero() == lo.flat.at_zero()
@@ -143,8 +144,10 @@ def test_invariants_recovered_from_constructed_vectors():
                              [rng.randrange(3 ** M) for _ in range(2)])
         sharp = 3 * LambdaElement.monomial(3, n, M, 1) * unit      # (1, 1)
         flat = LambdaElement(3, n, M, [9, 3, 1])                   # (0, 2)
-        tn, nup = step_product(params, n, False).vec_mul((sharp, flat))
-        appr = decompose_pair(tn, nup, params)
+        # a pair made from arbitrary (sharp, flat) needs not be a lift, so
+        # the nu-form peel, which takes any pair, reads it back
+        tn, nup = vec_mul(step_product(params, n, False), (sharp, flat))
+        appr = nu_peel(tn, nup, params)
         assert iwasawa_invariants(appr.sharp).pair() == (1, 1)
         assert iwasawa_invariants(appr.flat).pair() == (0, 2)
 
@@ -225,17 +228,24 @@ def test_special_value_lratio_gate():
 def test_decompose_pair_rejects_a_precision_mismatch():
     params = FormParams(3, -3, 1, M)
     seq = synthesize_queue(4, params, 2)
-    nu_prev = lift_nu(seq[1])
-    coarse = LambdaElement(3, 2, M - 1, list(nu_prev.coeffs))
+    coarse = LambdaElement(3, 1, M - 1, list(seq[1].coeffs))
     with pytest.raises(PrecisionMismatch):
         decompose_pair(seq[2], coarse, params)
+
+
+def test_decompose_pair_rejects_a_lifted_lower_level():
+    # the pair is (Theta_n, Theta_{n-1}); nu Theta_{n-1} lives at level n
+    params = FormParams(3, -3, 1, M)
+    seq = synthesize_queue(4, params, 2)
+    with pytest.raises(OutOfRange, match="one level below"):
+        decompose_pair(seq[2], lift_nu(seq[1]), params)
 
 
 def test_decompose_pair_rejects_two_primes():
     params = FormParams(3, -3, 1, M)
     theta = LambdaElement(3, 1, M, [1, 2, 3])
     with pytest.raises(MixedPrime):
-        decompose_pair(theta, LambdaElement(5, 1, M, [1, 2, 3]), params)
+        decompose_pair(theta, LambdaElement(5, 0, M, [1]), params)
 
 
 def matrix_route(approx):
@@ -243,7 +253,7 @@ def matrix_route(approx):
     family = "CCC-hat" if approx.hatted else "CCC"
     vec = (approx.sharp, approx.flat)
     for i in range(1, approx.level + 1):
-        vec = make_matrix(family, approx.params, approx.level, i).vec_mul(vec)
+        vec = vec_mul(make_matrix(family, approx.params, approx.level, i), vec)
     return vec
 
 
@@ -263,7 +273,7 @@ def test_forward_product_matches_the_matrix_route(p):
                      for hatted in hats_for(p)]
     for approx in approxes:
         vec = matrix_route(approx)
-        assert recompose(approx) == a_tilde_inverse(params, approx.level).vec_mul(vec)
+        assert recompose(approx) == vec_mul(a_tilde_inverse(params, approx.level), vec)
         m_range = range(approx.level + 1)
         want = {m: min(vanishing_order(e, m) for e in vec if not e.is_zero())
                 for m in m_range}
@@ -271,9 +281,9 @@ def test_forward_product_matches_the_matrix_route(p):
 
 
 def ring_peel(theta_n, nu_prev, params, hatted, divide):
-    """The peel as ring operations, one exact division per index: the loop
-    decompose_pair ran before it worked on group-basis vectors.  Runs in
-    either ring, with that ring's division by Phi_{p^i}."""
+    """The nu-form peel as ring operations, one exact division per index:
+    the loop decompose_pair ran before it worked on group-basis vectors.
+    Runs in either ring, with that ring's division by Phi_{p^i}."""
     eps_inv = pow(params.eps_p, -1, params.modulus)
     # (x, y) = (Theta_n, nu Theta_{n-1}) . A~
     x = theta_n * params.ap - nu_prev * params.eps_p
@@ -282,35 +292,48 @@ def ring_peel(theta_n, nu_prev, params, hatted, divide):
         try:
             u = divide((y * params.ap - x) * eps_inv, i, hatted)
         except NotDivisible as exc:
-            raise NotDivisible(f"peel index {i}: {exc}", index=i) from exc
+            raise PeelIndexError(f"peel index {i}: {exc}", index=i) from exc
         x, y = y, u
     return x, y
 
 
-def peel_outcomes(theta_n, nu_prev, params, hatted):
-    """The pair's T-coefficients, or the (index, message) of NotDivisible,
-    from decompose_pair and from the ring-op peel in the package's ring and
-    in the T-basis ring of tbasis_oracle."""
-    p, n, M = theta_n.p, theta_n.level, theta_n.precision
-
-    def t_ring(x):
-        return TLambda(p, n, M, list(x.coeffs))
-
-    runs = [lambda: decompose_pair(theta_n, nu_prev, params, hatted=hatted),
-            lambda: ring_peel(theta_n, nu_prev, params, hatted, exact_divide_by_phi),
-            lambda: ring_peel(t_ring(theta_n), t_ring(nu_prev), params, hatted,
-                              oracle.exact_divide_by_phi)]
+def outcomes_of(runs):
+    """Each run's pair as T-coefficients, or the (index, message) of its
+    NotDivisible; the package's peel names no index, so None stands in."""
     outcomes = []
     for run in runs:
         try:
             pair = run()
         except NotDivisible as exc:
-            outcomes.append((exc.index, str(exc)))
+            outcomes.append((getattr(exc, "index", None), str(exc)))
             continue
         if isinstance(pair, SharpFlatApprox):
             pair = pair.sharp, pair.flat
         outcomes.append(tuple(x.coeffs for x in pair))
     return outcomes
+
+
+def nu_peel_outcomes(theta_n, nu_prev, params, hatted):
+    """The outcomes of the nu-form peel of (Theta_n, nu Theta_{n-1}): the
+    oracle nu_peel, and the ring-op peel in the package's ring and in the
+    T-basis ring of tbasis_oracle."""
+    p, n, M = theta_n.p, theta_n.level, theta_n.precision
+
+    def t_ring(x):
+        return TLambda(p, n, M, list(x.coeffs))
+
+    return outcomes_of([
+        lambda: nu_peel(theta_n, nu_prev, params, hatted=hatted),
+        lambda: ring_peel(theta_n, nu_prev, params, hatted, exact_divide_by_phi),
+        lambda: ring_peel(t_ring(theta_n), t_ring(nu_prev), params, hatted,
+                          oracle.exact_divide_by_phi)])
+
+
+def peel_outcomes(theta_n, theta_prev, params, hatted):
+    """decompose_pair's outcome on (Theta_n, Theta_{n-1}), then the three
+    nu-form outcomes on (Theta_n, nu Theta_{n-1})."""
+    return (outcomes_of([lambda: decompose_pair(theta_n, theta_prev, params, hatted=hatted)])
+            + nu_peel_outcomes(theta_n, lift_nu(theta_prev), params, hatted))
 
 
 TOWERS = {2: (3, 6, 14), 3: (-3, 4, 12), 5: (2, 3, 11), 7: (0, 3, 10)}
@@ -324,8 +347,8 @@ def test_the_peel_matches_the_ring_op_peel(p):
     seq = synthesize_queue(31 * p, params, top)
     for n in range(1, top + 1):
         for hatted in hats_for(p):
-            got, ring, t_ring = peel_outcomes(seq[n], lift_nu(seq[n - 1]), params, hatted)
-            assert got == ring == t_ring and not isinstance(got[0], int)
+            got, vec, ring, t_ring = peel_outcomes(seq[n], seq[n - 1], params, hatted)
+            assert got == vec == ring == t_ring and not isinstance(got[0], int)
 
 
 @pytest.mark.parametrize("tame", [0, 1])
@@ -333,30 +356,90 @@ def test_the_peel_matches_the_ring_op_peel_on_37a(e37a_table, tame):
     seq = theta_sequence(e37a_table, 4, tame, 12)
     for n in range(1, 5):
         for hatted in (False, True):
-            got, ring, t_ring = peel_outcomes(seq[n], lift_nu(seq[n - 1]), seq.params,
-                                              hatted)
-            assert got == ring == t_ring and not isinstance(got[0], int)
+            got, vec, ring, t_ring = peel_outcomes(seq[n], seq[n - 1], seq.params, hatted)
+            assert got == vec == ring == t_ring and not isinstance(got[0], int)
+
+
+def assert_same_vectors(theta_n, theta_prev, params, hatted):
+    got = decompose_pair(theta_n, theta_prev, params, hatted=hatted)
+    want = nu_peel(theta_n, lift_nu(theta_prev), params, hatted=hatted)
+    assert (got.sharp.units, got.flat.units) == (want.sharp.units, want.flat.units)
+
+
+# (p, ap): supersingular, ap = 0 and ordinary forms at every prime
+FORMS = {2: (2, 0, 1), 3: (-3, 0, 1, 4), 5: (2, 0, 1), 7: (0, 3)}
+TOP = {2: 5, 3: 4, 5: 3, 7: 3}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_peel_matches_the_nu_form_peel(p):
+    # group-basis vectors, not T-coefficients, at every level of several
+    # towers with a non-trivial eps_p
+    for ap in FORMS[p]:
+        for seed in (1, 2, 3):
+            params = FormParams(p, ap, p + 1, M)
+            seq = synthesize_queue(100 * p + 10 * seed + ap, params, TOP[p])
+            for n in range(1, TOP[p] + 1):
+                for hatted in hats_for(p):
+                    assert_same_vectors(seq[n], seq[n - 1], params, hatted)
+
+
+@pytest.mark.parametrize("tame", [0, 1])
+def test_the_peel_matches_the_nu_form_peel_on_37a(e37a_table, tame):
+    seq = theta_sequence(e37a_table, 4, tame, 12)
+    for n in range(1, 5):
+        for hatted in (False, True):
+            assert_same_vectors(seq[n], seq[n - 1], seq.params, hatted)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_bumped_level_fails_only_the_pairs_it_belongs_to(p):
+    # one group coefficient of Theta_k bumped by 1: a pair (n, n-1) that
+    # fails to peel contains k, and the error names that pair.  Not every
+    # bump fails some pair (Theta_0 never does, nor Theta_1 at ap = 0), so
+    # only the containment is asserted, and that some bump fails at all.
+    ap, top, M_p = TOWERS[p]
+    params = FormParams(p, ap, p + 1, M_p)
+    seq = synthesize_queue(13 * p, params, top)
+    rng = random.Random(p)
+    failures = 0
+    for hatted in hats_for(p):
+        for k in range(top + 1):
+            units = list(seq[k].units)
+            units[rng.randrange(len(units))] += 1
+            tower = list(seq.elements)
+            tower[k] = LambdaElement.from_unit_basis(p, k, M_p, units)
+            for n in range(1, top + 1):
+                try:
+                    decompose_pair(tower[n], tower[n - 1], params, hatted=hatted)
+                except NotDivisible as exc:
+                    failures += 1
+                    assert k in (n, n - 1)
+                    assert f"(levels {n} and {n - 1})" in str(exc)
+    assert failures
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_a_corrupted_level_names_its_peel_index(p):
-    # The peel state before index i is (sharp, flat) . S_1 ... S_i.  Bumping
-    # its first entry by a unit power X^s leaves (ap y - x) / eps_p short of a
-    # multiple of Phi_i; run forwards through S_(i+1) ... S_n and A~^(-1), it
-    # makes a pair whose peel passes indices n .. i+1 and fails at i.
+    # The nu-form peel state before index i is (sharp, flat) . S_1 ... S_i.
+    # Bumping its first entry by a unit power X^s leaves (ap y - x) / eps_p
+    # short of a multiple of Phi_i; run forwards through S_(i+1) ... S_n and
+    # A~^(-1), it makes a pair whose peel passes indices n .. i+1 and fails
+    # at i.  Such a pair is no (Theta_n, nu Theta_{n-1}) of a tower, so only
+    # the nu-form peels take it.
     ap, n, M_p = TOWERS[p]
     params = FormParams(p, ap, p + 1, M_p)
     seq = synthesize_queue(7 * p, params, n)
     rng = random.Random(p)
     eps_inv = pow(params.eps_p, -1, params.modulus)
     for hatted in hats_for(p):
-        approx = decompose_pair(seq[n], lift_nu(seq[n - 1]), params, hatted=hatted)
+        approx = decompose_pair(seq[n], seq[n - 1], params, hatted=hatted)
         phis = [cyclotomic_phi(p, i, n, M_p, hatted) for i in range(1, n + 1)]
         for index in range(1, n + 1):
             x, y = push_steps((approx.sharp, approx.flat), ap, params.eps_p, phis[:index])
             x += LambdaElement.unit_power(p, n, M_p, rng.randrange(p ** n))
             x, y = push_steps((x, y), ap, params.eps_p, phis[index:])
-            outcomes = peel_outcomes(y, (ap * y - x) * eps_inv, params, hatted)
+            outcomes = nu_peel_outcomes(y, (ap * y - x) * eps_inv, params, hatted)
             assert outcomes[0] == outcomes[1] == outcomes[2]
             assert outcomes[0][0] == index
             assert outcomes[0][1].startswith(f"peel index {index}: division by Phi")
