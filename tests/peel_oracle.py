@@ -5,7 +5,9 @@ constant matrix A~ and divides by Phi_{p^i} at every index n, ..., 1,
 the top one included; on tower data that top division returns
 X^e Theta_{n-1}, where `sharp_flat.decompose_pair` starts.  It accepts
 any pair at level n, not only lifts, so the tests also run it on
-corrupted peel states.  `a_tilde_inverse` and `vec_mul` are the matrix
+corrupted peel states.  `unlift_nu` reads Theta_{n-1} back from a
+nu-lift, so a recomposed pair can go through the package peel again.
+`a_tilde_inverse` and `vec_mul` are the matrix
 form of `sharp_flat.recompose`, which the tests compare against.
 """
 
@@ -41,6 +43,14 @@ def nu_peel(theta_n, nu_prev, params, hatted=False, tame_index=None):
     return SharpFlatApprox(level=n, tame_index=tame_index,
                            sharp=_element(p, n, M, x), flat=_element(p, n, M, y),
                            hatted=hatted, params=params)
+
+
+def unlift_nu(nu_prev):
+    """The level n-1 element whose nu-lift is nu_prev: its first p^(n-1)
+    group coordinates, since a lift is p copies of them side by side."""
+    p, n = nu_prev.p, nu_prev.level
+    return LambdaElement.from_unit_basis(p, n - 1, nu_prev.precision,
+                                         nu_prev.units[:p ** (n - 1)])
 
 
 def a_tilde_inverse(params, level):

@@ -26,10 +26,10 @@ from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
 from iwt.logmatrix import det_identity_check, functional_equation_check, half_logs
 from iwt.mazur_tate import ingest_modular_symbols, synthesize_queue, theta_sequence
 from iwt.padic_core import ExtRational, ValMatrix
-from iwt.sharp_flat import (SharpFlatApprox, decompose, decompose_sequence,
-                            recompose, stabilized_invariants,
+from iwt.sharp_flat import (SharpFlatApprox, decompose, decompose_pair,
+                            decompose_sequence, recompose, stabilized_invariants,
                             special_value_check, vector_vanishing_orders)
-from peel_oracle import nu_peel, vec_mul
+from peel_oracle import unlift_nu, vec_mul
 
 F = Fraction
 INF = ExtRational.infinity()
@@ -55,7 +55,8 @@ def test_criterion_1_round_trip_decomposition():
                 theta, nu_prev = recompose(appr)
                 assert theta == seq[n]
                 assert nu_prev == lift_nu(seq[n - 1])
-                again = nu_peel(theta, nu_prev, params, hatted=hatted)
+                again = decompose_pair(theta, unlift_nu(nu_prev), params,
+                                       hatted=hatted)
                 assert again.sharp == appr.sharp and again.flat == appr.flat
                 count += 1
     elapsed = time.monotonic() - started

@@ -16,7 +16,8 @@ from iwt.sharp_flat import (SharpFlatApprox, decompose, decompose_pair,
                             decompose_sequence, recompose,
                             special_value_check, stabilized_invariants,
                             vector_vanishing_orders)
-from peel_oracle import PeelIndexError, a_tilde_inverse, nu_peel, vec_mul
+from peel_oracle import (PeelIndexError, a_tilde_inverse, nu_peel, unlift_nu,
+                         vec_mul)
 from tbasis_oracle import TLambda
 
 M = 12
@@ -45,7 +46,8 @@ def test_roundtrip_both_directions_small_grid():
                 theta, nu_prev = recompose(appr)
                 assert theta == seq[n]
                 assert nu_prev == lift_nu(seq[n - 1])
-                back = nu_peel(theta, nu_prev, params, hatted=hatted)
+                back = decompose_pair(theta, unlift_nu(nu_prev), params,
+                                      hatted=hatted)
                 assert back.sharp == appr.sharp and back.flat == appr.flat
 
 
@@ -144,10 +146,12 @@ def test_invariants_recovered_from_constructed_vectors():
                              [rng.randrange(3 ** M) for _ in range(2)])
         sharp = 3 * LambdaElement.monomial(3, n, M, 1) * unit      # (1, 1)
         flat = LambdaElement(3, n, M, [9, 3, 1])                   # (0, 2)
-        # a pair made from arbitrary (sharp, flat) needs not be a lift, so
-        # the nu-form peel, which takes any pair, reads it back
         tn, nup = vec_mul(step_product(params, n, False), (sharp, flat))
-        appr = nu_peel(tn, nup, params)
+        prev = unlift_nu(nup)
+        assert lift_nu(prev) == nup
+        appr = decompose_pair(tn, prev, params)
+        want = nu_peel(tn, nup, params)
+        assert appr.sharp == want.sharp and appr.flat == want.flat
         assert iwasawa_invariants(appr.sharp).pair() == (1, 1)
         assert iwasawa_invariants(appr.flat).pair() == (0, 2)
 
