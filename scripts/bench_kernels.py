@@ -39,11 +39,15 @@ prints one JSON document, at the points (p, n, M) of POINTS:
   peel, each rebuilt from its group-basis vector by `from_unit_basis`
   on every call, so that no T-coefficient view is left over from an
   earlier call;
+* `synthesize_top`: `synthesize_queue` up to level n at precision M
+  (seed 1, a_p = -1, eps = 1), the synthetic tower of `iwt verify
+  --synthetic-seed` and of the tower-synth workload;
 * the crossover of the sparse multiply, where `polyops` has it: a dense
   vector times one with w nonzero entries, w in (1, p, 2p, 4p), mod
-  X^N - 1, by rotations (`sparse_rotate_w`) and by a Kronecker product
-  and a fold (`sparse_kronecker_w`).  The ring takes rotations for
-  w <= p.
+  X^N - 1, by `poly_cyclic_mul_sparse` (`sparse_rotate_w`, named after
+  the rotations that kernel once made; it now adds shifted copies of
+  one packed vector) and by a Kronecker product and a fold
+  (`sparse_kronecker_w`).  The ring takes the sparse kernel for w <= p.
 
 At (3, 7, 15) the table has the shape of the tower-table workload, and
 at (2, 6, 14) and (5, 3, 11) of curve-sweep tables.  `cold_ms` is the
@@ -149,7 +153,7 @@ def kernel_calls(p, n, M):
                                      lift_nu, project_pi)
     from iwt.logmatrix import det_identity_check, functional_equation_check
     from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
-                                theta_sequence)
+                                synthesize_queue, theta_sequence)
     from iwt.polyops import poly_mul, poly_taylor_shift
     from iwt.sharp_flat import decompose_pair
     generate_table = bench_module("gen_table").generate_table
@@ -205,6 +209,7 @@ def kernel_calls(p, n, M):
             "verify_battery": verify_battery,
             "peel_top": lambda: decompose_pair(top, lower_theta, tower.params),
             "invariants_top": invariants_top,
+            "synthesize_top": lambda: synthesize_queue(1, params, n),
             **sparse_calls(p, n, M, rng)}
 
 

@@ -9,8 +9,9 @@ ring is linear (kernels in `polyops`):
 
 * a product is one Kronecker product folded mod X^(p^n) - 1;
 * a factor with at most p nonzero group coefficients multiplies by
-  rotations: every Phi_{p^i}(X) = sum_{k<p} X^(k p^(i-1)) and its
-  completed variant, every unit power X^s, T = X - 1 and X^(p^m) - 1;
+  shifted copies of the other packed factor: every Phi_{p^i}(X) =
+  sum_{k<p} X^(k p^(i-1)) and its completed variant, every unit power
+  X^s, T = X - 1 and X^(p^m) - 1;
 * the projection is a fold, the fiber-sum lift is p copies, and
   (1+T) -> (1+T)^(-1) is an index flip;
 * division by Phi_{p^i} multiplies by X^s - 1 (s = p^(i-1)) and divides
@@ -21,11 +22,13 @@ coeffs)` shifts by -1 to make `units`, and keeps its input as the
 `coeffs` view when that is already canonical (degree < p^n).  Otherwise
 `coeffs`, a Taylor shift of `units` by +1, is made on first read and
 kept; its readers are the JSON reports, digests and tests, and
-`newton_vr`.  `sharp_flat.decompose` and `mazur_tate.synthesize_queue`
-return elements whose `coeffs` are already made; `decompose_pair` and
-`decompose_sequence` leave them unmade.  mu and lambda need no
-conversion at p^M: `iwasawa_invariants` reads both off `units` (see its
-docstring), shifting at most one fold of the unit vector mod p.
+`newton_vr`.  `sharp_flat.decompose` returns elements whose `coeffs`
+are already made; `decompose_pair` and `decompose_sequence` leave them
+unmade.  `mazur_tate.synthesize_queue` builds each element in both
+bases at once, shifting only its random part to the group basis.  mu
+and lambda need no conversion at p^M: `iwasawa_invariants` reads both
+off `units` (see its docstring), shifting at most one fold of the unit
+vector mod p.
 
 The module also provides cyclotomic polynomials and their completed
 variants, exact division by them, vanishing orders at p-power roots of
@@ -91,14 +94,15 @@ def _check_ring(level, precision):
                          f"got n={level}, M={precision}")
 
 
-def _element(p, level, precision, units):
-    """The element with group-basis vector `units`: p^level residues mod p^M."""
+def _element(p, level, precision, units, coeffs=None):
+    """The element with group-basis vector `units`: p^level residues mod p^M;
+    `coeffs`, when given, are the same element's T-coefficients."""
     x = object.__new__(LambdaElement)
     x.p = p
     x.level = level
     x.precision = precision
     x.units = tuple(units)
-    x._coeffs = None
+    x._coeffs = None if coeffs is None else tuple(coeffs)
     return x
 
 
@@ -229,9 +233,10 @@ class LambdaElement:
         self._check(other)
         a, b = self.units, other.units
         # a factor with at most p nonzero group coefficients (Phi, its
-        # completed variant, a unit power, X^s - 1) multiplies by rotations;
-        # their cost grows with that count and stayed below the Kronecker
-        # product's up to p at every point of BENCH_group_basis.json
+        # completed variant, a unit power, X^s - 1) takes the sparse
+        # product, one shifted copy of the packed vector per coefficient;
+        # its cost grows with that count and stayed below the Kronecker
+        # product's up to 4p at every point of BENCH_linear_kernels.json
         if len(b) - b.count(0) <= self.p:
             return self._with(poly_cyclic_mul_sparse(a, b, m))
         if len(a) - a.count(0) <= self.p:

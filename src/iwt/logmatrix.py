@@ -24,19 +24,6 @@ class LambdaMatrix:
 
     entries: tuple
 
-    def __getitem__(self, idx):
-        return self.entries[idx[0]][idx[1]]
-
-    def __matmul__(self, other):
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(2):
-            row = []
-            for k in range(2):
-                row.append(a[i][0] * b[0][k] + a[i][1] * b[1][k])
-            out.append(tuple(row))
-        return LambdaMatrix(tuple(out))
-
     def map_entries(self, fn):
         return LambdaMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 

@@ -43,7 +43,8 @@ from operator import is_not, itemgetter, mod, neg, setitem
 
 from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
                      SchemaError)
-from .iwasawa_algebra import FormParams, LambdaElement, lift_nu, project_pi
+from .iwasawa_algebra import (FormParams, LambdaElement, _element, lift_nu,
+                              project_pi)
 from .padic_core import (level_exponent, newton_min, padic_from_rational,
                          teichmuller, val_p)
 from .polyops import poly_mul, poly_taylor_shift
@@ -446,10 +447,12 @@ def synthesize_queue(seed, params, n):
     """Deterministic pseudorandom tower satisfying the three-term relation.
 
     Theta_0, Theta_1 are uniform; each later element is the canonical
-    lift of the forced projection plus a random multiple of
-    (1+T)^(p^(m-1)) - 1.  Every element is built from its T-coefficients,
-    which it keeps: that multiple has degree < p^m, so it is a plain
-    product and the sum is already the canonical representative.
+    lift of the forced projection plus a random multiple r(T) of
+    (1+T)^(p^(m-1)) - 1.  That multiple has degree < p^m, so it is a plain
+    product and the sum is already the canonical representative.  The
+    element keeps both bases of that sum: its T-coefficients, and its
+    group-basis vector, the target's own plus r(X - 1) (X^(p^(m-1)) - 1),
+    for which only r is shifted to the group basis.
     """
     p, M = params.p, params.precision
     modulus = p ** M
@@ -463,10 +466,16 @@ def synthesize_queue(seed, params, n):
     for m in range(2, n + 1):
         target = params.ap * elements[m - 1] - params.eps_p * lift_nu(elements[m - 2])
         step = p ** (m - 1)
+        r = random_coeffs(p ** m - step)
         # (1+T)^step - 1: the coefficients of T^step - 1 shifted by T -> T + 1
         kernel_gen = poly_taylor_shift([-1] + [0] * (step - 1) + [1], 1, modulus)
-        noise = poly_mul(random_coeffs(p ** m - step), kernel_gen, modulus)
+        noise = poly_mul(r, kernel_gen, modulus)
         # the canonical representative of target, read one level up, plus noise
-        coeffs = [a + b for a, b in zip_longest(target.coeffs, noise, fillvalue=0)]
-        elements.append(LambdaElement(p, m, M, coeffs))
+        coeffs = [(a + b) % modulus
+                  for a, b in zip_longest(target.coeffs, noise, fillvalue=0)]
+        coeffs += [0] * (p ** m - len(coeffs))
+        r_units = poly_taylor_shift(r, -1, modulus)
+        units = [(a + b - c) % modulus for a, b, c in
+                 zip_longest(target.units, [0] * step + r_units, r_units, fillvalue=0)]
+        elements.append(_element(p, m, M, units, coeffs))
     return QueueSequence(params=params, elements=tuple(elements))

@@ -9,8 +9,10 @@ most of both rings runs on the linear kernels here:
 
 * `poly_fold` reduces mod X^n - 1 by adding blocks of n coefficients;
 * `poly_cyclic_mul_sparse` multiplies mod X^n - 1 by a factor with few
-  nonzero coefficients, one rotation per coefficient;
-* `poly_divmod_monic` divides by X^d - 1 by suffix sums.
+  nonzero coefficients: one shifted scalar multiple of the packed dense
+  vector per coefficient, then one fold and one unpack;
+* `poly_divmod_monic` divides by X^d - 1 by suffix sums, class by class,
+  or block by block when there are fewer blocks than classes.
 
 The kernels above linear cost are Kronecker products (vectors packed
 into big integers with carry-free slots): the product itself and the
@@ -18,12 +20,15 @@ Taylor shift f(x) -> f(x + c) by blocks that double each level (von zur
 Gathen & Gerhard, "Fast algorithms for Taylor shifts and certain
 difference equations", 1997).  The shift by +-1 is the change between
 the group basis and T-coefficients, and between the zeta-basis of
-`cyclotomic_ext` and its pi-coefficients.
+`cyclotomic_ext` and its pi-coefficients.  It runs with c >= 0 only (a
+negative shift between two sign flips), so its low levels can keep
+exact integer slots of one word on one packed integer, and reduce once.
 
-Slot layout: a slot holds the carry-free bound terms*(m-1)^2 of one
-product coefficient.  When that bound fits in 64 bits the slot is one
-little-endian 8-byte word, so a whole vector moves between list and big
-integer through `array("Q")` in one C-level call; on the product sizes
+Slot layout: a slot holds the exact bound of one output coefficient,
+terms*(m-1)^2 for a product and sum(sparse)*(m-1) for the sparse
+multiply.  When that bound fits in 64 bits the slot is one little-endian
+8-byte word, so a whole vector moves between list and big integer
+through `array("Q")` in one C-level call; on the product sizes
 the CLI runs (M >= n+8) such a slot is at least 6 bytes wide once the
 product has 256 terms, so rounding it up to 8 barely widens the product.
 Wider bounds keep the narrowest whole number of bytes w, since rounding
@@ -41,7 +46,9 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
+from math import comb
+from operator import add
 
 from .errors import NotAUnit, OutOfRange, ZeroInput
 
@@ -67,13 +74,18 @@ _WORD = array("Q").itemsize    # 8: one unsigned 64-bit word
 _SWAP = sys.byteorder == "big"
 
 
-def _slot_bytes(terms, modulus):
-    # a slot must hold a sum of `terms` products of residues without carrying
-    # over: one word while that bound fits in 64 bits, else the narrowest byte
-    # count, so that the big-integer product, the larger cost there, stays
-    # short; both move through word arrays (see the module docstring)
-    bits = (terms * (modulus - 1) ** 2).bit_length()
+def _width(bound):
+    # a slot must hold `bound` without carrying over: one word while that
+    # fits in 64 bits, else the narrowest byte count, so that the
+    # big-integer product, the larger cost there, stays short; both move
+    # through word arrays (see the module docstring)
+    bits = bound.bit_length()
     return _WORD if bits <= 8 * _WORD else (bits + 8) // 8
+
+
+def _slot_bytes(terms, modulus):
+    # a Kronecker slot holds a sum of `terms` products of residues
+    return _width(terms * (modulus - 1) ** 2)
 
 
 def _pack(coeffs, width):
@@ -142,19 +154,23 @@ def poly_fold(coeffs, size, modulus):
 
 
 def poly_cyclic_mul_sparse(dense, sparse, modulus):
-    """dense * sparse mod (X^n - 1, modulus) for two vectors of length n.
+    """dense * sparse mod (X^n - 1, modulus) for two vectors of length n,
+    dense of residues and sparse of nonnegative integers.
 
-    One rotation of dense per nonzero entry of sparse, so the cost is n
-    times the number of those entries.
+    dense is packed once, in slots that hold the exact bound
+    sum(sparse) * (m - 1) of a product coefficient (one word for every
+    Phi).  Each nonzero entry c at s adds c times the packed vector
+    shifted up by s slots, the coefficients of c X^s dense; the sum is
+    folded mod X^n - 1 and unpacked once.
     """
     size = len(dense)
-    out = [0] * size
-    for s, c in enumerate(sparse):
-        if c:
-            # rotated[i] = dense[i - s mod n], the coefficients of X^s * dense
-            rotated = dense[size - s:] + dense[:size - s]
-            out = [a + c * b for a, b in zip(out, rotated)]
-    return [a % modulus for a in out]
+    width = _width((sum(sparse) or 1) * (modulus - 1))
+    packed, bits = _pack(dense, width), 8 * width
+    total = sum(sparse[s] * packed << bits * s for s in compress(range(size), sparse))
+    # a slot and its image n slots up never both receive a term of one
+    # entry, so the fold stays within the bound
+    total = (total & ((1 << bits * size) - 1)) + (total >> bits * size)
+    return _unpack(total, size, width, modulus)
 
 
 def poly_divmod_monic(num, den, modulus):
@@ -163,23 +179,36 @@ def poly_divmod_monic(num, den, modulus):
     The quotient, of len(num) - d coefficients, is a set of suffix sums.
     Every divisor of the package is such a binomial; others raise OutOfRange.
     """
-    den = tuple(poly_trim([c % modulus for c in den]))
-    if not den:
-        raise ZeroInput("division by the zero polynomial")
-    if den[-1] != 1:
-        raise NotAUnit(f"divisor must be monic, leading coefficient is {den[-1]}")
     d = len(den) - 1
-    if not d or den[0] != modulus - 1 or any(den[1:d]):
-        raise OutOfRange(f"divisor must be X^d - 1 with d >= 1, got {list(den)}")
+    # the package spells X^d - 1 as (-1 or m - 1, 0, ..., 0, 1); any other
+    # spelling is reduced and trimmed before it is checked
+    if not (d >= 1 and den[-1] == 1 and den[0] % modulus == modulus - 1
+            and den.count(0) == d - 1):
+        den = tuple(poly_trim([c % modulus for c in den]))
+        if not den:
+            raise ZeroInput("division by the zero polynomial")
+        if den[-1] != 1:
+            raise NotAUnit(f"divisor must be monic, leading coefficient is {den[-1]}")
+        d = len(den) - 1
+        if not d or den[0] != modulus - 1 or any(den[1:d]):
+            raise OutOfRange(f"divisor must be X^d - 1 with d >= 1, got {list(den)}")
     num = [c % modulus for c in num]
     # num = q * (X^d - 1) + r: q_t = num_(t+d) + q_(t+d), a suffix sum along
-    # the residue class of t mod d; a class with one entry (t >= k - d) is
-    # already summed.  r_t = num_t + q_t below X^d
+    # the residue class of t mod d.  r_t = num_t + q_t below X^d
     quot, k = num[d:], len(num) - d
     if k <= 0:
-        return [], num
-    for r in range(max(0, min(d, k - d))):
-        quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
+        return [], poly_trim(num)
+    blocks = -(-k // d)
+    if blocks < d:
+        # fewer blocks than classes: from the top, each block of d adds the
+        # summed block above it
+        for start in range((blocks - 2) * d, -1, -d):
+            above = quot[start + d:start + 2 * d]
+            quot[start:start + len(above)] = map(add, quot[start:start + d], above)
+    else:
+        # a class with one entry (t >= k - d) is already summed
+        for r in range(min(d, k - d)):
+            quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
     quot = [q % modulus for q in quot]
     low = quot[:d] + [0] * (d - k)
     return quot, poly_trim([(a + b) % modulus for a, b in zip(num, low)])
@@ -197,6 +226,38 @@ def _shift_power(c, level, modulus):
     return power, _pack(power, _slot_bytes((1 << level) + 1, modulus))
 
 
+def _column_bound(c, block):
+    # max_j [x^j] sum_{i < block} (x + c)^i, over Z: the most that slot j of
+    # a shifted block of `block` coefficients gains per unit of each.  The
+    # sum is ((x + c)^block - 1) / (x - (1 - c)), by synthetic division
+    top = q = 0
+    for j in range(block, 0, -1):
+        q = comb(block, j) * c ** (block - j) + (1 - c) * q
+        top = max(top, q)
+    return top
+
+
+@lru_cache(maxsize=None)
+def _word_powers(c, modulus):
+    # (x + c)^(2^k) over Z, c >= 1, packed in words, for the low levels k at
+    # which the exact bound of a shifted block of 2^(k+1) residues fits one
+    # word, so that those levels need no reduction between them
+    powers, half = [], 1
+    while (modulus - 1) * _column_bound(c, 2 * half) >> 8 * _WORD == 0:
+        powers.append(_pack([comb(half, j) * c ** (half - j) for j in range(half + 1)],
+                            _WORD))
+        half *= 2
+    return tuple(powers)
+
+
+def _shift_level(packed, half, width, blocks, power):
+    # one level on a packed vector of `blocks` blocks of 2 * half slots:
+    # every block lo + x^half hi becomes lo + power * hi
+    half_bytes = half * width
+    low_mask = int.from_bytes((b"\xff" * half_bytes + bytes(half_bytes)) * blocks, "little")
+    return ((packed >> 8 * half_bytes) & low_mask) * power + (packed & low_mask)
+
+
 def poly_taylor_shift(f, c, modulus):
     """Coefficients of f(x + c) mod modulus, as many as f has.
 
@@ -205,21 +266,39 @@ def poly_taylor_shift(f, c, modulus):
     every block by lo + (x + c)^(2^k) * hi.  All the products of one level
     are a single Kronecker product: the packed vector with its low halves
     masked out, times (x + c)^(2^k).
+
+    A shift by c < 0 runs between two sign flips, f(x + c) = g(-x) for g
+    the shift of f(-x) by -c, so that every power has nonnegative
+    coefficients over Z.  The low levels at which a block shifted over Z
+    fits one word per slot then run on one packed integer, with no
+    reduction between them; every level above unpacks and reduces.
     """
     size = len(f)
     out = [x % modulus for x in f]
+    flip, c = c < 0, abs(c) % modulus
+    if not c:
+        return out
+    if flip:
+        out[1::2] = [-x % modulus for x in out[1::2]]
     half, level = 1, 0
+    words = _word_powers(c, modulus)[:max(size - 1, 0).bit_length()]
+    if words:
+        block = 1 << len(words)
+        out.extend([0] * (-len(out) % block))
+        packed = _pack(out, _WORD)
+        for power in words:
+            packed = _shift_level(packed, half, _WORD, len(out) // (2 * half), power)
+            half, level = 2 * half, level + 1
+        out = _unpack(packed, size, _WORD, modulus)
     while half < size:
         block = 2 * half
         out.extend([0] * (-len(out) % block))
         width = _slot_bytes(half + 1, modulus)
-        half_bytes = half * width
-        low_mask = int.from_bytes((b"\xff" * half_bytes + bytes(half_bytes))
-                                  * (len(out) // block), "little")
-        packed = _pack(out, width)
-        high = (packed >> (8 * half_bytes)) & low_mask
+        packed = _shift_level(_pack(out, width), half, width, len(out) // block,
+                              _shift_power(c, level, modulus)[1])
         # the shift keeps the degree, so the slots from `size` on are all 0
-        out = _unpack(high * _shift_power(c, level, modulus)[1] + (packed & low_mask),
-                      size, width, modulus)
+        out = _unpack(packed, size, width, modulus)
         half, level = block, level + 1
+    if flip:
+        out[1::2] = [-x % modulus for x in out[1::2]]
     return out

@@ -8,7 +8,8 @@ any pair at level n, not only lifts, so the tests also run it on
 corrupted peel states.  `unlift_nu` reads Theta_{n-1} back from a
 nu-lift, so a recomposed pair can go through the package peel again.
 `a_tilde_inverse` and `vec_mul` are the matrix
-form of `sharp_flat.recompose`, which the tests compare against.
+form of `sharp_flat.recompose`, which the tests compare against, and
+`mat_mul` the matrix product of the tests' step products.
 """
 
 from iwt.errors import NotDivisible
@@ -69,3 +70,10 @@ def vec_mul(matrix, vec):
     x, y = vec
     a = matrix.entries
     return (x * a[0][0] + y * a[1][0], x * a[0][1] + y * a[1][1])
+
+
+def mat_mul(left, right):
+    """The matrix product left . right of two 2x2 matrices."""
+    a, b = left.entries, right.entries
+    return LambdaMatrix(tuple(tuple(a[i][0] * b[0][k] + a[i][1] * b[1][k] for k in range(2))
+                              for i in range(2)))

@@ -55,7 +55,7 @@ def element(rng, p, n, M, kind):
     """The same element as (package, oracle), built from one random vector.
 
     sparse: at most 2p nonzero group coefficients, either side of the
-    rotation rule; scaled: every coefficient divisible by p^k, k <= M, so
+    sparse-product rule; scaled: every coefficient divisible by p^k, k <= M, so
     mu > 0 and the zero element occur; long: T-coefficients past p^n,
     reduced by the relation; short: a few low T-coefficients.
     """

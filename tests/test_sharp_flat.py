@@ -16,8 +16,8 @@ from iwt.sharp_flat import (SharpFlatApprox, decompose, decompose_pair,
                             decompose_sequence, recompose,
                             special_value_check, stabilized_invariants,
                             vector_vanishing_orders)
-from peel_oracle import (PeelIndexError, a_tilde_inverse, nu_peel, unlift_nu,
-                         vec_mul)
+from peel_oracle import (PeelIndexError, a_tilde_inverse, mat_mul, nu_peel,
+                         unlift_nu, vec_mul)
 from tbasis_oracle import TLambda
 
 M = 12
@@ -25,7 +25,7 @@ M = 12
 
 def step_product(params, level, hatted):
     """S_1 ... S_n . A~^(-1), the matrix form of the peel run forwards."""
-    return log_truncation(params, level, hatted) @ a_tilde_inverse(params, level)
+    return mat_mul(log_truncation(params, level, hatted), a_tilde_inverse(params, level))
 
 
 def hats_for(p):
