@@ -42,6 +42,9 @@ prints one JSON document, at the points (p, n, M) of POINTS:
 * `synthesize_top`: `synthesize_queue` up to level n at precision M
   (seed 1, a_p = -1, eps = 1), the synthetic tower of `iwt verify
   --synthetic-seed` and of the tower-synth workload;
+* `decompose_top`: `sharp_flat.decompose` of that tower's top pair
+  (Theta_n, Theta_{n-1}), the peel with the eager T-coefficients of both
+  components that the tower-synth peel job times;
 * the crossover of the sparse multiply, where `polyops` has it: a dense
   vector times one with w nonzero entries, w in (1, p, 2p, 4p), mod
   X^N - 1, by `poly_cyclic_mul_sparse` (`sparse_rotate_w`, named after
@@ -155,7 +158,7 @@ def kernel_calls(p, n, M):
     from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
                                 synthesize_queue, theta_sequence)
     from iwt.polyops import poly_mul, poly_taylor_shift
-    from iwt.sharp_flat import decompose_pair
+    from iwt.sharp_flat import decompose, decompose_pair
     generate_table = bench_module("gen_table").generate_table
     rng = random.Random(f"{p}-{n}-{M}")
     size, modulus = p ** n, p ** M
@@ -178,6 +181,7 @@ def kernel_calls(p, n, M):
     tower = theta_sequence(table, n, 0, M)
     top, lower_theta = tower[n], tower[n - 1]
     peel = decompose_pair(top, lower_theta, tower.params)
+    synthetic = synthesize_queue(1, params, n)
 
     def verify_battery():
         det_identity_check(params, level)
@@ -210,6 +214,7 @@ def kernel_calls(p, n, M):
             "peel_top": lambda: decompose_pair(top, lower_theta, tower.params),
             "invariants_top": invariants_top,
             "synthesize_top": lambda: synthesize_queue(1, params, n),
+            "decompose_top": lambda: decompose(synthetic[n], synthetic[n - 1], params),
             **sparse_calls(p, n, M, rng)}
 
 

@@ -10,7 +10,8 @@ most of both rings runs on the linear kernels here:
 * `poly_fold` reduces mod X^n - 1 by adding blocks of n coefficients;
 * `poly_cyclic_mul_sparse` multiplies mod X^n - 1 by a factor with few
   nonzero coefficients: one shifted scalar multiple of the packed dense
-  vector per coefficient, then one fold and one unpack;
+  vector per coefficient, then one fold and one unpack, or for a single
+  coefficient a rotation of the dense vector, scaled unless it is 1;
 * `poly_divmod_monic` divides by X^d - 1 by suffix sums, class by class,
   or block by block when there are fewer blocks than classes.
 
@@ -24,10 +25,29 @@ the group basis and T-coefficients, and between the zeta-basis of
 negative shift between two sign flips), so its low levels can keep
 exact integer slots of one word on one packed integer, and reduce once.
 
+Every product is a two-point Kronecker product (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", 2009):
+each factor is evaluated at +2^(W/2) and at -2^(W/2), half a slot of W
+bits apart, from its even and its odd entries packed at full width; the
+two products, each half as long as one product at W-bit slots, give the
+even coefficients by their half-sum and the odd ones by their
+half-difference, again at W-bit slots.  The only bound is the usual
+one: every coefficient of the product below 2^W.
+
 Slot layout: a slot holds the exact bound of one output coefficient,
 terms*(m-1)^2 for a product and sum(sparse)*(m-1) for the sparse
-multiply.  When that bound fits in 64 bits the slot is one little-endian
-8-byte word, so a whole vector moves between list and big integer
+multiply.  The shift's levels above its word levels keep one width, that
+of its top level's product, (top+1)*(m-1)^2 for blocks of 2*top: they run
+on its even and odd entries packed once and unpacked once.  A level
+leaves lo + (x+c)^half * hi <= (m-1) + half*(m-1)^2 in a slot, within
+that bound; a packed reduction brings every slot below m again before
+the next level: one Barrett round on the even and then the odd slots,
+each with the empty slot above it to hold its product of twice the
+width, leaves a slot below 2m, and one conditional subtraction of m
+leaves it below m.
+
+When a bound fits in 64 bits the slot is one little-endian 8-byte
+word, so a whole vector moves between list and big integer
 through `array("Q")` in one C-level call; on the product sizes
 the CLI runs (M >= n+8) such a slot is at least 6 bytes wide once the
 product has 256 terms, so rounding it up to 8 barely widens the product.
@@ -131,6 +151,33 @@ def _unpack(value, count, width, modulus):
     return [(h * r + lo) % modulus for h, lo in zip(_words(high), _words(low))]
 
 
+def _evaluate(coeffs, width):
+    # the vector at +2^(4 width) and at -2^(4 width), half a slot of 8 width
+    # bytes: its even entries packed in whole slots, plus or minus its odd
+    # entries packed the same way and shifted up by half a slot
+    even = _pack(coeffs[0::2], width)
+    odd = _pack(coeffs[1::2], width) << 4 * width
+    return even + odd, even - odd
+
+
+def _ks2(a, b, half):
+    # two-point Kronecker product (Harvey 2009) of two vectors given by their
+    # values at +-2^half: h(2^half) + h(-2^half) is twice the even
+    # coefficients of h = a b at 2^(2 half) apart, h(2^half) - h(-2^half)
+    # twice the odd ones, shifted up by half.  Both read off carry-free as
+    # long as every coefficient of h is below 2^(2 half), the full slot
+    plus, minus = a[0] * b[0], a[1] * b[1]
+    return plus + minus >> 1, plus - minus >> half + 1
+
+
+def _interleave(even, odd, count, width, modulus):
+    # the `count` coefficients whose even and odd entries are packed apart
+    out = [0] * count
+    out[0::2] = _unpack(even, count - count // 2, width, modulus)
+    out[1::2] = _unpack(odd, count // 2, width, modulus)
+    return out
+
+
 def poly_mul(a, b, modulus):
     """Convolution of residue vectors, reduced mod modulus (no ring relation)."""
     a = poly_trim(list(a))
@@ -138,8 +185,8 @@ def poly_mul(a, b, modulus):
     if not a or not b:
         return []
     width = _slot_bytes(min(len(a), len(b)), modulus)
-    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1,
-                   width, modulus)
+    even, odd = _ks2(_evaluate(a, width), _evaluate(b, width), 4 * width)
+    return _interleave(even, odd, len(a) + len(b) - 1, width, modulus)
 
 
 def poly_fold(coeffs, size, modulus):
@@ -161,12 +208,21 @@ def poly_cyclic_mul_sparse(dense, sparse, modulus):
     sum(sparse) * (m - 1) of a product coefficient (one word for every
     Phi).  Each nonzero entry c at s adds c times the packed vector
     shifted up by s slots, the coefficients of c X^s dense; the sum is
-    folded mod X^n - 1 and unpacked once.
+    folded mod X^n - 1 and unpacked once.  A single entry needs no
+    packing: the product is dense rotated by s, times c unless c = 1.
     """
     size = len(dense)
+    entries = list(compress(range(size), sparse))
+    if len(entries) == 1:
+        # one entry c at s (a unit power, a constant): dense rotated by s,
+        # scaled when c is not 1; no slot has to hold c (m - 1)
+        s = entries[0]
+        c = sparse[s] % modulus
+        rotated = [*dense[size - s:], *dense[:size - s]]
+        return rotated if c == 1 else [c * x % modulus for x in rotated]
     width = _width((sum(sparse) or 1) * (modulus - 1))
     packed, bits = _pack(dense, width), 8 * width
-    total = sum(sparse[s] * packed << bits * s for s in compress(range(size), sparse))
+    total = sum(sparse[s] * packed << bits * s for s in entries)
     # a slot and its image n slots up never both receive a term of one
     # entry, so the fold stays within the bound
     total = (total & ((1 << bits * size) - 1)) + (total >> bits * size)
@@ -215,15 +271,15 @@ def poly_divmod_monic(num, den, modulus):
 
 
 @lru_cache(maxsize=None)
-def _shift_power(c, level, modulus):
+def _shift_power(c, level, modulus, width):
     # (x + c)^(2^level) mod modulus, the square of the level below, and its
-    # packing at the slot width of that level
+    # values at +-2^(4 width) for the two-point product at slots of `width`
     if level:
-        below = _shift_power(c, level - 1, modulus)[0]
+        below = _shift_power(c, level - 1, modulus, width)[0]
         power = tuple(poly_mul(below, below, modulus))
     else:
         power = (c % modulus, 1)
-    return power, _pack(power, _slot_bytes((1 << level) + 1, modulus))
+    return power, _evaluate(power, width)
 
 
 def _column_bound(c, block):
@@ -250,12 +306,28 @@ def _word_powers(c, modulus):
     return tuple(powers)
 
 
-def _shift_level(packed, half, width, blocks, power):
-    # one level on a packed vector of `blocks` blocks of 2 * half slots:
-    # every block lo + x^half hi becomes lo + power * hi
-    half_bytes = half * width
+def _shift_level(packed, half, blocks, power):
+    # one word level on a packed vector of `blocks` blocks of 2 * half
+    # slots: every block lo + x^half hi becomes lo + power * hi
+    half_bytes = half * _WORD
     low_mask = int.from_bytes((b"\xff" * half_bytes + bytes(half_bytes)) * blocks, "little")
     return ((packed >> 8 * half_bytes) & low_mask) * power + (packed & low_mask)
+
+
+def _reduce(x, bits, modulus, evens, ones):
+    # every slot of `bits` bits, each below 2^bits, reduced mod modulus.
+    # Barrett: q = floor(x mu / 2^bits), mu = floor(2^bits / m), is floor(x / m)
+    # or one less, so x - q m is below 2m.  x mu < 2^(2 bits) needs two slots,
+    # so the even slots (`evens`) and then the odd ones take the product with
+    # the slot above them empty
+    mu = (1 << bits) // modulus
+    low, high = (part - (part * mu >> bits & evens) * modulus
+                 for part in (x & evens, x >> bits & evens))
+    x = low + (high << bits)
+    # below 2m: x + 2^t - m, with 2^t > m, stays below 2^(t+1) <= 2^bits and
+    # has bit t set exactly when x >= m (`ones` has bit 0 of every slot)
+    t = modulus.bit_length()
+    return x - (x + ((1 << t) - modulus) * ones >> t & ones) * modulus
 
 
 def poly_taylor_shift(f, c, modulus):
@@ -271,7 +343,10 @@ def poly_taylor_shift(f, c, modulus):
     the shift of f(-x) by -c, so that every power has nonnegative
     coefficients over Z.  The low levels at which a block shifted over Z
     fits one word per slot then run on one packed integer, with no
-    reduction between them; every level above unpacks and reduces.
+    reduction between them.  The levels above run on the even and the odd
+    entries, each packed once at the slot width of the top level's
+    product, by two-point products and a packed reduction between levels,
+    and are unpacked once.
     """
     size = len(f)
     out = [x % modulus for x in f]
@@ -287,18 +362,46 @@ def poly_taylor_shift(f, c, modulus):
         out.extend([0] * (-len(out) % block))
         packed = _pack(out, _WORD)
         for power in words:
-            packed = _shift_level(packed, half, _WORD, len(out) // (2 * half), power)
+            packed = _shift_level(packed, half, len(out) // (2 * half), power)
             half, level = 2 * half, level + 1
         out = _unpack(packed, size, _WORD, modulus)
-    while half < size:
-        block = 2 * half
-        out.extend([0] * (-len(out) % block))
-        width = _slot_bytes(half + 1, modulus)
-        packed = _shift_level(_pack(out, width), half, width, len(out) // block,
-                              _shift_power(c, level, modulus)[1])
-        # the shift keeps the degree, so the slots from `size` on are all 0
-        out = _unpack(packed, size, width, modulus)
-        half, level = block, level + 1
+    if half < size:
+        out = _shift_levels(out, c, half, level, modulus)
     if flip:
         out[1::2] = [-x % modulus for x in out[1::2]]
     return out
+
+
+def _shift_levels(out, c, half, level, modulus):
+    # the levels from `half` up on the residues `out`, kept as two packed
+    # streams of its even and odd entries.  After level k a slot holds
+    # lo + [x^j] (x + c)^(2^k) hi <= (m - 1) + 2^k (m - 1)^2, below the top
+    # level's bound (top + 1)(m - 1)^2 < 2^bits, so one width serves all
+    size = len(out)
+    top = 1 << (size - 1).bit_length() - 1
+    width = _slot_bytes(top + 1, modulus)
+    bits, count = 8 * width, (size + 1) // 2
+    even, odd = _pack(out[0::2], width), _pack(out[1::2], width)
+    evens = int.from_bytes((b"\xff" * width + bytes(width)) * (count // 2 + 1), "little")
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+    while True:
+        if half == 1:
+            # blocks of two: lo is an even entry and hi the odd one above it
+            lo, hi = (even, 0), (odd, 0)
+        else:
+            # half a block is half // 2 slots of each stream
+            span = half // 2 * width
+            mask = int.from_bytes((b"\xff" * span + bytes(span)) * -(-count // half),
+                                  "little")
+            lo = (even & mask, odd & mask)
+            hi = (even >> 8 * span & mask, odd >> 8 * span & mask)
+        shifted = hi[1] << bits // 2
+        even, odd = _ks2((hi[0] + shifted, hi[0] - shifted),
+                         _shift_power(c, level, modulus, width)[1], bits // 2)
+        even, odd = lo[0] + even, lo[1] + odd
+        half, level = 2 * half, level + 1
+        if half >= size:
+            # the shift keeps the degree, so the slots from `size` on are all 0
+            return _interleave(even, odd, size, width, modulus)
+        even = _reduce(even, bits, modulus, evens, ones)
+        odd = _reduce(odd, bits, modulus, evens, ones)

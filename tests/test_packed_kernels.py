@@ -1,31 +1,39 @@
 """The packed kernels against the loops they replaced.
 
-The oracles below are the earlier forms of four kernels, kept as the
+The oracles below are the earlier forms of the kernels, kept as the
 references the packed ones must reproduce exactly: the rotation loop of
 the sparse cyclic product, the class-wise suffix sums of the binomial
-division, the Taylor shift that reduces and unpacks at every level (by
-the package's cached powers reduced mod m), and the synthetic tower
-built through the T-coefficient constructor.  The division oracle trims
-its remainder also when the numerator is no longer than the divisor,
-where the earlier kernel returned the numerator untrimmed.
+division, the one-evaluation Kronecker product, the Taylor shift that
+multiplies, reduces and unpacks at every level, and the synthetic tower
+built through the T-coefficient constructor.  The product and the shift
+oracles share no code with the package: they pack one coefficient at a
+time into their own byte slots and take the powers (x + c)^(2^k) from
+the binomial theorem.  The division oracle trims its remainder also when
+the numerator is no longer than the divisor, where the earlier kernel
+returned the numerator untrimmed.
 """
 
 import random
 from itertools import accumulate, zip_longest
+from math import comb
 
 import pytest
 
 from iwt.iwasawa_algebra import FormParams, LambdaElement, lift_nu
 from iwt.mazur_tate import synthesize_queue
-from iwt.polyops import (_pack, _shift_power, _slot_bytes, _unpack, _word_powers,
-                         poly_cyclic_mul_sparse, poly_divmod_monic, poly_mul,
-                         poly_taylor_shift, poly_trim)
+from iwt.polyops import (_reduce, _slot_bytes, _word_powers, poly_cyclic_mul_sparse,
+                         poly_divmod_monic, poly_mul, poly_taylor_shift, poly_trim)
 
 PRIMES = (2, 3, 5, 7)
 # slots of one word at every level of a short shift (3^15), of 9 to 16
 # bytes above the word levels (7^12), and wider than 16 bytes with no
 # word level at all (3^41)
 MODULI = (3 ** 15, 7 ** 12, 3 ** 41)
+# p^1, where the iwasawa_invariants shift runs, up to 3^41
+SHIFT_MODULI = (*PRIMES, 2 ** 30, *MODULI)
+# empty, one and two coefficients, both sides of 32 and 64 (products of odd
+# and even length), and lengths that pass the word levels at every modulus
+LENGTHS = (0, 1, 2, 31, 32, 33, 63, 64, 65, 200, 343)
 
 
 def rotation_mul(dense, sparse, modulus):
@@ -52,22 +60,63 @@ def classwise_divmod(num, den, modulus):
     return quot, poly_trim([(a + b) % modulus for a, b in zip(num, low)])
 
 
+def byte_width(terms, modulus):
+    # whole bytes with room for terms * (m - 1)^2 and one spare bit
+    return (terms * (modulus - 1) ** 2).bit_length() // 8 + 1
+
+
+def byte_pack(coeffs, width):
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def byte_unpack(value, count, width, modulus):
+    raw = value.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") % modulus
+            for i in range(0, count * width, width)]
+
+
+def schoolbook_mul(a, b, modulus):
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % modulus for c in out]
+
+
+def kronecker_mul(a, b, modulus):
+    # one evaluation at 2^(8 width) of both residue vectors, one product
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    if not a or not b:
+        return []
+    width = byte_width(min(len(a), len(b)), modulus)
+    return byte_unpack(byte_pack(a, width) * byte_pack(b, width), len(a) + len(b) - 1,
+                       width, modulus)
+
+
+def binomial_power(c, half, modulus):
+    # (x + c)^half mod modulus, c a residue
+    return [comb(half, j) * pow(c, half - j, modulus) % modulus for j in range(half + 1)]
+
+
 def level_shift(f, c, modulus):
-    size = len(f)
+    size, c = len(f), c % modulus
     out = [x % modulus for x in f]
-    half, level = 1, 0
+    half = 1
     while half < size:
         block = 2 * half
         out.extend([0] * (-len(out) % block))
-        width = _slot_bytes(half + 1, modulus)
+        width = byte_width(half + 1, modulus)
         half_bytes = half * width
         low_mask = int.from_bytes((b"\xff" * half_bytes + bytes(half_bytes))
                                   * (len(out) // block), "little")
-        packed = _pack(out, width)
+        packed = byte_pack(out, width)
         high = (packed >> (8 * half_bytes)) & low_mask
-        out = _unpack(high * _shift_power(c, level, modulus)[1] + (packed & low_mask),
-                      size, width, modulus)
-        half, level = block, level + 1
+        power = byte_pack(binomial_power(c, half, modulus), width)
+        out = byte_unpack(high * power + (packed & low_mask), size, width, modulus)
+        half = block
     return out
 
 
@@ -113,6 +162,23 @@ def test_sparse_product_matches_the_rotation_loop(modulus):
                     == rotation_mul(dense, sparse, modulus), (p, size, weight)
     top = [modulus - 1] * 9
     assert poly_cyclic_mul_sparse(top, top, modulus) == rotation_mul(top, top, modulus)
+
+
+@pytest.mark.parametrize("modulus", (2, 3 ** 15, 7 ** 12, 3 ** 41))
+def test_single_entry_sparse_product_is_a_scaled_rotation(modulus):
+    # one entry of 1, of m + 1 (also 1 mod m), of 3, of m - 1 and of m,
+    # at the first, a middle and the last index, of a list and a tuple
+    rng = random.Random(modulus)
+    for size in (1, 7, 2401):
+        dense = random_vector(rng, size, modulus)
+        dense[-1] = modulus - 1
+        for c in (1, modulus + 1, 3, modulus - 1, modulus):
+            for s in {0, size // 2, size - 1}:
+                sparse = [0] * size
+                sparse[s] = c
+                want = rotation_mul(dense, sparse, modulus)
+                assert poly_cyclic_mul_sparse(dense, sparse, modulus) == want, (size, c, s)
+                assert poly_cyclic_mul_sparse(tuple(dense), tuple(sparse), modulus) == want
 
 
 @pytest.mark.parametrize("modulus", (2, 27, 7 ** 12, 3 ** 41))
@@ -167,23 +233,32 @@ def test_binomial_division_recomposes_with_a_trimmed_remainder(d):
     assert poly_divmod_monic([5, 0, 0, 0], [-1, 0, 0, 1], 27) == ([0], [5])
 
 
-@pytest.mark.parametrize("modulus", MODULI)
+@pytest.mark.parametrize("modulus", SHIFT_MODULI)
 def test_taylor_shift_matches_the_level_by_level_shift(modulus):
+    # random residues and every coefficient m - 1, where the slot bounds
+    # are tight, by every kind of c
     rng = random.Random(modulus)
-    for length in (0, 1, 2, 15, 16, 17, 3 ** 5, 7 ** 3):
+    shifts = (-3, -1, 0, 1, 2, modulus - 1, modulus + 1)
+    for length in LENGTHS:
         f = random_vector(rng, length, modulus)
         if length:
             f[-1] = modulus - 1
-        for c in (-3, -1, 0, 1, 2, modulus - 1, modulus + 1):
-            assert poly_taylor_shift(f, c, modulus) == level_shift(f, c, modulus), \
-                (length, c)
+        for g in (f, [modulus - 1] * length):
+            for c in shifts:
+                assert poly_taylor_shift(g, c, modulus) == level_shift(g, c, modulus), \
+                    (length, c)
+    # the longest length runs levels above the word levels at every c
+    for c in shifts:
+        if c % modulus:
+            assert len(_word_powers(abs(c) % modulus, modulus)) < (LENGTHS[-1] - 1).bit_length()
 
 
 def test_taylor_shift_covers_every_slot_layout():
     # word levels run at 3^15 and 7^12 but not at 3^41, and the levels above
-    # them take one word at 3^15, 9 to 16 bytes at 7^12 and more at 3^41
+    # them take the width of the top level's product: for 343 coefficients
+    # one word at 3^15, 10 bytes at 7^12 and more than 16 at 3^41
     assert [len(_word_powers(1, m)) for m in MODULI] == [5, 5, 0]
-    assert [_slot_bytes(2 ** 5 + 1, m) for m in MODULI] == [8, 10, 18]
+    assert [_slot_bytes(2 ** 8 + 1, m) for m in MODULI] == [8, 10, 18]
 
 
 def test_taylor_shift_at_the_full_size_of_the_tower():
@@ -194,6 +269,59 @@ def test_taylor_shift_at_the_full_size_of_the_tower():
     for f in ([modulus - 1] * 7 ** 4, random_vector(rng, 7 ** 4, modulus)):
         for c in (1, -1):
             assert poly_taylor_shift(f, c, modulus) == level_shift(f, c, modulus)
+
+
+def test_level_shift_oracle_matches_the_binomial_sum():
+    # the oracle itself against f(x + c) = sum_j f_j sum_k C(j, k) c^(j-k) x^k
+    rng = random.Random(5)
+    for modulus in (2, 7, 7 ** 12, 3 ** 41):
+        f = random_vector(rng, 343, modulus)
+        for c in (-1, 1, modulus + 1):
+            want = [sum(comb(j, k) * pow(c, j - k, modulus) * f[j]
+                        for j in range(k, len(f))) % modulus for k in range(len(f))]
+            assert level_shift(f, c, modulus) == want, (modulus, c)
+
+
+@pytest.mark.parametrize("modulus", SHIFT_MODULI)
+def test_product_matches_the_schoolbook(modulus):
+    # both factors of every length in LENGTHS up to 65, so that the product
+    # has odd and even length, random and all-(m - 1)
+    rng = random.Random(modulus)
+    for la in LENGTHS[:-2]:
+        for lb in (1, 2, 31, 32, 33, 64, 65, la):
+            for a, b in ((random_vector(rng, la, modulus), random_vector(rng, lb, modulus)),
+                         ([modulus - 1] * la, [modulus - 1] * lb)):
+                assert poly_mul(a, b, modulus) == schoolbook_mul(a, b, modulus), (la, lb)
+
+
+def test_product_matches_one_evaluation_at_the_size_of_the_tower():
+    rng = random.Random(7)
+    for modulus in (3 ** 15, 7 ** 12, 3 ** 41):
+        for la, lb in ((2401, 2401), (2401, 2058), (2187, 1), (1, 2400)):
+            for a, b in ((random_vector(rng, la, modulus), random_vector(rng, lb, modulus)),
+                         ([modulus - 1] * la, [modulus - 1] * lb)):
+                assert poly_mul(a, b, modulus) == kronecker_mul(a, b, modulus), (la, lb)
+    a, b = random_vector(rng, 40, 7 ** 12), random_vector(rng, 33, 7 ** 12)
+    assert kronecker_mul(a, b, 7 ** 12) == schoolbook_mul(a, b, 7 ** 12)
+
+
+@pytest.mark.parametrize("modulus", (2, 3, 7, 3 ** 15, 7 ** 12, 2 ** 64 - 59, 3 ** 41))
+def test_packed_reduction_at_the_slot_bound(modulus):
+    # slots of the shift's width at its top level, filled up to 2^bits - 1
+    # and to the bound (top + 1)(m - 1)^2 a level leaves, and every value
+    # from 0 to 4m: each comes back as its residue
+    rng = random.Random(modulus)
+    for top in (1, 32, 2048):
+        width = _slot_bytes(top + 1, modulus)
+        bits = 8 * width
+        slots = [2 ** bits - 1, (top + 1) * (modulus - 1) ** 2, 0, 1, modulus - 1]
+        slots += list(range(min(4 * modulus, 200))) + [rng.randrange(2 ** bits) for _ in range(50)]
+        slots += [2 ** bits - 1] * 3
+        count = len(slots)
+        evens = int.from_bytes((b"\xff" * width + bytes(width)) * (count // 2 + 1), "little")
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+        got = _reduce(byte_pack(slots, width), bits, modulus, evens, ones)
+        assert got == byte_pack([x % modulus for x in slots], width), top
 
 
 @pytest.mark.parametrize("p", PRIMES)
