@@ -50,7 +50,12 @@ prints one JSON document, at the points (p, n, M) of POINTS:
   X^N - 1, by `poly_cyclic_mul_sparse` (`sparse_rotate_w`, named after
   the rotations that kernel once made; it now adds shifted copies of
   one packed vector) and by a Kronecker product and a fold
-  (`sparse_kronecker_w`).  The ring takes the sparse kernel for w <= p.
+  (`sparse_kronecker_w`).  The ring takes the sparse kernel for w <= p;
+* the crossover of the product, where `polyops` has the two-point one:
+  two random length-L vectors, L in (64, 96, 128, 256), multiplied by
+  one Kronecker product (`product_one_L`) and by the two-point product
+  (`product_ks2_L`).  `poly_mul` takes the second from 255 product
+  coefficients on, L = 128.
 
 At (3, 7, 15) the table has the shape of the tower-table workload, and
 at (2, 6, 14) and (5, 3, 11) of curve-sweep tables.  `cold_ms` is the
@@ -147,6 +152,30 @@ def sparse_calls(p, n, M, rng):
     return calls
 
 
+def crossover_calls(p, n, M, rng):
+    """The crossover rows of the product, where the checkout's polyops has
+    the two-point product."""
+    try:
+        from iwt.polyops import _evaluate, _interleave, _ks2, _pack, _slot_bytes, _unpack
+    except ImportError:
+        return {}
+    modulus = p ** M
+    calls = {}
+    for length in (64, 96, 128, 256):
+        a, b = ([rng.randrange(modulus) for _ in range(length)] for _ in range(2))
+        width, count = _slot_bytes(length, modulus), 2 * length - 1
+
+        def one(a=a, b=b, width=width, count=count):
+            return _unpack(_pack(a, width) * _pack(b, width), count, width, modulus)
+
+        def ks2(a=a, b=b, width=width, count=count):
+            even, odd = _ks2(_evaluate(a, width), _evaluate(b, width), 4 * width)
+            return _interleave(even, odd, count, width, modulus)
+
+        calls[f"product_one_L{length}"], calls[f"product_ks2_L{length}"] = one, ks2
+    return calls
+
+
 def kernel_calls(p, n, M):
     """name -> zero-argument call, on inputs drawn from a seed of (p, n, M)."""
     from iwt.cli import build_parser
@@ -215,7 +244,8 @@ def kernel_calls(p, n, M):
             "invariants_top": invariants_top,
             "synthesize_top": lambda: synthesize_queue(1, params, n),
             "decompose_top": lambda: decompose(synthetic[n], synthetic[n - 1], params),
-            **sparse_calls(p, n, M, rng)}
+            **sparse_calls(p, n, M, rng),
+            **crossover_calls(p, n, M, rng)}
 
 
 def elapsed_ms(call):

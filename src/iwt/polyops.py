@@ -25,14 +25,17 @@ the group basis and T-coefficients, and between the zeta-basis of
 negative shift between two sign flips), so its low levels can keep
 exact integer slots of one word on one packed integer, and reduce once.
 
-Every product is a two-point Kronecker product (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", 2009):
-each factor is evaluated at +2^(W/2) and at -2^(W/2), half a slot of W
-bits apart, from its even and its odd entries packed at full width; the
-two products, each half as long as one product at W-bit slots, give the
-even coefficients by their half-sum and the odd ones by their
-half-difference, again at W-bit slots.  The only bound is the usual
-one: every coefficient of the product below 2^W.
+Every level of the shift above its word levels, and every product of
+at least 255 coefficients, is a two-point Kronecker product (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker
+substitution", 2009): each factor is evaluated at +2^(W/2) and at
+-2^(W/2), half a slot of W bits apart, from its even and its odd
+entries packed at full width; the two products, each half as long as
+one product at W-bit slots, give the even coefficients by their
+half-sum and the odd ones by their half-difference, again at W-bit
+slots.  The only bound is the usual one: every coefficient of the
+product below 2^W.  A shorter product is one Kronecker product, whose
+single packing and unpacking cost less there.
 
 Slot layout: a slot holds the exact bound of one output coefficient,
 terms*(m-1)^2 for a product and sum(sparse)*(m-1) for the sparse
@@ -178,6 +181,13 @@ def _interleave(even, odd, count, width, modulus):
     return out
 
 
+# a product of fewer coefficients is one Kronecker product: below about
+# 128 by 128 the two half-size products save less than their second
+# packing and unpacking cost (the product_one and product_ks2 rows of
+# scripts/bench_kernels.py)
+_KS2_TERMS = 255
+
+
 def poly_mul(a, b, modulus):
     """Convolution of residue vectors, reduced mod modulus (no ring relation)."""
     a = poly_trim(list(a))
@@ -185,8 +195,11 @@ def poly_mul(a, b, modulus):
     if not a or not b:
         return []
     width = _slot_bytes(min(len(a), len(b)), modulus)
+    count = len(a) + len(b) - 1
+    if count < _KS2_TERMS:
+        return _unpack(_pack(a, width) * _pack(b, width), count, width, modulus)
     even, odd = _ks2(_evaluate(a, width), _evaluate(b, width), 4 * width)
-    return _interleave(even, odd, len(a) + len(b) - 1, width, modulus)
+    return _interleave(even, odd, count, width, modulus)
 
 
 def poly_fold(coeffs, size, modulus):
@@ -382,8 +395,10 @@ def _shift_levels(out, c, half, level, modulus):
     width = _slot_bytes(top + 1, modulus)
     bits, count = 8 * width, (size + 1) // 2
     even, odd = _pack(out[0::2], width), _pack(out[1::2], width)
-    evens = int.from_bytes((b"\xff" * width + bytes(width)) * (count // 2 + 1), "little")
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+    if 2 * half < size:
+        # masks of the reductions, which run only between two levels
+        evens = int.from_bytes((b"\xff" * width + bytes(width)) * (count // 2 + 1), "little")
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
     while True:
         if half == 1:
             # blocks of two: lo is an even entry and hi the odd one above it

@@ -13,9 +13,9 @@ the numerator is no longer than the divisor, where the earlier kernel
 returned the numerator untrimmed.
 """
 
+import math
 import random
 from itertools import accumulate, zip_longest
-from math import comb
 
 import pytest
 
@@ -31,9 +31,9 @@ PRIMES = (2, 3, 5, 7)
 MODULI = (3 ** 15, 7 ** 12, 3 ** 41)
 # p^1, where the iwasawa_invariants shift runs, up to 3^41
 SHIFT_MODULI = (*PRIMES, 2 ** 30, *MODULI)
-# empty, one and two coefficients, both sides of 32 and 64 (products of odd
-# and even length), and lengths that pass the word levels at every modulus
-LENGTHS = (0, 1, 2, 31, 32, 33, 63, 64, 65, 200, 343)
+# empty, one and two coefficients, both sides of 16, 32 and 64 (products of
+# odd and even length), and lengths that pass the word levels at every modulus
+LENGTHS = (0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200, 3 ** 5, 7 ** 3)
 
 
 def rotation_mul(dense, sparse, modulus):
@@ -98,7 +98,7 @@ def kronecker_mul(a, b, modulus):
 
 def binomial_power(c, half, modulus):
     # (x + c)^half mod modulus, c a residue
-    return [comb(half, j) * pow(c, half - j, modulus) % modulus for j in range(half + 1)]
+    return [math.comb(half, j) * pow(c, half - j, modulus) % modulus for j in range(half + 1)]
 
 
 def level_shift(f, c, modulus):
@@ -277,21 +277,39 @@ def test_level_shift_oracle_matches_the_binomial_sum():
     for modulus in (2, 7, 7 ** 12, 3 ** 41):
         f = random_vector(rng, 343, modulus)
         for c in (-1, 1, modulus + 1):
-            want = [sum(comb(j, k) * pow(c, j - k, modulus) * f[j]
+            want = [sum(math.comb(j, k) * pow(c, j - k, modulus) * f[j]
                         for j in range(k, len(f))) % modulus for k in range(len(f))]
             assert level_shift(f, c, modulus) == want, (modulus, c)
 
 
 @pytest.mark.parametrize("modulus", SHIFT_MODULI)
 def test_product_matches_the_schoolbook(modulus):
-    # both factors of every length in LENGTHS up to 65, so that the product
-    # has odd and even length, random and all-(m - 1)
+    # factors of lengths 0 to 65, so that the product has odd and even
+    # length, random and all-(m - 1)
     rng = random.Random(modulus)
-    for la in LENGTHS[:-2]:
-        for lb in (1, 2, 31, 32, 33, 64, 65, la):
-            for a, b in ((random_vector(rng, la, modulus), random_vector(rng, lb, modulus)),
-                         ([modulus - 1] * la, [modulus - 1] * lb)):
-                assert poly_mul(a, b, modulus) == schoolbook_mul(a, b, modulus), (la, lb)
+    pairs = [(la, lb) for la in (0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65)
+             for lb in (1, 2, 31, 32, 33, 64, 65, la)]
+    # products of 254 coefficients (one Kronecker product) and of 255 and
+    # 256 (two-point)
+    pairs += [(127, 128), (128, 128), (128, 129), (1, 254), (1, 255), (2, 255)]
+    for la, lb in pairs:
+        for a, b in ((random_vector(rng, la, modulus), random_vector(rng, lb, modulus)),
+                     ([modulus - 1] * la, [modulus - 1] * lb)):
+            assert poly_mul(a, b, modulus) == schoolbook_mul(a, b, modulus), (la, lb)
+
+
+@pytest.mark.parametrize("width", (8, 9, 10, 16, 17, 18))
+def test_two_point_product_at_the_slot_bound(width):
+    # all-(m - 1) factors of 128 and 129 coefficients, with m chosen so that
+    # 128 (m - 1)^2, the largest product coefficient, has 8 * width - 1 bits,
+    # the most a slot of that width holds
+    terms = 128
+    modulus = math.isqrt((2 ** (8 * width - 1) - 1) // terms) + 1
+    assert (terms * (modulus - 1) ** 2).bit_length() == 8 * width - 1
+    assert _slot_bytes(terms, modulus) == width
+    a = [modulus - 1] * terms
+    for b in (a, a + [modulus - 1]):
+        assert poly_mul(a, b, modulus) == schoolbook_mul(a, b, modulus)
 
 
 def test_product_matches_one_evaluation_at_the_size_of_the_tower():
