@@ -45,6 +45,11 @@ prints one JSON document, at the points (p, n, M) of POINTS:
 * `decompose_top`: `sharp_flat.decompose` of that tower's top pair
   (Theta_n, Theta_{n-1}), the peel with the eager T-coefficients of both
   components that the tower-synth peel job times;
+* `vanishing_top`: `vector_vanishing_orders` at m = 0, ..., n of that
+  peel with both components multiplied by T Phi_p Phi_{p^2}, the shape of
+  the tower-synth vanishing job: the forward steps, then the repeated
+  divisions of `vanishing_order`, at least two per component and m <= 2.
+  Beside `peel_top` and `phi_division` it times the Phi division;
 * the crossover of the sparse multiply, where `polyops` has it: a dense
   vector times one with w nonzero entries, w in (1, p, 2p, 4p), mod
   X^N - 1, by `poly_cyclic_mul_sparse` (`sparse_rotate_w`, named after
@@ -100,6 +105,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,7 +193,7 @@ def kernel_calls(p, n, M):
     from iwt.mazur_tate import (ingest_modular_symbols, level_exponent,
                                 synthesize_queue, theta_sequence)
     from iwt.polyops import poly_mul, poly_taylor_shift
-    from iwt.sharp_flat import decompose, decompose_pair
+    from iwt.sharp_flat import decompose, decompose_pair, vector_vanishing_orders
     generate_table = bench_module("gen_table").generate_table
     rng = random.Random(f"{p}-{n}-{M}")
     size, modulus = p ** n, p ** M
@@ -211,6 +217,10 @@ def kernel_calls(p, n, M):
     top, lower_theta = tower[n], tower[n - 1]
     peel = decompose_pair(top, lower_theta, tower.params)
     synthetic = synthesize_queue(1, params, n)
+    top_peel = decompose(synthetic[n], synthetic[n - 1], params)
+    twist = (LambdaElement(p, n, M, [0, 1]) * cyclotomic_phi(p, 1, n, M)
+             * cyclotomic_phi(p, 2, n, M))
+    twisted = replace(top_peel, sharp=top_peel.sharp * twist, flat=top_peel.flat * twist)
 
     def verify_battery():
         det_identity_check(params, level)
@@ -244,6 +254,7 @@ def kernel_calls(p, n, M):
             "invariants_top": invariants_top,
             "synthesize_top": lambda: synthesize_queue(1, params, n),
             "decompose_top": lambda: decompose(synthetic[n], synthetic[n - 1], params),
+            "vanishing_top": lambda: vector_vanishing_orders(twisted, range(n + 1)),
             **sparse_calls(p, n, M, rng),
             **crossover_calls(p, n, M, rng)}
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .cyclotomic_ext import minimal_k
 from .errors import (ExcludedCase, InvalidParams, OutOfRange, SporadicCase,
                      TieCase)
-from .padic_core import ExtRational
+from .padic_core import ExtRational, check_prime
 
 INF = ExtRational.infinity()
 
@@ -164,8 +164,9 @@ def rank_bound(p, mu_sharp, mu_flat, lambda_sharp, lambda_flat, v):
 
     Three cases split on comparing |mu gap| with v = ord_p(ap); when
     v is infinite the lambda-sum bound is also reported and the minimum
-    taken.
+    taken.  p must be prime (InvalidParams otherwise).
     """
+    check_prime(p)
     v = v if isinstance(v, ExtRational) else ExtRational(v)
     mu_sharp, mu_flat = Fraction(mu_sharp), Fraction(mu_flat)
     ns, nf, nts, ntf = nu_thresholds(p, lambda_sharp, lambda_flat)
@@ -323,8 +324,10 @@ def sha_growth(n_range, records, p):
     e_n - e_(n-1) = sum over records of mu*(p^n - p^(n-1)) + lambda* +
     q-term - r_infinity, with the component chosen per record kind.
     Raises SporadicCase/TieCase when the comparison is undefined at some
-    requested n (the rule has no equality branch).
+    requested n (the rule has no equality branch).  p must be prime
+    (InvalidParams otherwise).
     """
+    check_prime(p)
     increments, choices = {}, {}
     for n in n_range:
         phi = p ** n - p ** (n - 1)
@@ -378,7 +381,9 @@ def modesty_map(p, v_values, mu_gaps, lambda_sharp, lambda_flat,
     The representative layer for each (v, parity) is the smallest
     n > max(k, depth) of that parity, deep enough that the slope terms
     dominate the bookkeeping tails.  Emits one record per grid point.
+    p must be prime (InvalidParams otherwise).
     """
+    check_prime(p)
     records = []
     for v in v_values:
         v = v if isinstance(v, ExtRational) else ExtRational(v)

@@ -15,7 +15,11 @@ ring is linear (kernels in `polyops`):
 * the projection is a fold, the fiber-sum lift is p copies, and
   (1+T) -> (1+T)^(-1) is an index flip;
 * division by Phi_{p^i} multiplies by X^s - 1 (s = p^(i-1)) and divides
-  by the binomial X^(ps) - 1 from the top; division by T is by X - 1.
+  by the binomial X^(ps) - 1, whose quotient is a set of suffix sums
+  formed on a packed integer; division by T is by X - 1.
+  `vanishing_order` and the peel of `sharp_flat` keep the vector packed
+  across all of their divisions, `divide_by_phi` goes through the list
+  entry `poly_divmod_monic`.
 
 Conversions.  The T-coefficient constructor `LambdaElement(p, n, M,
 coeffs)` shifts by -1 to make `units`, and keeps its input as the
@@ -45,17 +49,17 @@ from math import gcd
 from .errors import (LevelMismatch, MixedPrime, NotAUnit, NotDivisible,
                      OutOfRange, PrecisionExhausted, PrecisionMismatch,
                      ZeroInput)
-from .padic_core import ExtRational, PadicInt, newton_min, val_p
-from .polyops import (poly_cyclic_mul_sparse, poly_divmod_monic, poly_fold,
-                      poly_mul, poly_taylor_shift, poly_trim)
+from .padic_core import ExtRational, PadicInt, check_prime, newton_min, val_p
+from .polyops import (_phi_shape, poly_cyclic_mul_sparse, poly_divmod_monic,
+                      poly_fold, poly_mul, poly_phi_order, poly_taylor_shift)
 
 
 @dataclass(frozen=True)
 class FormParams:
     """Arithmetic data of a weight-two eigenform with Z_p coefficients.
 
-    eps_p must be a p-adic unit; ap may be anything in Z_p (ap = 0 is the
-    half-logarithm degeneration).
+    p must be prime (InvalidParams otherwise) and eps_p a p-adic unit; ap
+    may be anything in Z_p (ap = 0 is the half-logarithm degeneration).
     """
 
     p: int
@@ -64,6 +68,7 @@ class FormParams:
     precision: int
 
     def __post_init__(self):
+        check_prime(self.p)
         if self.eps_p % self.p == 0:
             raise NotAUnit(f"eps_p={self.eps_p} is divisible by {self.p}")
 
@@ -310,31 +315,22 @@ def cyclotomic_phi(p, i, level, precision, hatted=False):
     return _element(p, level, precision, units)
 
 
-def _phi_divmod(units, p, m, modulus):
-    """Quotient and remainder of a group-basis polynomial (a list) by
-    Phi_{p^m}(X), by X - 1 for m = 0.
-
-    With s = p^(m-1), Phi_{p^m}(X) (X^s - 1) = X^(ps) - 1: the quotient is
-    that of units * (X^s - 1) by the binomial, and the remainder, of
-    units * (X^s - 1), vanishes exactly when Phi_{p^m} divides.
-    """
-    if m == 0:
-        return poly_divmod_monic(units, (-1, 1), modulus)
-    s = p ** (m - 1)
-    num = [a - b for a, b in zip([0] * s + units, units + [0] * s)]
-    return poly_divmod_monic(num, [-1] + [0] * (p * s - 1) + [1], modulus)
-
-
 def divide_by_phi(units, p, i, modulus, hatted=False):
     """Group-basis vector of the exact quotient by Phi_{p^i}.
 
     `units` is a list of p^n integers, the group-basis vector of the
     canonical representative up to reduction mod `modulus`; the quotient
-    comes back as p^n residues.  Phi is monic, so no precision is lost.
-    The completed variant post-multiplies by X^e, e = p^(i-1)(p-1)/2.
-    Raises NotDivisible when the remainder is nonzero mod p^M.
+    comes back as p^n residues.  With s = p^(i-1), Phi_{p^i}(X) (X^s - 1)
+    = X^(ps) - 1, so the quotient is that of units * (X^s - 1) by the
+    binomial (`poly_divmod_monic`), whose remainder vanishes exactly when
+    Phi_{p^i} divides; i = 0 divides by X - 1.  Phi is monic, so no
+    precision is lost.  The completed variant post-multiplies by X^e,
+    e = p^(i-1)(p-1)/2.  Raises NotDivisible when the remainder is nonzero
+    mod p^M.
     """
-    quot, rem = _phi_divmod(units, p, i, modulus)
+    s, d = _phi_shape(p, i)
+    num = [a - b for a, b in zip([0] * s + units, units + [0] * s)] if s else units
+    quot, rem = poly_divmod_monic(num, [-1] + [0] * (d - 1) + [1], modulus)
     if rem:
         raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
                            f"at working precision")
@@ -357,23 +353,14 @@ def vanishing_order(x, m):
     """Multiplicity of Phi_{p^m} in the canonical representative (T for m=0).
 
     Equals the vanishing multiplicity at every primitive p^m-th root of
-    unity, independent of the chosen root.
+    unity, independent of the chosen root.  The divisions run on one
+    packed vector (`polyops.poly_phi_order`).
     """
     if m > x.level:
         raise OutOfRange(f"m={m} exceeds level {x.level}")
     if x.is_zero():
         raise ZeroInput("vanishing order of 0 is undefined at finite precision")
-    order = 0
-    poly = list(x.units)
-    while True:
-        quot, rem = _phi_divmod(poly, x.p, m, x.modulus)
-        if rem:
-            return order
-        order += 1
-        poly = quot
-        if not poly_trim(poly):
-            # can only happen on zero input, which was excluded
-            return order
+    return poly_phi_order(x.units, x.p, m, x.modulus)
 
 
 def iwasawa_invariants(x):

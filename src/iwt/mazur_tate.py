@@ -45,39 +45,9 @@ from .errors import (MissingSymbol, NonIntegralDenominator, OutOfRange,
                      SchemaError)
 from .iwasawa_algebra import (FormParams, LambdaElement, _element, lift_nu,
                               project_pi)
-from .padic_core import (level_exponent, newton_min, padic_from_rational,
-                         teichmuller, val_p)
+from .padic_core import (check_prime, level_exponent, newton_min,
+                         padic_from_rational, teichmuller, val_p)
 from .polyops import poly_mul, poly_taylor_shift
-
-# Miller-Rabin with the primes up to 41 as bases is exact below this bound
-# (Sorenson and Webster, 2015); no complete table has p that large
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n):
-    """Whether n passes Miller-Rabin to every base of _MR_BASES: exactly
-    whether n is prime for n < _MR_BOUND; above it False still proves n
-    composite."""
-    if n < 2:
-        return False
-    for base in _MR_BASES:
-        if n % base == 0:
-            return n == base
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for base in _MR_BASES:
-        x = pow(base, odd, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _where(slot):
@@ -318,11 +288,7 @@ def ingest_modular_symbols(document, allow_denominator=1):
     p = document["p"]
     if not isinstance(p, int):
         raise SchemaError(f"field 'p' must be an integer, got {p!r}")
-    if not _is_prime(p):
-        raise SchemaError(f"p={p} is not prime")
-    if p >= _MR_BOUND:
-        raise SchemaError(f"p={p} is not below {_MR_BOUND}, where primality is "
-                          f"certified; no complete table is that large")
+    check_prime(p, SchemaError)
     conductor = _int_field(document["conductor"], "conductor")
     if conductor % p == 0:
         raise SchemaError(f"p={p} divides the conductor {conductor}; need a good prime")

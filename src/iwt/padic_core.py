@@ -20,8 +20,47 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (MixedPrime, NotAUnit, NotCoprime, OutOfRange, SchemaError,
-                     ZeroInput)
+from .errors import (InvalidParams, MixedPrime, NotAUnit, NotCoprime, OutOfRange,
+                     SchemaError, ZeroInput)
+
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, 2015); no complete table has p that large
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether n passes Miller-Rabin to every base of _MR_BASES: exactly
+    whether n is prime for n < _MR_BOUND; above it False still proves n
+    composite."""
+    if n < 2:
+        return False
+    for base in _MR_BASES:
+        if n % base == 0:
+            return n == base
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _MR_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(p, error=InvalidParams):
+    """Raise `error` unless p is a prime below _MR_BOUND, where _is_prime
+    certifies it."""
+    if not _is_prime(p):
+        raise error(f"p={p} is not prime")
+    if p >= _MR_BOUND:
+        raise error(f"p={p} is not below {_MR_BOUND}, where primality is certified")
 
 
 def val_p(x, p, cap=None):

@@ -12,8 +12,15 @@ most of both rings runs on the linear kernels here:
   nonzero coefficients: one shifted scalar multiple of the packed dense
   vector per coefficient, then one fold and one unpack, or for a single
   coefficient a rotation of the dense vector, scaled unless it is 1;
-* `poly_divmod_monic` divides by X^d - 1 by suffix sums, class by class,
-  or block by block when there are fewer blocks than classes.
+* the division by X^d - 1 is the suffix sums q_t = num_(t+d) + q_(t+d),
+  formed on one packed integer by doubling shifted adds (`_suffix_divmod`):
+  after the add at stride 2^r d every slot holds 2^(r+1) terms of its
+  sum, so ceil(log2(length / d)) adds make them all, and the slots below
+  d are the remainder.  `poly_divmod_monic` is its list entry.  The peel
+  (`poly_phi_peel`) and the repeated division of a vanishing order
+  (`poly_phi_order`) keep their vectors packed from the first division
+  to the last: a division by Phi_{p^i} is the product by X^s - 1,
+  s = p^(i-1), a shift minus the vector, then that division by X^(ps) - 1.
 
 The kernels above linear cost are Kronecker products (vectors packed
 into big integers with carry-free slots): the product itself and the
@@ -25,17 +32,18 @@ the group basis and T-coefficients, and between the zeta-basis of
 negative shift between two sign flips), so its low levels can keep
 exact integer slots of one word on one packed integer, and reduce once.
 
-Every level of the shift above its word levels, and every product of
-at least 255 coefficients, is a two-point Kronecker product (Harvey,
-"Faster polynomial multiplication via multipoint Kronecker
-substitution", 2009): each factor is evaluated at +2^(W/2) and at
--2^(W/2), half a slot of W bits apart, from its even and its odd
-entries packed at full width; the two products, each half as long as
-one product at W-bit slots, give the even coefficients by their
+Every level of the shift above its word levels when more than one runs
+there, and every product of at least 255 coefficients, is a two-point
+Kronecker product (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", 2009): each factor is evaluated at
++2^(W/2) and at -2^(W/2), half a slot of W bits apart, from its even and
+its odd entries packed at full width; the two products, each half as
+long as one product at W-bit slots, give the even coefficients by their
 half-sum and the odd ones by their half-difference, again at W-bit
 slots.  The only bound is the usual one: every coefficient of the
-product below 2^W.  A shorter product is one Kronecker product, whose
-single packing and unpacking cost less there.
+product below 2^W.  A shorter product, and a single level above the
+word levels, is one Kronecker product, whose single packing and
+unpacking cost less there.
 
 Slot layout: a slot holds the exact bound of one output coefficient,
 terms*(m-1)^2 for a product and sum(sparse)*(m-1) for the sparse
@@ -48,6 +56,18 @@ the next level: one Barrett round on the even and then the odd slots,
 each with the empty slot above it to hold its product of twice the
 width, leaves a slot below 2m, and one conditional subtraction of m
 leaves it below m.
+
+A division's slot holds its largest suffix sum, which is nonnegative:
+(m-1) ceil(L/d) for L residues; for a vanishing order m ceil((L+s)/d),
+twice that for s >= 1, whose numerator u (X^s - 1) + m has slots in
+[0, 2m]; and in the peel 2k (N/p + 2), k = (|ap| + 1) m for ap centred:
+the combination ap y - x has slots, and differences of two slots, below
+k in absolute value, so a slot of its product by X^s - 1, plus k, lies
+in [0, 2k], and a sum has at most (N + s)/(ps) + 1 terms.  The peel's
+slots also hold m^2 when eps_p is not 1, for the quotient times
+eps_p^(-1).  The packed reduction of the shift then checks the remainder
+slots and brings the quotient below m, so a peel unpacks its pair once,
+with no per-slot reduction.
 
 When a bound fits in 64 bits the slot is one little-endian 8-byte
 word, so a whole vector moves between list and big integer
@@ -69,11 +89,10 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import compress
 from math import comb
-from operator import add
 
-from .errors import NotAUnit, OutOfRange, ZeroInput
+from .errors import NotAUnit, NotDivisible, OutOfRange, ZeroInput
 
 
 def poly_trim(coeffs):
@@ -137,19 +156,25 @@ def _words(raw):
     return words
 
 
-def _unpack(value, count, width, modulus):
+def _unpack(value, count, width, modulus=None):
+    # the `count` slots of `value`, each reduced mod `modulus`, or as they
+    # stand when there is none (slots already below the modulus)
     raw = value.to_bytes(count * width, "little")
     if width == _WORD:
-        return [c % modulus for c in _words(raw)]
+        words = _words(raw)
+        return words.tolist() if modulus is None else [c % modulus for c in words]
     if width > 2 * _WORD:
-        return [int.from_bytes(raw[i:i + width], "little") % modulus
-                for i in range(0, count * width, width)]
+        slots = (int.from_bytes(raw[i:i + width], "little")
+                 for i in range(0, count * width, width))
+        return list(slots) if modulus is None else [c % modulus for c in slots]
     # slot i = high_i * 2^64 + low_i: gather both words of every slot
     low, high = bytearray(count * _WORD), bytearray(count * _WORD)
     for j in range(_WORD):
         low[j::_WORD] = raw[j::width]
     for j in range(width - _WORD):
         high[j::_WORD] = raw[_WORD + j::width]
+    if modulus is None:
+        return [h << 8 * _WORD | lo for h, lo in zip(_words(high), _words(low))]
     r = (1 << 8 * _WORD) % modulus
     return [(h * r + lo) % modulus for h, lo in zip(_words(high), _words(low))]
 
@@ -245,8 +270,9 @@ def poly_cyclic_mul_sparse(dense, sparse, modulus):
 def poly_divmod_monic(num, den, modulus):
     """Quotient and remainder by X^d - 1, d >= 1; exact over Z/p^M.
 
-    The quotient, of len(num) - d coefficients, is a set of suffix sums.
-    Every divisor of the package is such a binomial; others raise OutOfRange.
+    The quotient, of len(num) - d coefficients, is a set of suffix sums,
+    formed on the packed residues by `_suffix_divmod`.  Every divisor of
+    the package is such a binomial; others raise OutOfRange.
     """
     d = len(den) - 1
     # the package spells X^d - 1 as (-1 or m - 1, 0, ..., 0, 1); any other
@@ -262,37 +288,119 @@ def poly_divmod_monic(num, den, modulus):
         if not d or den[0] != modulus - 1 or any(den[1:d]):
             raise OutOfRange(f"divisor must be X^d - 1 with d >= 1, got {list(den)}")
     num = [c % modulus for c in num]
-    # num = q * (X^d - 1) + r: q_t = num_(t+d) + q_(t+d), a suffix sum along
-    # the residue class of t mod d.  r_t = num_t + q_t below X^d
-    quot, k = num[d:], len(num) - d
-    if k <= 0:
+    length = len(num)
+    if length <= d:
         return [], poly_trim(num)
-    blocks = -(-k // d)
-    if blocks < d:
-        # fewer blocks than classes: from the top, each block of d adds the
-        # summed block above it
-        for start in range((blocks - 2) * d, -1, -d):
-            above = quot[start + d:start + 2 * d]
-            quot[start:start + len(above)] = map(add, quot[start:start + d], above)
-    else:
-        # a class with one entry (t >= k - d) is already summed
-        for r in range(min(d, k - d)):
-            quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
-    quot = [q % modulus for q in quot]
-    low = quot[:d] + [0] * (d - k)
-    return quot, poly_trim([(a + b) % modulus for a, b in zip(num, low)])
+    # a residue below m in each slot, at most ceil(length / d) per sum
+    width = _width((modulus - 1) * -(-length // d))
+    bits = 8 * width
+    evens, ones = _masks(length, width)
+    quot, rem = _suffix_divmod(_pack(num, width), length, d, bits)
+    return (_unpack(_reduce(quot, bits, modulus, evens, ones), length - d, width),
+            poly_trim(_unpack(_reduce(rem, bits, modulus, evens, ones), d, width)))
+
+
+def _suffix_divmod(num, length, d, bits):
+    # num = q (X^d - 1) + r for a packed vector of `length` nonnegative slots
+    # of `bits` bits: q_t = num_(t+d) + q_(t+d) and r_t = num_t + q_t, so both
+    # are the full sums U_j = sum_(k >= 0) num_(j + k d), of the slots from
+    # d up and below d.  After the round of stride 2^r d every slot holds
+    # 2^(r+1) terms of its sum, so the rounds stop at a stride of `length`.
+    # The caller's slots hold the largest U_j; q and r come back unreduced
+    stride = d
+    while stride < length:
+        num += num >> bits * stride
+        stride *= 2
+    return num >> bits * d, num & (1 << bits * d) - 1
+
+
+def _phi_shape(p, i):
+    # Phi_{p^i}(X) (X^s - 1) = X^d - 1 for s = p^(i-1), d = p s; for i = 0
+    # the divisor is X - 1 itself, which s = 0 marks
+    if i < 0:
+        raise OutOfRange(f"Phi_{{p^i}} needs i >= 0, got i={i}")
+    return (0, 1) if i == 0 else (p ** (i - 1), p ** i)
+
+
+def _phi_divide(c, length, s, d, k, width, modulus):
+    # the exact quotient by Phi of c, `length` slots packed as one integer,
+    # reduced below m; None when the remainder is nonzero.  k is a multiple
+    # of m such that c (X^s - 1) + k has its slots in [0, 2k] (for s = 0, c
+    # has them in [0, k]); the caller's slots hold its largest suffix sum
+    # over X^d - 1.  The slots of c itself may be negative: the numerator
+    # is exact as an integer
+    bits = 8 * width
+    evens, ones = _masks(length + s, width)
+    quot, rem = _suffix_divmod((c << bits * s) - c + k * ones if s else c,
+                               length + s, d, bits)
+    if _reduce(rem, bits, modulus, *_masks(d, width)):
+        return None
+    return _reduce(quot, bits, modulus, evens, ones)
+
+
+def poly_phi_order(units, p, i, modulus):
+    """How often Phi_{p^i}(X), X - 1 for i = 0, divides the residue vector
+    `units` over Z/modulus: exact divisions until one leaves a remainder or
+    the quotient is 0, all on one packed integer."""
+    s, d = _phi_shape(p, i)
+    length = len(units)
+    width = _width((2 if s else 1) * modulus * -(-(length + s) // d))
+    poly, order = _pack(units, width), 0
+    while True:
+        poly = _phi_divide(poly, length, s, d, modulus, width, modulus)
+        if poly is None:
+            return order
+        length, order = length + s - d, order + 1
+        if not poly:
+            return order
+
+
+def poly_phi_peel(x, y, ap, eps_inv, p, twists, modulus):
+    """The pair (x, y) of residue vectors of one length N after one peel
+    step per (i, e) of `twists`, i >= 1, in order: (x, y) becomes (y, u),
+    u = X^e (ap y - x) eps_inv / Phi_{p^i}(X), the exact quotient of
+    polynomials of degree < N, with e small enough that u has degree < N.
+    Raises NotDivisible when a division leaves a remainder mod `modulus`.
+
+    Both vectors stay packed from the first step to the last.  ap enters
+    centred, |ap| <= m/2, so a slot of ap y - x, and a difference of two
+    of them, is below k = (|ap| + 1) m in absolute value, and a slot of
+    (ap y - x)(X^s - 1) + k lies in [0, 2k].  The quotient is reduced
+    below m before eps_inv (a unit: the division by the monic Phi
+    commutes with it) multiplies it.
+    """
+    size, half = len(x), modulus // 2
+    ap, eps_inv = (ap + half) % modulus - half, eps_inv % modulus
+    k = (abs(ap) + 1) * modulus
+    bound = 2 * k * (size // p + 2)
+    width = _width(bound if eps_inv == 1 else max(bound, modulus ** 2))
+    bits = 8 * width
+    x, y = _pack(x, width), _pack(y, width)
+    for i, e in twists:
+        if i < 1:
+            raise OutOfRange(f"a peel step divides by Phi_{{p^i}}, i >= 1, got i={i}")
+        s, d = _phi_shape(p, i)
+        u = _phi_divide(ap * y - x, size, s, d, k, width, modulus)
+        if u is None:
+            raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
+                               f"at working precision")
+        if eps_inv != 1:
+            u = _reduce(u * eps_inv, bits, modulus, *_masks(size + s, width))
+        x, y = y, u << bits * e
+    return _unpack(x, size, width), _unpack(y, size, width)
 
 
 @lru_cache(maxsize=None)
 def _shift_power(c, level, modulus, width):
-    # (x + c)^(2^level) mod modulus, the square of the level below, and its
-    # values at +-2^(4 width) for the two-point product at slots of `width`
+    # (x + c)^(2^level) mod modulus, the square of the level below, packed
+    # at slots of `width` and as its values at +-2^(4 width) for the
+    # two-point product
     if level:
         below = _shift_power(c, level - 1, modulus, width)[0]
         power = tuple(poly_mul(below, below, modulus))
     else:
         power = (c % modulus, 1)
-    return power, _evaluate(power, width)
+    return power, _pack(power, width), _evaluate(power, width)
 
 
 def _column_bound(c, block):
@@ -319,12 +427,21 @@ def _word_powers(c, modulus):
     return tuple(powers)
 
 
-def _shift_level(packed, half, blocks, power):
-    # one word level on a packed vector of `blocks` blocks of 2 * half
-    # slots: every block lo + x^half hi becomes lo + power * hi
-    half_bytes = half * _WORD
+def _shift_level(packed, half, blocks, power, width):
+    # one level on a packed vector of `blocks` blocks of 2 * half slots of
+    # `width` bytes: every block lo + x^half hi becomes lo + power * hi
+    half_bytes = half * width
     low_mask = int.from_bytes((b"\xff" * half_bytes + bytes(half_bytes)) * blocks, "little")
     return ((packed >> 8 * half_bytes) & low_mask) * power + (packed & low_mask)
+
+
+@lru_cache(maxsize=64)
+def _masks(count, width):
+    # for `count` slots of `width` bytes: `evens`, every even slot filled,
+    # and `ones`, bit 0 of every slot (the masks of `_reduce`, which also
+    # serve a vector of fewer slots)
+    evens = int.from_bytes((b"\xff" * width + bytes(width)) * (count // 2 + 1), "little")
+    return evens, int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
 
 
 def _reduce(x, bits, modulus, evens, ones):
@@ -375,7 +492,7 @@ def poly_taylor_shift(f, c, modulus):
         out.extend([0] * (-len(out) % block))
         packed = _pack(out, _WORD)
         for power in words:
-            packed = _shift_level(packed, half, len(out) // (2 * half), power)
+            packed = _shift_level(packed, half, len(out) // (2 * half), power, _WORD)
             half, level = 2 * half, level + 1
         out = _unpack(packed, size, _WORD, modulus)
     if half < size:
@@ -386,19 +503,22 @@ def poly_taylor_shift(f, c, modulus):
 
 
 def _shift_levels(out, c, half, level, modulus):
-    # the levels from `half` up on the residues `out`, kept as two packed
-    # streams of its even and odd entries.  After level k a slot holds
-    # lo + [x^j] (x + c)^(2^k) hi <= (m - 1) + 2^k (m - 1)^2, below the top
-    # level's bound (top + 1)(m - 1)^2 < 2^bits, so one width serves all
+    # the levels from `half` up on the residues `out`.  A single level is one
+    # Kronecker product, as in poly_mul below _KS2_TERMS.  More are kept as
+    # two packed streams of the even and odd entries.  After level k a slot
+    # holds lo + [x^j] (x + c)^(2^k) hi <= (m - 1) + 2^k (m - 1)^2, below the
+    # top level's bound (top + 1)(m - 1)^2 < 2^bits, so one width serves all
     size = len(out)
     top = 1 << (size - 1).bit_length() - 1
     width = _slot_bytes(top + 1, modulus)
+    if half == top:
+        power = _shift_power(c, level, modulus, width)[1]
+        return _unpack(_shift_level(_pack(out, width), half, 1, power, width),
+                       size, width, modulus)
     bits, count = 8 * width, (size + 1) // 2
     even, odd = _pack(out[0::2], width), _pack(out[1::2], width)
-    if 2 * half < size:
-        # masks of the reductions, which run only between two levels
-        evens = int.from_bytes((b"\xff" * width + bytes(width)) * (count // 2 + 1), "little")
-        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+    # masks of the reductions, which run only between two levels
+    evens, ones = _masks(count, width)
     while True:
         if half == 1:
             # blocks of two: lo is an even entry and hi the odd one above it
@@ -412,7 +532,7 @@ def _shift_levels(out, c, half, level, modulus):
             hi = (even >> 8 * span & mask, odd >> 8 * span & mask)
         shifted = hi[1] << bits // 2
         even, odd = _ks2((hi[0] + shifted, hi[0] - shifted),
-                         _shift_power(c, level, modulus, width)[1], bits // 2)
+                         _shift_power(c, level, modulus, width)[2], bits // 2)
         even, odd = lo[0] + even, lo[1] + odd
         half, level = 2 * half, level + 1
         if half >= size:

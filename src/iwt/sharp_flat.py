@@ -30,11 +30,11 @@ from functools import cached_property
 from .errors import (MixedPrime, NotDivisible, OutOfRange,
                      PrecisionExhausted, PrecisionMismatch, Unstable)
 from .iwasawa_algebra import (IwasawaInvariants, LambdaElement, _element,
-                              cyclotomic_phi, divide_by_phi,
-                              half_twist_exponent, iwasawa_invariants,
-                              vanishing_order)
+                              cyclotomic_phi, half_twist_exponent,
+                              iwasawa_invariants, vanishing_order)
 from .logmatrix import push_steps
 from .padic_core import PadicInt, padic_from_rational
+from .polyops import poly_phi_peel
 
 
 @dataclass(frozen=True)
@@ -69,21 +69,20 @@ def decompose_pair(theta_n, theta_prev, params, hatted=False, tame_index=None):
         raise OutOfRange("completed decomposition is supported for odd p only")
     if theta_prev.p != theta_n.p:
         raise MixedPrime(f"primes {theta_n.p} and {theta_prev.p}")
-    p, M, modulus = theta_n.p, theta_n.precision, theta_n.modulus
-    ap, eps_inv = params.ap, pow(params.eps_p, -1, params.modulus)
+    p, M = theta_n.p, theta_n.precision
     # (x, y) = (Theta_n, X^e Theta_{n-1}) as group-basis vectors; each step
-    # divides (ap y - x) / eps_p, formed in one pass, by Phi_i
+    # divides (ap y - x) / eps_p by Phi_i, all on packed vectors
     e = half_twist_exponent(p, n) if hatted else 0
-    x, y = theta_n.units, ([0] * e + list(theta_prev.units) + [0] * p ** n)[:p ** n]
-    for i in range(n - 1, 0, -1):
-        try:
-            u = divide_by_phi([(ap * b - a) * eps_inv for a, b in zip(x, y)],
-                              p, i, modulus, hatted)
-        except NotDivisible as exc:
-            raise NotDivisible(
-                f"Theta_n or Theta_{{n-1}} breaks the three-term relation (levels {n} "
-                f"and {n - 1}); iwt verify checks the relation level by level") from exc
-        x, y = y, u
+    y = ([0] * e + list(theta_prev.units) + [0] * p ** n)[:p ** n]
+    twists = [(i, half_twist_exponent(p, i) if hatted else 0) for i in range(n - 1, 0, -1)]
+    try:
+        x, y = poly_phi_peel(theta_n.units, y, params.ap,
+                             pow(params.eps_p, -1, params.modulus), p, twists,
+                             theta_n.modulus)
+    except NotDivisible as exc:
+        raise NotDivisible(
+            f"Theta_n or Theta_{{n-1}} breaks the three-term relation (levels {n} "
+            f"and {n - 1}); iwt verify checks the relation level by level") from exc
     return SharpFlatApprox(level=n, tame_index=tame_index,
                            sharp=_element(p, n, M, x), flat=_element(p, n, M, y),
                            hatted=hatted, params=params)

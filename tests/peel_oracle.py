@@ -10,12 +10,68 @@ nu-lift, so a recomposed pair can go through the package peel again.
 `a_tilde_inverse` and `vec_mul` are the matrix
 form of `sharp_flat.recompose`, which the tests compare against, and
 `mat_mul` the matrix product of the tests' step products.
+
+The divisions are this module's own: `list_divmod` is the division by
+X^d - 1 as it stood before it ran on packed integers, suffix sums on
+lists, so the oracle shares no division code with the package.
 """
 
+from itertools import accumulate
+from operator import add
+
 from iwt.errors import NotDivisible
-from iwt.iwasawa_algebra import LambdaElement, _element, divide_by_phi
+from iwt.iwasawa_algebra import LambdaElement, _element, half_twist_exponent
 from iwt.logmatrix import LambdaMatrix
 from iwt.sharp_flat import SharpFlatApprox
+
+
+def trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def list_divmod(num, d, modulus):
+    """Quotient and remainder of num by X^d - 1 over Z/modulus: the suffix
+    sums q_t = num_(t+d) + q_(t+d), block by block from the top when there
+    are fewer blocks than residue classes, class by class otherwise."""
+    num = [c % modulus for c in num]
+    quot, k = num[d:], len(num) - d
+    if k <= 0:
+        return [], trim(num)
+    blocks = -(-k // d)
+    if blocks < d:
+        for start in range((blocks - 2) * d, -1, -d):
+            above = quot[start + d:start + 2 * d]
+            quot[start:start + len(above)] = map(add, quot[start:start + d], above)
+    else:
+        for r in range(min(d, k - d)):
+            quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
+    quot = [q % modulus for q in quot]
+    low = quot[:d] + [0] * (d - k)
+    return quot, trim([(a + b) % modulus for a, b in zip(num, low)])
+
+
+def phi_divmod(units, p, i, modulus):
+    """Quotient and remainder of a list by Phi_{p^i}(X), by X - 1 for i = 0:
+    those of units (X^s - 1) by X^(ps) - 1, s = p^(i-1)."""
+    if i == 0:
+        return list_divmod(units, 1, modulus)
+    s = p ** (i - 1)
+    num = [a - b for a, b in zip([0] * s + units, units + [0] * s)]
+    return list_divmod(num, p * s, modulus)
+
+
+def divide_by_phi(units, p, i, modulus, hatted=False):
+    """The exact quotient by Phi_{p^i}, twisted by X^e when hatted, as
+    len(units) residues; NotDivisible when the remainder is nonzero."""
+    quot, rem = phi_divmod(list(units), p, i, modulus)
+    if rem:
+        raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
+                           f"at working precision")
+    e = half_twist_exponent(p, i) if hatted else 0
+    size = len(units)
+    return ([0] * e + quot + [0] * size)[:size]
 
 
 class PeelIndexError(NotDivisible):

@@ -369,3 +369,15 @@ def test_kurihara_general_with_an_unknown_star_is_out_of_range():
     params = KuriharaParams.from_v(3, F(1, 6))
     with pytest.raises(OutOfRange, match="kurihara_general"):
         kurihara_general(3, 3, params, "both")
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_the_analytics_refuse_a_p_that_is_not_prime(p):
+    record = ShaRecord(kind="elliptic", r_infinity=0, mu_sharp=F(0), mu_flat=F(0),
+                       lambda_sharp=1, lambda_flat=5, v=ExtRational(1))
+    calls = (lambda: rank_bound(p, 0, 0, 1, 5, 1),
+             lambda: modesty_map(p, [ExtRational(1)], [F(0)], 1, 5),
+             lambda: sha_growth(range(2, 4), [record], p))
+    for call in calls:
+        with pytest.raises(InvalidParams, match=f"^p={p} is not prime$"):
+            call()

@@ -106,6 +106,25 @@ def test_synthetic_verify_needs_the_form(capsys):
     assert report["error"] == "InvalidParams" and "--ap" in report["message"]
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_a_p_that_is_not_prime_is_refused(tmp_path, capsys, p):
+    # verify builds FormParams; the three analytics commands check p themselves
+    invariants = tmp_path / "invariants.json"
+    invariants.write_text(json.dumps(dict(RANK_INPUT, p=p)))
+    records = tmp_path / "records.json"
+    records.write_text(json.dumps([RECORD]))
+    for argv in (["verify", "--synthetic-seed", 1, "--p", p, "--ap", 0],
+                 ["rank-bound", "--invariants", invariants, "--out", tmp_path],
+                 ["modesty-map", "--p", p, "--v-values", "1", "--mu-gaps", "0",
+                  "--out", tmp_path],
+                 ["sha-growth", "--records", records, "--p", p, "--n-from", 2,
+                  "--n-to", 3, "--out", tmp_path]):
+        assert run(argv) == 1, argv
+        report = last_error(capsys)
+        assert (report["error"], report["message"]) == ("InvalidParams",
+                                                        f"p={p} is not prime"), argv
+
+
 def test_corrupted_table_names_the_level_pair(tmp_path, capsys):
     doc = json.loads(FIXTURE.read_text())
     for entry in doc["symbols"]:

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from iwt.errors import (LevelMismatch, NotAUnit, NotDivisible, OutOfRange,
-                        PrecisionExhausted, PrecisionMismatch, ZeroInput)
+from iwt.errors import (InvalidParams, LevelMismatch, NotAUnit, NotDivisible,
+                        OutOfRange, PrecisionExhausted, PrecisionMismatch, ZeroInput)
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
-                                 exact_divide_by_phi, half_twist_exponent,
+                                 divide_by_phi, exact_divide_by_phi, half_twist_exponent,
                                  iwasawa_invariants, lift_nu, newton_vr,
                                  project_pi, substitute_inverse, vanishing_order)
 from iwt.cyclotomic_ext import EisensteinElement
@@ -155,6 +155,14 @@ def test_vanishing_order_examples():
         vanishing_order(LambdaElement.zero(3, 1, M), 0)
 
 
+def test_a_negative_phi_index_is_out_of_range():
+    x = LambdaElement.one(3, 2, M)
+    with pytest.raises(OutOfRange, match="i >= 0, got i=-1"):
+        vanishing_order(x, -1)
+    with pytest.raises(OutOfRange, match="i >= 0, got i=-1"):
+        divide_by_phi(list(x.units), 3, -1, 3 ** M)
+
+
 def test_iwasawa_invariants_examples():
     inv = iwasawa_invariants(LambdaElement(3, 1, M, [9, 3, 1]))
     assert inv.pair() == (0, 2)
@@ -269,6 +277,10 @@ def test_ring_input_checks():
         LambdaElement.one(3, 1, 4) + LambdaElement.one(3, 1, 5)
     with pytest.raises(NotAUnit):
         FormParams(3, 1, 6, M)
+    # a p that is not prime, 0 among them, is refused before eps_p is read
+    for p in (0, 1, 4, 6, -3, 561):
+        with pytest.raises(InvalidParams, match=f"^p={p} is not prime$"):
+            FormParams(p, 0, 1, M)
     x = LambdaElement.monomial(3, 1, M, 1)
     for s in (0, Fraction(-1, 2)):
         with pytest.raises(OutOfRange):

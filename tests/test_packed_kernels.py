@@ -10,7 +10,9 @@ oracles share no code with the package: they pack one coefficient at a
 time into their own byte slots and take the powers (x + c)^(2^k) from
 the binomial theorem.  The division oracle trims its remainder also when
 the numerator is no longer than the divisor, where the earlier kernel
-returned the numerator untrimmed.
+returned the numerator untrimmed.  The packed peel and vanishing order
+run against the list loops they replaced, on the list division of
+`peel_oracle`, suffix sums on lists.
 """
 
 import math
@@ -19,10 +21,13 @@ from itertools import accumulate, zip_longest
 
 import pytest
 
-from iwt.iwasawa_algebra import FormParams, LambdaElement, lift_nu
+from iwt.errors import NotDivisible, OutOfRange
+from iwt.iwasawa_algebra import FormParams, LambdaElement, half_twist_exponent, lift_nu
 from iwt.mazur_tate import synthesize_queue
 from iwt.polyops import (_reduce, _slot_bytes, _word_powers, poly_cyclic_mul_sparse,
-                         poly_divmod_monic, poly_mul, poly_taylor_shift, poly_trim)
+                         poly_divmod_monic, poly_mul, poly_phi_order, poly_phi_peel,
+                         poly_taylor_shift, poly_trim)
+from peel_oracle import phi_divmod
 
 PRIMES = (2, 3, 5, 7)
 # slots of one word at every level of a short shift (3^15), of 9 to 16
@@ -181,7 +186,7 @@ def test_single_entry_sparse_product_is_a_scaled_rotation(modulus):
                 assert poly_cyclic_mul_sparse(tuple(dense), tuple(sparse), modulus) == want
 
 
-@pytest.mark.parametrize("modulus", (2, 27, 7 ** 12, 3 ** 41))
+@pytest.mark.parametrize("modulus", (2, 27, 2 ** 30, 3 ** 15, 7 ** 12, 3 ** 41))
 def test_binomial_division_matches_the_classwise_sums(modulus):
     # d below, equal to and above the numerator length; quotients of fewer
     # blocks than classes (the block sums), as many, and more; numerators
@@ -355,3 +360,120 @@ def test_synthesized_tower_matches_the_constructor_path(p, seed):
         assert [x.units for x in got] == [x.units for x in want], (ap, M)
         assert [x.coeffs for x in got] == [x.coeffs for x in want], (ap, M)
         assert all(x._coeffs is not None for x in got)
+
+
+# (p, M, n): slots of one word at 2^30, 3^15 and 5^11, of 9 bytes at 7^12
+# when eps is not 1 (m^2 passes 64 bits), wider than 16 bytes at 3^41
+PEEL_RINGS = ((2, 30, 6), (3, 15, 5), (3, 41, 4), (5, 11, 3), (7, 12, 3))
+
+
+def list_peel(x, y, ap, eps_inv, p, twists, modulus):
+    # the peel loop of sharp_flat.decompose_pair before it ran packed
+    for i, e in twists:
+        quot, rem = phi_divmod([(ap * b - a) * eps_inv for a, b in zip(x, y)], p, i, modulus)
+        if rem:
+            raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
+                               f"at working precision")
+        x, y = y, ([0] * e + quot + [0] * len(x))[:len(x)]
+    return list(x), y
+
+
+def list_order(units, p, i, modulus):
+    # the division loop of iwasawa_algebra.vanishing_order before it ran packed
+    order, poly = 0, list(units)
+    while True:
+        quot, rem = phi_divmod(poly, p, i, modulus)
+        if rem:
+            return order
+        order, poly = order + 1, quot
+        if not poly_trim(poly):
+            return order
+
+
+def outcome(peel, *args):
+    try:
+        return peel(*args)
+    except NotDivisible as exc:
+        return str(exc)
+
+
+def phi_list(p, i):
+    # Phi_{p^i}(X) = sum_{k<p} X^(k p^(i-1)), and X - 1 for i = 0
+    if i == 0:
+        return [-1, 1]
+    step = p ** (i - 1)
+    return [int(t % step == 0) for t in range((p - 1) * step + 1)]
+
+
+@pytest.mark.parametrize("p, M, n", PEEL_RINGS)
+def test_packed_peel_matches_the_list_peel(p, M, n):
+    # the tower pair of every level, so that every index runs, by every kind
+    # of ap (0, +-p, m - 1 = -1 centred, and m // 2, the widest offset), by
+    # eps 1 and 2p - 1, hatted and not; then the same pairs broken at the
+    # first division and, by a multiple of its Phi, at the second one
+    modulus = p ** M
+    assert (p, M) != (7, 12) or modulus ** 2 >> 64
+    for ap in (0, p, -p, modulus - 1, modulus // 2):
+        for eps in (1, 2 * p - 1):
+            seq = synthesize_queue(ap % 97 + eps, FormParams(p, ap, eps, M), n)
+            eps_inv = pow(eps, -1, modulus)
+            for hatted in (False, True)[:1 + (p != 2)]:
+                for level in range(1, n + 1):
+                    size = p ** level
+                    e = half_twist_exponent(p, level) if hatted else 0
+                    twists = [(i, half_twist_exponent(p, i) if hatted else 0)
+                              for i in range(level - 1, 0, -1)]
+                    x = list(seq[level].units)
+                    y = ([0] * e + list(seq[level - 1].units) + [0] * size)[:size]
+                    args = (ap, eps_inv, p, twists, modulus)
+                    assert poly_phi_peel(x, y, *args) == list_peel(x, y, *args), \
+                        (ap, eps, hatted, level)
+                    if level < 2:
+                        continue
+                    first = x[:]
+                    first[1] = (first[1] + 1) % modulus
+                    second = x[:]
+                    for t, c in enumerate(phi_list(p, level - 1)):
+                        second[t + 2] = (second[t + 2] + c) % modulus
+                    # the second division sees ap X^2 times a unit, 0 at ap = 0
+                    for broken, index in ((first, level - 1), (second, level - 2)):
+                        got = outcome(poly_phi_peel, broken, y, *args)
+                        assert got == outcome(list_peel, broken, y, *args)
+                        if index == level - 1 or (index and ap % modulus):
+                            assert got == (f"division by Phi_{{p^{index}}}: remainder is "
+                                           f"nonzero at working precision"), (ap, level)
+
+
+@pytest.mark.parametrize("p, M, n", PEEL_RINGS)
+def test_packed_vanishing_order_matches_the_list_loop(p, M, n):
+    # at every m from 0 (T = X - 1) to n: random vectors, multiples of
+    # powers of each divisor, m / p (X - 1)^k, whose orders run deep, and
+    # the zero vector, whose first quotient is 0 (vanishing_order refuses 0
+    # before the kernel runs)
+    modulus, size = p ** M, p ** n
+    rng = random.Random(modulus)
+    vectors = [random_vector(rng, size, modulus), [0] * size]
+    for k in (1, p, size - 1):
+        vectors.append([modulus // p * math.comb(k, j) * (-1) ** (k - j) % modulus
+                        for j in range(k + 1)])
+    for i in range(n + 1):
+        # Phi^k times a random cofactor, for k = 1, 2 and the largest k
+        top = (size - 1) // (len(phi_list(p, i)) - 1)
+        power = [1]
+        for k in range(1, top + 1):
+            power = schoolbook_mul(power, phi_list(p, i), modulus)
+            if k in (1, 2, top):
+                cofactor = random_vector(rng, size - len(power) + 1, modulus)
+                vectors.append(schoolbook_mul(power, cofactor, modulus))
+    for v in vectors:
+        v += [0] * (size - len(v))
+        for m in range(n + 1):
+            assert poly_phi_order(v, p, m, modulus) == list_order(v, p, m, modulus), m
+
+
+def test_packed_kernels_refuse_an_index_out_of_range():
+    with pytest.raises(OutOfRange, match="i >= 0, got i=-1"):
+        poly_phi_order([1, 2, 3], 3, -1, 27)
+    for i in (0, -1):
+        with pytest.raises(OutOfRange, match=f"i >= 1, got i={i}"):
+            poly_phi_peel([1, 2, 3], [0, 1, 0], 1, 1, 3, [(i, 0)], 27)
