@@ -292,7 +292,9 @@ def lift_nu(x):
 # ---------------------------------------------------------------------------
 
 def half_twist_exponent(p, i):
-    """The exponent e = p^(i-1)(p-1)/2 used by the completed variant."""
+    """The exponent e = p^(i-1)(p-1)/2 used by the completed variant, i >= 1."""
+    if i < 1:
+        raise OutOfRange(f"the completed variant needs i >= 1, got i={i}")
     return p ** (i - 1) * (p - 1) // 2
 
 
@@ -329,13 +331,13 @@ def divide_by_phi(units, p, i, modulus, hatted=False):
     mod p^M.
     """
     s, d = _phi_shape(p, i)
+    e = half_twist_exponent(p, i) if hatted else 0
     num = [a - b for a, b in zip([0] * s + units, units + [0] * s)] if s else units
     quot, rem = poly_divmod_monic(num, [-1] + [0] * (d - 1) + [1], modulus)
     if rem:
         raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
                            f"at working precision")
     # the quotient has degree < p^n - 2e, so the twist by X^e does not wrap
-    e = half_twist_exponent(p, i) if hatted else 0
     size = len(units)
     return ([0] * e + quot + [0] * size)[:size]
 

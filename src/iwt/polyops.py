@@ -294,10 +294,10 @@ def poly_divmod_monic(num, den, modulus):
     # a residue below m in each slot, at most ceil(length / d) per sum
     width = _width((modulus - 1) * -(-length // d))
     bits = 8 * width
-    evens, ones = _masks(length, width)
     quot, rem = _suffix_divmod(_pack(num, width), length, d, bits)
-    return (_unpack(_reduce(quot, bits, modulus, evens, ones), length - d, width),
-            poly_trim(_unpack(_reduce(rem, bits, modulus, evens, ones), d, width)))
+    quot = _reduce(quot, bits, modulus, *_masks(length - d, width))
+    rem = _reduce(rem, bits, modulus, *_masks(d, width))
+    return _unpack(quot, length - d, width), poly_trim(_unpack(rem, d, width)) if rem else []
 
 
 def _suffix_divmod(num, length, d, bits):
@@ -362,11 +362,9 @@ def poly_phi_peel(x, y, ap, eps_inv, p, twists, modulus):
     polynomials of degree < N, with e small enough that u has degree < N.
     Raises NotDivisible when a division leaves a remainder mod `modulus`.
 
-    Both vectors stay packed from the first step to the last.  ap enters
-    centred, |ap| <= m/2, so a slot of ap y - x, and a difference of two
-    of them, is below k = (|ap| + 1) m in absolute value, and a slot of
-    (ap y - x)(X^s - 1) + k lies in [0, 2k].  The quotient is reduced
-    below m before eps_inv (a unit: the division by the monic Phi
+    Both vectors stay packed from the first step to the last, at the slot
+    bound of the module docstring, with ap centred; the quotient is
+    reduced below m before eps_inv (a unit: the division by the monic Phi
     commutes with it) multiplies it.
     """
     size, half = len(x), modulus // 2

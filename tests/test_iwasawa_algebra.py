@@ -155,12 +155,17 @@ def test_vanishing_order_examples():
         vanishing_order(LambdaElement.zero(3, 1, M), 0)
 
 
-def test_a_negative_phi_index_is_out_of_range():
+def test_phi_indices_out_of_range():
     x = LambdaElement.one(3, 2, M)
     with pytest.raises(OutOfRange, match="i >= 0, got i=-1"):
         vanishing_order(x, -1)
     with pytest.raises(OutOfRange, match="i >= 0, got i=-1"):
         divide_by_phi(list(x.units), 3, -1, 3 ** M)
+    # T divides (X - 1) x, but no completed variant of it exists
+    times_t = (x * LambdaElement(3, 2, M, [0, 1])).units
+    assert divide_by_phi(list(times_t), 3, 0, 3 ** M) == list(x.units)
+    with pytest.raises(OutOfRange, match="i >= 1, got i=0"):
+        divide_by_phi(list(times_t), 3, 0, 3 ** M, hatted=True)
 
 
 def test_iwasawa_invariants_examples():

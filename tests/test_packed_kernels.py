@@ -2,22 +2,19 @@
 
 The oracles below are the earlier forms of the kernels, kept as the
 references the packed ones must reproduce exactly: the rotation loop of
-the sparse cyclic product, the class-wise suffix sums of the binomial
-division, the one-evaluation Kronecker product, the Taylor shift that
-multiplies, reduces and unpacks at every level, and the synthetic tower
-built through the T-coefficient constructor.  The product and the shift
-oracles share no code with the package: they pack one coefficient at a
-time into their own byte slots and take the powers (x + c)^(2^k) from
-the binomial theorem.  The division oracle trims its remainder also when
-the numerator is no longer than the divisor, where the earlier kernel
-returned the numerator untrimmed.  The packed peel and vanishing order
-run against the list loops they replaced, on the list division of
-`peel_oracle`, suffix sums on lists.
+the sparse cyclic product, the list suffix sums of the binomial division
+(`peel_oracle.list_divmod`), the one-evaluation Kronecker product, the
+Taylor shift that multiplies, reduces and unpacks at every level, the
+peel and vanishing-order loops on that list division, and the synthetic
+tower built through the T-coefficient constructor.  The product and the
+shift oracles share no code with the package: they pack one coefficient
+at a time into their own byte slots and take the powers (x + c)^(2^k)
+from the binomial theorem.
 """
 
 import math
 import random
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 
 import pytest
 
@@ -27,7 +24,7 @@ from iwt.mazur_tate import synthesize_queue
 from iwt.polyops import (_reduce, _slot_bytes, _word_powers, poly_cyclic_mul_sparse,
                          poly_divmod_monic, poly_mul, poly_phi_order, poly_phi_peel,
                          poly_taylor_shift, poly_trim)
-from peel_oracle import phi_divmod
+from peel_oracle import list_divmod, phi_divmod
 
 PRIMES = (2, 3, 5, 7)
 # slots of one word at every level of a short shift (3^15), of 9 to 16
@@ -49,20 +46,6 @@ def rotation_mul(dense, sparse, modulus):
             rotated = dense[size - s:] + dense[:size - s]
             out = [a + c * b for a, b in zip(out, rotated)]
     return [a % modulus for a in out]
-
-
-def classwise_divmod(num, den, modulus):
-    den = poly_trim([c % modulus for c in den])
-    d = len(den) - 1
-    num = [c % modulus for c in num]
-    quot, k = num[d:], len(num) - d
-    if k <= 0:
-        return [], poly_trim(num)
-    for r in range(max(0, min(d, k - d))):
-        quot[r::d] = list(accumulate(quot[r::d][::-1]))[::-1]
-    quot = [q % modulus for q in quot]
-    low = quot[:d] + [0] * (d - k)
-    return quot, poly_trim([(a + b) % modulus for a, b in zip(num, low)])
 
 
 def byte_width(terms, modulus):
@@ -200,7 +183,7 @@ def test_binomial_division_matches_the_classwise_sums(modulus):
                 continue
             num = [rng.randrange(-2 * modulus, 3 * modulus) for _ in range(length)]
             assert poly_divmod_monic(num, den, modulus) \
-                == classwise_divmod(num, den, modulus), (d, length)
+                == list_divmod(num, d, modulus), (d, length)
 
 
 def test_binomial_division_reads_every_spelling_of_the_divisor():
@@ -209,7 +192,7 @@ def test_binomial_division_reads_every_spelling_of_the_divisor():
     rng = random.Random(3)
     modulus = 5 ** 6
     num = random_vector(rng, 40, modulus)
-    want = classwise_divmod(num, [-1, 0, 0, 1], modulus)
+    want = list_divmod(num, 3, modulus)
     for den in ([modulus - 1, 0, 0, 1], (-1, 0, 0, 1), [-1, 0, 0, 1, 0, 0],
                 [-1, modulus, 0, 1], [2 * modulus - 1, 0, 0, modulus + 1]):
         assert poly_divmod_monic(num, den, modulus) == want, den
@@ -408,7 +391,7 @@ def phi_list(p, i):
 @pytest.mark.parametrize("p, M, n", PEEL_RINGS)
 def test_packed_peel_matches_the_list_peel(p, M, n):
     # the tower pair of every level, so that every index runs, by every kind
-    # of ap (0, +-p, m - 1 = -1 centred, and m // 2, the widest offset), by
+    # of ap (0, +-p, m - 1 = -1 centred, and m // 2, the widest slots), by
     # eps 1 and 2p - 1, hatted and not; then the same pairs broken at the
     # first division and, by a multiple of its Phi, at the second one
     modulus = p ** M
