@@ -16,10 +16,10 @@ ring is linear (kernels in `polyops`):
   (1+T) -> (1+T)^(-1) is an index flip;
 * division by Phi_{p^i} multiplies by X^s - 1 (s = p^(i-1)) and divides
   by the binomial X^(ps) - 1, whose quotient is a set of suffix sums
-  formed on a packed integer; division by T is by X - 1.
-  `vanishing_order` and the peel of `sharp_flat` keep the vector packed
-  across all of their divisions, `divide_by_phi` goes through the list
-  entry `poly_divmod_monic`.
+  formed on a packed integer by `poly_divmod_monic`; division by T is by
+  X - 1.  `vanishing_order` and the peel of `sharp_flat` keep the vector
+  packed across all of their divisions, and `divide_by_phi` hands it a
+  list.
 
 Conversions.  The T-coefficient constructor `LambdaElement(p, n, M,
 coeffs)` shifts by -1 to make `units`, and keeps its input as the
@@ -50,8 +50,9 @@ from .errors import (LevelMismatch, MixedPrime, NotAUnit, NotDivisible,
                      OutOfRange, PrecisionExhausted, PrecisionMismatch,
                      ZeroInput)
 from .padic_core import ExtRational, PadicInt, check_prime, newton_min, val_p
-from .polyops import (_phi_shape, poly_cyclic_mul_sparse, poly_divmod_monic,
-                      poly_fold, poly_mul, poly_phi_order, poly_taylor_shift)
+from .polyops import (_binomial, _phi_shape, half_twist_exponent, poly_cyclic_mul_sparse,
+                      poly_divmod_monic, poly_fold, poly_mul, poly_phi_order,
+                      poly_taylor_shift)
 
 
 @dataclass(frozen=True)
@@ -291,13 +292,6 @@ def lift_nu(x):
 # Cyclotomic polynomials and exact division
 # ---------------------------------------------------------------------------
 
-def half_twist_exponent(p, i):
-    """The exponent e = p^(i-1)(p-1)/2 used by the completed variant, i >= 1."""
-    if i < 1:
-        raise OutOfRange(f"the completed variant needs i >= 1, got i={i}")
-    return p ** (i - 1) * (p - 1) // 2
-
-
 def cyclotomic_phi(p, i, level, precision, hatted=False):
     """Phi_{p^i}(1+T) in the level-n ring; completed variant on request.
 
@@ -333,7 +327,7 @@ def divide_by_phi(units, p, i, modulus, hatted=False):
     s, d = _phi_shape(p, i)
     e = half_twist_exponent(p, i) if hatted else 0
     num = [a - b for a, b in zip([0] * s + units, units + [0] * s)] if s else units
-    quot, rem = poly_divmod_monic(num, [-1] + [0] * (d - 1) + [1], modulus)
+    quot, rem = poly_divmod_monic(num, _binomial(d), modulus)
     if rem:
         raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
                            f"at working precision")

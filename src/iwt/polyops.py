@@ -12,14 +12,15 @@ most of both rings runs on the linear kernels here:
   nonzero coefficients: one shifted scalar multiple of the packed dense
   vector per coefficient, then one fold and one unpack, or for a single
   coefficient a rotation of the dense vector, scaled unless it is 1;
-* the division by X^d - 1 is the suffix sums q_t = num_(t+d) + q_(t+d),
-  formed on one packed integer by doubling shifted adds (`_suffix_divmod`):
-  after the add at stride 2^r d every slot holds 2^(r+1) terms of its
-  sum, so ceil(log2(length / d)) adds make them all, and the slots below
-  d are the remainder.  `poly_divmod_monic` is its list entry.  The peel
-  (`poly_phi_peel`) and the repeated division of a vanishing order
-  (`poly_phi_order`) keep their vectors packed from the first division
-  to the last: a division by Phi_{p^i} is the product by X^s - 1,
+* the division by X^d - 1 (`poly_divmod_monic`) is the suffix sums
+  q_t = num_(t+d) + q_(t+d), formed on one packed integer by doubling
+  shifted adds (`_suffix_divmod`): after the add at stride 2^r d every
+  slot holds 2^(r+1) terms of its sum, so ceil(log2(length / d)) adds make
+  them all, and the slots below d are the remainder.  It takes a list, or
+  a numerator already packed: the peel (`poly_phi_peel`) and the repeated
+  division of a vanishing order (`poly_phi_order`) keep their vectors
+  packed from the first division to the last, and hand it each
+  numerator.  A division by Phi_{p^i} is the product by X^s - 1,
   s = p^(i-1), a shift minus the vector, then that division by X^(ps) - 1.
 
 The kernels above linear cost are Kronecker products (vectors packed
@@ -57,17 +58,17 @@ each with the empty slot above it to hold its product of twice the
 width, leaves a slot below 2m, and one conditional subtraction of m
 leaves it below m.
 
-A division's slot holds its largest suffix sum, which is nonnegative:
-(m-1) ceil(L/d) for L residues; for a vanishing order m ceil((L+s)/d),
-twice that for s >= 1, whose numerator u (X^s - 1) + m has slots in
-[0, 2m]; and in the peel 2k (N/p + 2), k = (|ap| + 1) m for ap centred:
-the combination ap y - x has slots, and differences of two slots, below
-k in absolute value, so a slot of its product by X^s - 1, plus k, lies
-in [0, 2k], and a sum has at most (N + s)/(ps) + 1 terms.  The peel's
-slots also hold m^2 when eps_p is not 1, for the quotient times
-eps_p^(-1).  The packed reduction of the shift then checks the remainder
-slots and brings the quotient below m, so a peel unpacks its pair once,
-with no per-slot reduction.
+A division's slot holds its largest suffix sum, which is nonnegative,
+with a bit to spare above m for the packed reduction: m ceil(L/d) for L
+residues, at least 2m since L > d; for a vanishing order 2m ceil((L+s)/d),
+whose numerator u (X^s - 1) + m has slots in [0, 2m]; and in the peel
+2k (N/p + 2), k = (|ap| + 1) m for ap centred: the combination ap y - x
+has slots, and differences of two slots, below k in absolute value, so a
+slot of its product by X^s - 1, plus k, lies in [0, 2k], and a sum has at
+most (N + s)/(ps) + 1 terms.  The peel's slots also hold m^2 when eps_p
+is not 1, for the quotient times eps_p^(-1).  The packed reduction of the
+shift then checks the remainder slots and brings the quotient below m,
+so a peel unpacks its pair once, with no per-slot reduction.
 
 When a bound fits in 64 bits the slot is one little-endian 8-byte
 word, so a whole vector moves between list and big integer
@@ -267,12 +268,36 @@ def poly_cyclic_mul_sparse(dense, sparse, modulus):
     return _unpack(total, size, width, modulus)
 
 
+class _Packed:
+    # a vector of len() nonnegative slots of `width` bytes, packed into the
+    # integer `value`: a numerator that the peel and the vanishing order
+    # hand to `poly_divmod_monic` without unpacking it
+    __slots__ = ("value", "count", "width")
+
+    def __init__(self, value, count, width):
+        self.value, self.count, self.width = value, count, width
+
+    def __len__(self):
+        return self.count
+
+
+@lru_cache(maxsize=64)
+def _binomial(d):
+    # X^d - 1, as the package spells it
+    return (-1,) + (0,) * (d - 1) + (1,)
+
+
 def poly_divmod_monic(num, den, modulus):
     """Quotient and remainder by X^d - 1, d >= 1; exact over Z/p^M.
 
     The quotient, of len(num) - d coefficients, is a set of suffix sums,
     formed on the packed residues by `_suffix_divmod`.  Every divisor of
-    the package is such a binomial; others raise OutOfRange.
+    the package is such a binomial; others raise OutOfRange.  `num` is a
+    list of integers, or a numerator that the peel or a vanishing order
+    keeps packed (`_Packed`), whose slots hold its largest suffix sum with
+    a bit to spare above m; its remainder comes back as a packed integer
+    reduced below m, and so does its quotient when the remainder is 0
+    (else None).
     """
     d = len(den) - 1
     # the package spells X^d - 1 as (-1 or m - 1, 0, ..., 0, 1); any other
@@ -287,12 +312,18 @@ def poly_divmod_monic(num, den, modulus):
         d = len(den) - 1
         if not d or den[0] != modulus - 1 or any(den[1:d]):
             raise OutOfRange(f"divisor must be X^d - 1 with d >= 1, got {list(den)}")
+    if isinstance(num, _Packed):
+        length, width, bits = num.count, num.width, 8 * num.width
+        quot, rem = _suffix_divmod(num.value, length, d, bits)
+        rem = _reduce(rem, bits, modulus, *_masks(d, width))
+        return None if rem else _reduce(quot, bits, modulus, *_masks(length, width)), rem
     num = [c % modulus for c in num]
     length = len(num)
     if length <= d:
         return [], poly_trim(num)
-    # a residue below m in each slot, at most ceil(length / d) per sum
-    width = _width((modulus - 1) * -(-length // d))
+    # a residue below m in each slot, at most ceil(length / d) >= 2 per sum,
+    # so the slot also keeps the bit above m that `_reduce` needs
+    width = _width(modulus * -(-length // d))
     bits = 8 * width
     quot, rem = _suffix_divmod(_pack(num, width), length, d, bits)
     quot = _reduce(quot, bits, modulus, *_masks(length - d, width))
@@ -314,6 +345,13 @@ def _suffix_divmod(num, length, d, bits):
     return num >> bits * d, num & (1 << bits * d) - 1
 
 
+def half_twist_exponent(p, i):
+    """The exponent e = p^(i-1)(p-1)/2 used by the completed variant, i >= 1."""
+    if i < 1:
+        raise OutOfRange(f"the completed variant needs i >= 1, got i={i}")
+    return p ** (i - 1) * (p - 1) // 2
+
+
 def _phi_shape(p, i):
     # Phi_{p^i}(X) (X^s - 1) = X^d - 1 for s = p^(i-1), d = p s; for i = 0
     # the divisor is X - 1 itself, which s = 0 marks
@@ -322,45 +360,35 @@ def _phi_shape(p, i):
     return (0, 1) if i == 0 else (p ** (i - 1), p ** i)
 
 
-def _phi_divide(c, length, s, d, k, width, modulus):
-    # the exact quotient by Phi of c, `length` slots packed as one integer,
-    # reduced below m; None when the remainder is nonzero.  k is a multiple
-    # of m such that c (X^s - 1) + k has its slots in [0, 2k] (for s = 0, c
-    # has them in [0, k]); the caller's slots hold its largest suffix sum
-    # over X^d - 1.  The slots of c itself may be negative: the numerator
-    # is exact as an integer
-    bits = 8 * width
-    evens, ones = _masks(length + s, width)
-    quot, rem = _suffix_divmod((c << bits * s) - c + k * ones if s else c,
-                               length + s, d, bits)
-    if _reduce(rem, bits, modulus, *_masks(d, width)):
-        return None
-    return _reduce(quot, bits, modulus, evens, ones)
-
-
 def poly_phi_order(units, p, i, modulus):
     """How often Phi_{p^i}(X), X - 1 for i = 0, divides the residue vector
     `units` over Z/modulus: exact divisions until one leaves a remainder or
     the quotient is 0, all on one packed integer."""
     s, d = _phi_shape(p, i)
     length = len(units)
-    width = _width((2 if s else 1) * modulus * -(-(length + s) // d))
+    width = _width(2 * modulus * -(-(length + s) // d))
+    bits, den = 8 * width, _binomial(d)
     poly, order = _pack(units, width), 0
     while True:
-        poly = _phi_divide(poly, length, s, d, modulus, width, modulus)
-        if poly is None:
+        # u (X^s - 1) + m has its slots in [0, 2m]
+        num = (poly << bits * s) - poly + modulus * _masks(length + s, width)[1] if s else poly
+        poly, rem = poly_divmod_monic(_Packed(num, length + s, width), den, modulus)
+        if rem:
             return order
         length, order = length + s - d, order + 1
         if not poly:
             return order
 
 
-def poly_phi_peel(x, y, ap, eps_inv, p, twists, modulus):
-    """The pair (x, y) of residue vectors of one length N after one peel
-    step per (i, e) of `twists`, i >= 1, in order: (x, y) becomes (y, u),
-    u = X^e (ap y - x) eps_inv / Phi_{p^i}(X), the exact quotient of
-    polynomials of degree < N, with e small enough that u has degree < N.
-    Raises NotDivisible when a division leaves a remainder mod `modulus`.
+def poly_phi_peel(x, y, ap, eps_inv, p, n, hatted, modulus):
+    """The pair (Theta_n, Theta_{n-1}), residue vectors of p^n and p^(n-1)
+    entries, peeled into the terminal (sharp, flat) pair, p^n residues each.
+
+    (x, y) starts as (Theta_n, X^e Theta_{n-1}), and each index i = n-1,
+    ..., 1 makes it (y, u), u = X^e (ap y - x) eps_inv / Phi_{p^i}(X), the
+    exact quotient; e is `half_twist_exponent(p, i)` of the step's index
+    when hatted, else 0.  Raises NotDivisible when a division leaves a
+    remainder mod `modulus`.
 
     Both vectors stay packed from the first step to the last, at the slot
     bound of the module docstring, with ap centred; the quotient is
@@ -373,18 +401,19 @@ def poly_phi_peel(x, y, ap, eps_inv, p, twists, modulus):
     bound = 2 * k * (size // p + 2)
     width = _width(bound if eps_inv == 1 else max(bound, modulus ** 2))
     bits = 8 * width
-    x, y = _pack(x, width), _pack(y, width)
-    for i, e in twists:
-        if i < 1:
-            raise OutOfRange(f"a peel step divides by Phi_{{p^i}}, i >= 1, got i={i}")
-        s, d = _phi_shape(p, i)
-        u = _phi_divide(ap * y - x, size, s, d, k, width, modulus)
-        if u is None:
+    x, y = _pack(x, width), _pack(y, width) << bits * (half_twist_exponent(p, n) if hatted else 0)
+    for i in range(n - 1, 0, -1):
+        s = p ** (i - 1)
+        masks = _masks(size + s, width)
+        c = ap * y - x
+        u, rem = poly_divmod_monic(_Packed((c << bits * s) - c + k * masks[1], size + s, width),
+                                   _binomial(p * s), modulus)
+        if rem:
             raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
                                f"at working precision")
         if eps_inv != 1:
-            u = _reduce(u * eps_inv, bits, modulus, *_masks(size + s, width))
-        x, y = y, u << bits * e
+            u = _reduce(u * eps_inv, bits, modulus, *masks)
+        x, y = y, u << bits * (half_twist_exponent(p, i) if hatted else 0)
     return _unpack(x, size, width), _unpack(y, size, width)
 
 
@@ -443,8 +472,8 @@ def _masks(count, width):
 
 
 def _reduce(x, bits, modulus, evens, ones):
-    # every slot of `bits` bits, each below 2^bits, reduced mod modulus.
-    # Barrett: q = floor(x mu / 2^bits), mu = floor(2^bits / m), is floor(x / m)
+    # every slot of `bits` bits, each below 2^bits, reduced mod modulus; the
+    # slots need a bit to spare above m, bits > t = m.bit_length().  Barrett: q = floor(x mu / 2^bits), mu = floor(2^bits / m), is floor(x / m)
     # or one less, so x - q m is below 2m.  x mu < 2^(2 bits) needs two slots,
     # so the even slots (`evens`) and then the odd ones take the product with
     # the slot above them empty

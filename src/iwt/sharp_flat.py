@@ -30,8 +30,7 @@ from functools import cached_property
 from .errors import (MixedPrime, NotDivisible, OutOfRange,
                      PrecisionExhausted, PrecisionMismatch, Unstable)
 from .iwasawa_algebra import (IwasawaInvariants, LambdaElement, _element,
-                              cyclotomic_phi, half_twist_exponent,
-                              iwasawa_invariants, vanishing_order)
+                              cyclotomic_phi, iwasawa_invariants, vanishing_order)
 from .logmatrix import push_steps
 from .padic_core import PadicInt, padic_from_rational
 from .polyops import poly_phi_peel
@@ -72,12 +71,9 @@ def decompose_pair(theta_n, theta_prev, params, hatted=False, tame_index=None):
     p, M = theta_n.p, theta_n.precision
     # (x, y) = (Theta_n, X^e Theta_{n-1}) as group-basis vectors; each step
     # divides (ap y - x) / eps_p by Phi_i, all on packed vectors
-    e = half_twist_exponent(p, n) if hatted else 0
-    y = ([0] * e + list(theta_prev.units) + [0] * p ** n)[:p ** n]
-    twists = [(i, half_twist_exponent(p, i) if hatted else 0) for i in range(n - 1, 0, -1)]
     try:
-        x, y = poly_phi_peel(theta_n.units, y, params.ap,
-                             pow(params.eps_p, -1, params.modulus), p, twists,
+        x, y = poly_phi_peel(theta_n.units, theta_prev.units, params.ap,
+                             pow(params.eps_p, -1, params.modulus), p, n, hatted,
                              theta_n.modulus)
     except NotDivisible as exc:
         raise NotDivisible(

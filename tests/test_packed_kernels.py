@@ -19,11 +19,13 @@ from itertools import zip_longest
 import pytest
 
 from iwt.errors import NotDivisible, OutOfRange
-from iwt.iwasawa_algebra import FormParams, LambdaElement, half_twist_exponent, lift_nu
+from iwt.iwasawa_algebra import (FormParams, LambdaElement, divide_by_phi,
+                                 half_twist_exponent, lift_nu)
 from iwt.mazur_tate import synthesize_queue
 from iwt.polyops import (_reduce, _slot_bytes, _word_powers, poly_cyclic_mul_sparse,
                          poly_divmod_monic, poly_mul, poly_phi_order, poly_phi_peel,
                          poly_taylor_shift, poly_trim)
+import peel_oracle
 from peel_oracle import list_divmod, phi_divmod
 
 PRIMES = (2, 3, 5, 7)
@@ -169,7 +171,10 @@ def test_single_entry_sparse_product_is_a_scaled_rotation(modulus):
                 assert poly_cyclic_mul_sparse(tuple(dense), tuple(sparse), modulus) == want
 
 
-@pytest.mark.parametrize("modulus", (2, 27, 2 ** 30, 3 ** 15, 7 ** 12, 3 ** 41))
+# 2^63 and 3^40 have 64 bits: a suffix sum of two residues needs a second
+# word, which keeps the bit above m that the packed reduction needs
+@pytest.mark.parametrize("modulus", (2, 27, 2 ** 30, 3 ** 15, 2 ** 63, 3 ** 40, 7 ** 12,
+                                     3 ** 41))
 def test_binomial_division_matches_the_classwise_sums(modulus):
     # d below, equal to and above the numerator length; quotients of fewer
     # blocks than classes (the block sums), as many, and more; numerators
@@ -347,17 +352,24 @@ def test_synthesized_tower_matches_the_constructor_path(p, seed):
 
 # (p, M, n): slots of one word at 2^30, 3^15 and 5^11, of 9 bytes at 7^12
 # when eps is not 1 (m^2 passes 64 bits), wider than 16 bytes at 3^41
-PEEL_RINGS = ((2, 30, 6), (3, 15, 5), (3, 41, 4), (5, 11, 3), (7, 12, 3))
+PEEL_RINGS = ((2, 30, 6), (3, 15, 5), (3, 41, 4), (5, 11, 3), (7, 12, 3), (2, 63, 4))
 
 
-def list_peel(x, y, ap, eps_inv, p, twists, modulus):
+def list_peel(x, prev, ap, eps_inv, p, n, hatted, modulus):
     # the peel loop of sharp_flat.decompose_pair before it ran packed
-    for i, e in twists:
+    size = len(x)
+
+    def twist(v, i):
+        e = half_twist_exponent(p, i) if hatted else 0
+        return ([0] * e + v + [0] * size)[:size]
+
+    y = twist(list(prev), n)
+    for i in range(n - 1, 0, -1):
         quot, rem = phi_divmod([(ap * b - a) * eps_inv for a, b in zip(x, y)], p, i, modulus)
         if rem:
             raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
                                f"at working precision")
-        x, y = y, ([0] * e + quot + [0] * len(x))[:len(x)]
+        x, y = y, twist(quot, i)
     return list(x), y
 
 
@@ -402,14 +414,9 @@ def test_packed_peel_matches_the_list_peel(p, M, n):
             eps_inv = pow(eps, -1, modulus)
             for hatted in (False, True)[:1 + (p != 2)]:
                 for level in range(1, n + 1):
-                    size = p ** level
-                    e = half_twist_exponent(p, level) if hatted else 0
-                    twists = [(i, half_twist_exponent(p, i) if hatted else 0)
-                              for i in range(level - 1, 0, -1)]
-                    x = list(seq[level].units)
-                    y = ([0] * e + list(seq[level - 1].units) + [0] * size)[:size]
-                    args = (ap, eps_inv, p, twists, modulus)
-                    assert poly_phi_peel(x, y, *args) == list_peel(x, y, *args), \
+                    x, prev = list(seq[level].units), list(seq[level - 1].units)
+                    args = (ap, eps_inv, p, level, hatted, modulus)
+                    assert poly_phi_peel(x, prev, *args) == list_peel(x, prev, *args), \
                         (ap, eps, hatted, level)
                     if level < 2:
                         continue
@@ -420,8 +427,8 @@ def test_packed_peel_matches_the_list_peel(p, M, n):
                         second[t + 2] = (second[t + 2] + c) % modulus
                     # the second division sees ap X^2 times a unit, 0 at ap = 0
                     for broken, index in ((first, level - 1), (second, level - 2)):
-                        got = outcome(poly_phi_peel, broken, y, *args)
-                        assert got == outcome(list_peel, broken, y, *args)
+                        got = outcome(poly_phi_peel, broken, prev, *args)
+                        assert got == outcome(list_peel, broken, prev, *args)
                         if index == level - 1 or (index and ap % modulus):
                             assert got == (f"division by Phi_{{p^{index}}}: remainder is "
                                            f"nonzero at working precision"), (ap, level)
@@ -457,6 +464,23 @@ def test_packed_vanishing_order_matches_the_list_loop(p, M, n):
 def test_packed_kernels_refuse_an_index_out_of_range():
     with pytest.raises(OutOfRange, match="i >= 0, got i=-1"):
         poly_phi_order([1, 2, 3], 3, -1, 27)
-    for i in (0, -1):
-        with pytest.raises(OutOfRange, match=f"i >= 1, got i={i}"):
-            poly_phi_peel([1, 2, 3], [0, 1, 0], 1, 1, 3, [(i, 0)], 27)
+
+
+@pytest.mark.parametrize("p, M", ((2, 63), (3, 40)))
+def test_phi_division_at_moduli_of_64_bits(p, M):
+    # every index at N = p, p^2 and p^4, on multiples of Phi and on random
+    # vectors: at i = n the numerator has N + N/p entries and d = N, so every
+    # suffix sum has at most two terms, 2m - 2 < 2^64
+    modulus, rng = p ** M, random.Random(M)
+    for n in (1, 2, 4):
+        size = p ** n
+        for i in range(n + 1):
+            phi = phi_list(p, i)
+            cofactor = random_vector(rng, size - len(phi) + 1, modulus)
+            multiple = schoolbook_mul(phi, cofactor, modulus)
+            for units in (multiple + [0] * (size - len(multiple)),
+                          random_vector(rng, size, modulus)):
+                assert outcome(divide_by_phi, units, p, i, modulus) \
+                    == outcome(peel_oracle.divide_by_phi, units, p, i, modulus), (n, i)
+            assert divide_by_phi(multiple + [0] * (size - len(multiple)), p, i, modulus) \
+                == cofactor + [0] * (len(phi) - 1)
