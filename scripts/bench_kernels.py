@@ -90,7 +90,9 @@ version and the CPU count to --out.  It refuses to start while either
 checkout holds a `__pycache__` under `src/` or `bench/`: a `.pyc` file
 there changes what each benchmark worker compiles at import, which skews
 `setup_s`.  Every child process runs with PYTHONDONTWRITEBYTECODE=1, so
-the comparison leaves none behind.  Standard library only.
+the comparison leaves none behind, and each worker compiles `src/iwt`
+from source: `setup_s` there grows with the package's source size, and
+the output records it as `dont_write_bytecode`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -348,6 +350,7 @@ def bench_run(checkout, workload, seed, seconds, trace=0):
 def compare(parent):
     sides = {"parent": Path(parent).resolve(), "change": ROOT}
     doc = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
+           "dont_write_bytecode": child_env()["PYTHONDONTWRITEBYTECODE"] == "1",
            "points": [dict(zip("pnM", point)) for point in POINTS],
            "cold_reps": COLD_REPS, "warm_reps": WARM_REPS, "kernel_rounds": KERNEL_ROUNDS,
            "bench_runs": BENCH_RUNS, "bench_seconds": BENCH_SECONDS,
@@ -394,7 +397,8 @@ def main(argv=None):
     else:
         sys.path.insert(0, str(ROOT / "src"))
         doc = {"git_sha": git_sha(ROOT), "python": platform.python_version(),
-               "nproc": len(os.sched_getaffinity(0)), "kernels": time_kernels()}
+               "nproc": len(os.sched_getaffinity(0)),
+               "dont_write_bytecode": sys.dont_write_bytecode, "kernels": time_kernels()}
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -127,6 +127,9 @@ class EisensteinElement:
         if isinstance(other, PadicInt):
             if other.p != self.p:
                 raise RingMismatch("mixed primes")
+            if other.precision < self.precision:
+                raise RingMismatch(f"a scalar known to precision {other.precision} in "
+                                   f"a ring at M={self.precision}")
             other = other.residue
         if isinstance(other, int):
             return EisensteinElement.constant(self.p, self.j, self.precision, other)

@@ -18,8 +18,7 @@ ring is linear (kernels in `polyops`):
   by the binomial X^(ps) - 1, whose quotient is a set of suffix sums
   formed on a packed integer by `poly_divmod_monic`; division by T is by
   X - 1.  `vanishing_order` and the peel of `sharp_flat` keep the vector
-  packed across all of their divisions, and `divide_by_phi` hands it a
-  list.
+  packed across all of their divisions.
 
 Conversions.  The T-coefficient constructor `LambdaElement(p, n, M,
 coeffs)` shifts by -1 to make `units`, and keeps its input as the
@@ -50,9 +49,8 @@ from .errors import (LevelMismatch, MixedPrime, NotAUnit, NotDivisible,
                      OutOfRange, PrecisionExhausted, PrecisionMismatch,
                      ZeroInput)
 from .padic_core import ExtRational, PadicInt, check_prime, newton_min, val_p
-from .polyops import (_binomial, _phi_shape, half_twist_exponent, poly_cyclic_mul_sparse,
-                      poly_divmod_monic, poly_fold, poly_mul, poly_phi_order,
-                      poly_taylor_shift)
+from .polyops import (half_twist_exponent, poly_cyclic_mul_sparse, poly_fold, poly_mul,
+                      poly_phi_divide, poly_phi_order, poly_taylor_shift)
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,19 @@ def _check_ring(level, precision):
     if level < 0 or precision < 1:
         raise OutOfRange(f"need level >= 0 and precision >= 1, "
                          f"got n={level}, M={precision}")
+
+
+def _scalar(p, precision, c):
+    """The integer that a scalar c, an int or a PadicInt over p known to at
+    least precision M, stands for at precision M."""
+    if not isinstance(c, PadicInt):
+        return c
+    if c.p != p:
+        raise MixedPrime(f"primes {p} and {c.p}")
+    if c.precision < precision:
+        raise PrecisionMismatch(f"a scalar known to precision {c.precision} "
+                                f"times an element at precision {precision}")
+    return c.residue
 
 
 def _element(p, level, precision, units, coeffs=None):
@@ -149,9 +160,8 @@ class LambdaElement:
 
     @classmethod
     def constant(cls, p, level, precision, c):
-        if isinstance(c, PadicInt):
-            c = c.residue
         _check_ring(level, precision)
+        c = _scalar(p, precision, c)
         return _element(p, level, precision, poly_fold([c], p ** level, p ** precision))
 
     @classmethod
@@ -232,7 +242,7 @@ class LambdaElement:
     def __mul__(self, other):
         m = self.modulus
         if isinstance(other, (int, PadicInt)):
-            c = (other.residue if isinstance(other, PadicInt) else other) % m
+            c = _scalar(self.p, self.precision, other) % m
             return self._with([a * c % m for a in self.units])
         if not isinstance(other, LambdaElement):
             return NotImplemented
@@ -314,21 +324,18 @@ def cyclotomic_phi(p, i, level, precision, hatted=False):
 def divide_by_phi(units, p, i, modulus, hatted=False):
     """Group-basis vector of the exact quotient by Phi_{p^i}.
 
-    `units` is a list of p^n integers, the group-basis vector of the
-    canonical representative up to reduction mod `modulus`; the quotient
-    comes back as p^n residues.  With s = p^(i-1), Phi_{p^i}(X) (X^s - 1)
-    = X^(ps) - 1, so the quotient is that of units * (X^s - 1) by the
-    binomial (`poly_divmod_monic`), whose remainder vanishes exactly when
-    Phi_{p^i} divides; i = 0 divides by X - 1.  Phi is monic, so no
-    precision is lost.  The completed variant post-multiplies by X^e,
-    e = p^(i-1)(p-1)/2.  Raises NotDivisible when the remainder is nonzero
-    mod p^M.
+    `units` holds the p^n residues of the group-basis vector of the
+    canonical representative; the quotient comes back as p^n residues.
+    With s = p^(i-1), Phi_{p^i}(X) (X^s - 1) = X^(ps) - 1, so the quotient
+    is that of units * (X^s - 1) by the binomial (`poly_phi_divide`),
+    whose remainder vanishes exactly when Phi_{p^i} divides; i = 0 divides
+    by X - 1.  Phi is monic, so no precision is lost.  The completed
+    variant post-multiplies by X^e, e = p^(i-1)(p-1)/2.  Raises
+    NotDivisible when the remainder is nonzero mod p^M.
     """
-    s, d = _phi_shape(p, i)
+    quot = poly_phi_divide(units, p, i, modulus)
     e = half_twist_exponent(p, i) if hatted else 0
-    num = [a - b for a, b in zip([0] * s + units, units + [0] * s)] if s else units
-    quot, rem = poly_divmod_monic(num, _binomial(d), modulus)
-    if rem:
+    if quot is None:
         raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
                            f"at working precision")
     # the quotient has degree < p^n - 2e, so the twist by X^e does not wrap

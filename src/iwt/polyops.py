@@ -16,59 +16,60 @@ most of both rings runs on the linear kernels here:
   q_t = num_(t+d) + q_(t+d), formed on one packed integer by doubling
   shifted adds (`_suffix_divmod`): after the add at stride 2^r d every
   slot holds 2^(r+1) terms of its sum, so ceil(log2(length / d)) adds make
-  them all, and the slots below d are the remainder.  It takes a list, or
-  a numerator already packed: the peel (`poly_phi_peel`) and the repeated
+  them all, and the slots below d are the remainder.  Every division of
+  the package is by Phi_{p^i}, one step `_phi_divide`: the product by
+  X^s - 1, s = p^(i-1), a shift minus the packed vector, then that
+  division by X^(ps) - 1.  The peel (`poly_phi_peel`) and the repeated
   division of a vanishing order (`poly_phi_order`) keep their vectors
-  packed from the first division to the last, and hand it each
-  numerator.  A division by Phi_{p^i} is the product by X^s - 1,
-  s = p^(i-1), a shift minus the vector, then that division by X^(ps) - 1.
+  packed from the first division to the last, and `poly_phi_divide`
+  packs and unpacks one division; there is no list entry.
 
 The kernels above linear cost are Kronecker products (vectors packed
 into big integers with carry-free slots): the product itself and the
-Taylor shift f(x) -> f(x + c) by blocks that double each level (von zur
+Taylor shift f(x) -> f(x +- 1) by blocks that double each level (von zur
 Gathen & Gerhard, "Fast algorithms for Taylor shifts and certain
-difference equations", 1997).  The shift by +-1 is the change between
-the group basis and T-coefficients, and between the zeta-basis of
-`cyclotomic_ext` and its pi-coefficients.  It runs with c >= 0 only (a
-negative shift between two sign flips), so its low levels can keep
-exact integer slots of one word on one packed integer, and reduce once.
+difference equations", 1997), the change between the group basis and
+T-coefficients, and between the zeta-basis of `cyclotomic_ext` and its
+pi-coefficients: the only shift the package makes.  It runs by +1 (by -1
+between two sign flips), so its low levels can keep exact integer slots
+of one word on one packed integer, and reduce once.
 
-Every level of the shift above its word levels when more than one runs
-there, and every product of at least 255 coefficients, is a two-point
-Kronecker product (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", 2009): each factor is evaluated at
-+2^(W/2) and at -2^(W/2), half a slot of W bits apart, from its even and
-its odd entries packed at full width; the two products, each half as
-long as one product at W-bit slots, give the even coefficients by their
-half-sum and the odd ones by their half-difference, again at W-bit
-slots.  The only bound is the usual one: every coefficient of the
-product below 2^W.  A shorter product, and a single level above the
-word levels, is one Kronecker product, whose single packing and
-unpacking cost less there.
+Every level of the shift above its word levels, and every product of at
+least 255 coefficients, is a two-point Kronecker product (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker
+substitution", 2009): each factor is evaluated at +2^(W/2) and at
+-2^(W/2), half a slot of W bits apart, from its even and its odd entries
+packed at full width; the two products, each half as long as one product
+at W-bit slots, give the even coefficients by their half-sum and the odd
+ones by their half-difference, again at W-bit slots.  The only bound is
+the usual one: every coefficient of the product below 2^W.  A shorter
+product is one Kronecker product, whose single packing and unpacking
+cost less there.
 
 Slot layout: a slot holds the exact bound of one output coefficient,
 terms*(m-1)^2 for a product and sum(sparse)*(m-1) for the sparse
 multiply.  The shift's levels above its word levels keep one width, that
 of its top level's product, (top+1)*(m-1)^2 for blocks of 2*top: they run
 on its even and odd entries packed once and unpacked once.  A level
-leaves lo + (x+c)^half * hi <= (m-1) + half*(m-1)^2 in a slot, within
+leaves lo + (x+1)^half * hi <= (m-1) + half*(m-1)^2 in a slot, within
 that bound; a packed reduction brings every slot below m again before
 the next level: one Barrett round on the even and then the odd slots,
 each with the empty slot above it to hold its product of twice the
 width, leaves a slot below 2m, and one conditional subtraction of m
 leaves it below m.
 
-A division's slot holds its largest suffix sum, which is nonnegative,
-with a bit to spare above m for the packed reduction: m ceil(L/d) for L
-residues, at least 2m since L > d; for a vanishing order 2m ceil((L+s)/d),
-whose numerator u (X^s - 1) + m has slots in [0, 2m]; and in the peel
-2k (N/p + 2), k = (|ap| + 1) m for ap centred: the combination ap y - x
-has slots, and differences of two slots, below k in absolute value, so a
-slot of its product by X^s - 1, plus k, lies in [0, 2k], and a sum has at
-most (N + s)/(ps) + 1 terms.  The peel's slots also hold m^2 when eps_p
-is not 1, for the quotient times eps_p^(-1).  The packed reduction of the
-shift then checks the remainder slots and brings the quotient below m,
-so a peel unpacks its pair once, with no per-slot reduction.
+A division by Phi_{p^i} has one slot rule (`_phi_width`): its numerator
+u (X^s - 1) + offset has slots in [0, 2 offset] when `offset`, a
+multiple of m, bounds every slot of u and every difference of two in
+absolute value, and a suffix sum has at most ceil((L + s)/d) terms for L
+slots of u, so a slot holds 2 offset ceil((L + s)/d), with a bit to
+spare above m for the packed reduction.  Residues take offset m, and the
+peel k = (|ap| + 1) m for ap centred (ap y - x has slots, and
+differences of two, below k in absolute value), at its widest division,
+s = 1 and d = p, and at m^2 when eps_p is not 1, for the quotient times
+eps_p^(-1).  The packed reduction checks the remainder slots and brings
+the quotient below m, so a peel unpacks its pair once, with no per-slot
+reduction.
 
 When a bound fits in 64 bits the slot is one little-endian 8-byte
 word, so a whole vector moves between list and big integer
@@ -93,7 +94,7 @@ from functools import lru_cache
 from itertools import compress
 from math import comb
 
-from .errors import NotAUnit, NotDivisible, OutOfRange, ZeroInput
+from .errors import NotDivisible, OutOfRange
 
 
 def poly_trim(coeffs):
@@ -270,8 +271,8 @@ def poly_cyclic_mul_sparse(dense, sparse, modulus):
 
 class _Packed:
     # a vector of len() nonnegative slots of `width` bytes, packed into the
-    # integer `value`: a numerator that the peel and the vanishing order
-    # hand to `poly_divmod_monic` without unpacking it
+    # integer `value`: the numerator that `_phi_divide` hands to
+    # `poly_divmod_monic`
     __slots__ = ("value", "count", "width")
 
     def __init__(self, value, count, width):
@@ -283,52 +284,22 @@ class _Packed:
 
 @lru_cache(maxsize=64)
 def _binomial(d):
-    # X^d - 1, as the package spells it
+    # X^d - 1, the divisor of `poly_divmod_monic`
     return (-1,) + (0,) * (d - 1) + (1,)
 
 
 def poly_divmod_monic(num, den, modulus):
-    """Quotient and remainder by X^d - 1, d >= 1; exact over Z/p^M.
-
-    The quotient, of len(num) - d coefficients, is a set of suffix sums,
-    formed on the packed residues by `_suffix_divmod`.  Every divisor of
-    the package is such a binomial; others raise OutOfRange.  `num` is a
-    list of integers, or a numerator that the peel or a vanishing order
-    keeps packed (`_Packed`), whose slots hold its largest suffix sum with
-    a bit to spare above m; its remainder comes back as a packed integer
-    reduced below m, and so does its quotient when the remainder is 0
-    (else None).
-    """
-    d = len(den) - 1
-    # the package spells X^d - 1 as (-1 or m - 1, 0, ..., 0, 1); any other
-    # spelling is reduced and trimmed before it is checked
-    if not (d >= 1 and den[-1] == 1 and den[0] % modulus == modulus - 1
-            and den.count(0) == d - 1):
-        den = tuple(poly_trim([c % modulus for c in den]))
-        if not den:
-            raise ZeroInput("division by the zero polynomial")
-        if den[-1] != 1:
-            raise NotAUnit(f"divisor must be monic, leading coefficient is {den[-1]}")
-        d = len(den) - 1
-        if not d or den[0] != modulus - 1 or any(den[1:d]):
-            raise OutOfRange(f"divisor must be X^d - 1 with d >= 1, got {list(den)}")
-    if isinstance(num, _Packed):
-        length, width, bits = num.count, num.width, 8 * num.width
-        quot, rem = _suffix_divmod(num.value, length, d, bits)
-        rem = _reduce(rem, bits, modulus, *_masks(d, width))
-        return None if rem else _reduce(quot, bits, modulus, *_masks(length, width)), rem
-    num = [c % modulus for c in num]
-    length = len(num)
-    if length <= d:
-        return [], poly_trim(num)
-    # a residue below m in each slot, at most ceil(length / d) >= 2 per sum,
-    # so the slot also keeps the bit above m that `_reduce` needs
-    width = _width(modulus * -(-length // d))
+    """Quotient and remainder of the packed `num` (`_Packed`, slots that
+    hold its largest suffix sum with a bit to spare above m) by den =
+    X^d - 1 (`_binomial(d)`), d >= 1, exact over Z/p^M: the suffix sums of
+    `_suffix_divmod`.  Both come back packed, reduced below m; the
+    quotient, of len(num) - d slots, only when the remainder is 0 (else
+    None)."""
+    d, length, width = len(den) - 1, num.count, num.width
     bits = 8 * width
-    quot, rem = _suffix_divmod(_pack(num, width), length, d, bits)
-    quot = _reduce(quot, bits, modulus, *_masks(length - d, width))
+    quot, rem = _suffix_divmod(num.value, length, d, bits)
     rem = _reduce(rem, bits, modulus, *_masks(d, width))
-    return _unpack(quot, length - d, width), poly_trim(_unpack(rem, d, width)) if rem else []
+    return None if rem else _reduce(quot, bits, modulus, *_masks(length, width)), rem
 
 
 def _suffix_divmod(num, length, d, bits):
@@ -360,22 +331,44 @@ def _phi_shape(p, i):
     return (0, 1) if i == 0 else (p ** (i - 1), p ** i)
 
 
+def _phi_width(count, s, d, offset):
+    # the slot rule of `_phi_divide` (see the module docstring)
+    return _width(2 * offset * -(-(count + s) // d))
+
+
+def _phi_divide(packed, count, s, d, width, offset, modulus):
+    # one division by Phi_{p^i} of the packed vector u of `count` slots:
+    # u (X^s - 1) plus `offset` in every slot, divided by X^d - 1 (u itself
+    # by X - 1 when s = 0); the packed quotient, or None for a remainder
+    if s:
+        packed = (packed << 8 * width * s) - packed + offset * _masks(count + s, width)[1]
+    return poly_divmod_monic(_Packed(packed, count + s, width), _binomial(d), modulus)[0]
+
+
+def poly_phi_divide(units, p, i, modulus):
+    """The quotient of the residue vector `units` by Phi_{p^i}(X), X - 1
+    for i = 0, over Z/modulus: len(units) - deg Phi residues, or None when
+    the division leaves a remainder."""
+    s, d = _phi_shape(p, i)
+    count = len(units)
+    width = _phi_width(count, s, d, modulus)
+    quot = _phi_divide(_pack(units, width), count, s, d, width, modulus, modulus)
+    return None if quot is None else _unpack(quot, count + s - d, width)
+
+
 def poly_phi_order(units, p, i, modulus):
     """How often Phi_{p^i}(X), X - 1 for i = 0, divides the residue vector
     `units` over Z/modulus: exact divisions until one leaves a remainder or
     the quotient is 0, all on one packed integer."""
     s, d = _phi_shape(p, i)
-    length = len(units)
-    width = _width(2 * modulus * -(-(length + s) // d))
-    bits, den = 8 * width, _binomial(d)
+    count = len(units)
+    width = _phi_width(count, s, d, modulus)
     poly, order = _pack(units, width), 0
     while True:
-        # u (X^s - 1) + m has its slots in [0, 2m]
-        num = (poly << bits * s) - poly + modulus * _masks(length + s, width)[1] if s else poly
-        poly, rem = poly_divmod_monic(_Packed(num, length + s, width), den, modulus)
-        if rem:
+        poly = _phi_divide(poly, count, s, d, width, modulus, modulus)
+        if poly is None:
             return order
-        length, order = length + s - d, order + 1
+        count, order = count + s - d, order + 1
         if not poly:
             return order
 
@@ -398,58 +391,42 @@ def poly_phi_peel(x, y, ap, eps_inv, p, n, hatted, modulus):
     size, half = len(x), modulus // 2
     ap, eps_inv = (ap + half) % modulus - half, eps_inv % modulus
     k = (abs(ap) + 1) * modulus
-    bound = 2 * k * (size // p + 2)
-    width = _width(bound if eps_inv == 1 else max(bound, modulus ** 2))
+    width = max(_phi_width(size, 1, p, k), _width(modulus ** 2 if eps_inv != 1 else 0))
     bits = 8 * width
     x, y = _pack(x, width), _pack(y, width) << bits * (half_twist_exponent(p, n) if hatted else 0)
     for i in range(n - 1, 0, -1):
         s = p ** (i - 1)
-        masks = _masks(size + s, width)
-        c = ap * y - x
-        u, rem = poly_divmod_monic(_Packed((c << bits * s) - c + k * masks[1], size + s, width),
-                                   _binomial(p * s), modulus)
-        if rem:
+        u = _phi_divide(ap * y - x, size, s, p * s, width, k, modulus)
+        if u is None:
             raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
                                f"at working precision")
         if eps_inv != 1:
-            u = _reduce(u * eps_inv, bits, modulus, *masks)
+            u = _reduce(u * eps_inv, bits, modulus, *_masks(size + s, width))
         x, y = y, u << bits * (half_twist_exponent(p, i) if hatted else 0)
     return _unpack(x, size, width), _unpack(y, size, width)
 
 
 @lru_cache(maxsize=None)
-def _shift_power(c, level, modulus, width):
-    # (x + c)^(2^level) mod modulus, the square of the level below, packed
-    # at slots of `width` and as its values at +-2^(4 width) for the
-    # two-point product
+def _shift_power(level, modulus, width):
+    # (x + 1)^(2^level) mod modulus, the square of the level below, and its
+    # values at +-2^(4 width) for the two-point product at slots of `width`
+    power = (1, 1)
     if level:
-        below = _shift_power(c, level - 1, modulus, width)[0]
+        below = _shift_power(level - 1, modulus, width)[0]
         power = tuple(poly_mul(below, below, modulus))
-    else:
-        power = (c % modulus, 1)
-    return power, _pack(power, width), _evaluate(power, width)
-
-
-def _column_bound(c, block):
-    # max_j [x^j] sum_{i < block} (x + c)^i, over Z: the most that slot j of
-    # a shifted block of `block` coefficients gains per unit of each.  The
-    # sum is ((x + c)^block - 1) / (x - (1 - c)), by synthetic division
-    top = q = 0
-    for j in range(block, 0, -1):
-        q = comb(block, j) * c ** (block - j) + (1 - c) * q
-        top = max(top, q)
-    return top
+    return power, _evaluate(power, width)
 
 
 @lru_cache(maxsize=None)
-def _word_powers(c, modulus):
-    # (x + c)^(2^k) over Z, c >= 1, packed in words, for the low levels k at
-    # which the exact bound of a shifted block of 2^(k+1) residues fits one
-    # word, so that those levels need no reduction between them
+def _word_powers(modulus):
+    # (x + 1)^(2^k) over Z, packed in words, for the low levels k at which
+    # the exact bound of a shifted block of 2^(k+1) residues fits one word,
+    # so that those levels need no reduction between them.  Slot j of a
+    # block of 2h gains sum_(i < 2h) C(i, j) = C(2h, j + 1) <= C(2h, h) per
+    # unit of each residue (the hockey-stick identity)
     powers, half = [], 1
-    while (modulus - 1) * _column_bound(c, 2 * half) >> 8 * _WORD == 0:
-        powers.append(_pack([comb(half, j) * c ** (half - j) for j in range(half + 1)],
-                            _WORD))
+    while (modulus - 1) * comb(2 * half, half) >> 8 * _WORD == 0:
+        powers.append(_pack([comb(half, j) for j in range(half + 1)], _WORD))
         half *= 2
     return tuple(powers)
 
@@ -488,32 +465,30 @@ def _reduce(x, bits, modulus, evens, ones):
 
 
 def poly_taylor_shift(f, c, modulus):
-    """Coefficients of f(x + c) mod modulus, as many as f has.
+    """Coefficients of f(x + c) mod modulus, as many as f has, for
+    c = +-1 mod modulus (the change of basis X = 1 + T); any other c raises
+    OutOfRange.
 
     Level k cuts the vector into blocks of 2^(k+1) coefficients, each a
     low half lo and a high half hi that are already shifted, and replaces
-    every block by lo + (x + c)^(2^k) * hi.  All the products of one level
-    are a single Kronecker product: the packed vector with its low halves
-    masked out, times (x + c)^(2^k).
-
-    A shift by c < 0 runs between two sign flips, f(x + c) = g(-x) for g
-    the shift of f(-x) by -c, so that every power has nonnegative
-    coefficients over Z.  The low levels at which a block shifted over Z
-    fits one word per slot then run on one packed integer, with no
-    reduction between them.  The levels above run on the even and the odd
-    entries, each packed once at the slot width of the top level's
-    product, by two-point products and a packed reduction between levels,
-    and are unpacked once.
+    every block by lo + (x + 1)^(2^k) * hi: one Kronecker product of the
+    packed vector, its low halves masked out, by (x + 1)^(2^k).  The shift
+    by -1 runs between two sign flips, f(x - 1) = g(-x) for g the shift of
+    f(-x) by +1.  The low levels at which a block shifted over Z fits one
+    word per slot run on one packed integer with no reduction between
+    them; the levels above run on the even and the odd entries, packed
+    once at the width of the top level's product, by two-point products
+    and a packed reduction between levels, and are unpacked once.
     """
+    if c % modulus not in (1, modulus - 1):
+        raise OutOfRange(f"the Taylor shift takes c = +-1 mod {modulus}, got c={c}")
     size = len(f)
     out = [x % modulus for x in f]
-    flip, c = c < 0, abs(c) % modulus
-    if not c:
-        return out
+    flip = c % modulus != 1
     if flip:
         out[1::2] = [-x % modulus for x in out[1::2]]
     half, level = 1, 0
-    words = _word_powers(c, modulus)[:max(size - 1, 0).bit_length()]
+    words = _word_powers(modulus)[:max(size - 1, 0).bit_length()]
     if words:
         block = 1 << len(words)
         out.extend([0] * (-len(out) % block))
@@ -523,25 +498,20 @@ def poly_taylor_shift(f, c, modulus):
             half, level = 2 * half, level + 1
         out = _unpack(packed, size, _WORD, modulus)
     if half < size:
-        out = _shift_levels(out, c, half, level, modulus)
+        out = _shift_levels(out, half, level, modulus)
     if flip:
         out[1::2] = [-x % modulus for x in out[1::2]]
     return out
 
 
-def _shift_levels(out, c, half, level, modulus):
-    # the levels from `half` up on the residues `out`.  A single level is one
-    # Kronecker product, as in poly_mul below _KS2_TERMS.  More are kept as
-    # two packed streams of the even and odd entries.  After level k a slot
-    # holds lo + [x^j] (x + c)^(2^k) hi <= (m - 1) + 2^k (m - 1)^2, below the
-    # top level's bound (top + 1)(m - 1)^2 < 2^bits, so one width serves all
+def _shift_levels(out, half, level, modulus):
+    # the levels from `half` up on the residues `out`, kept as two packed
+    # streams of the even and odd entries.  After level k a slot holds
+    # lo + [x^j] (x + 1)^(2^k) hi <= (m - 1) + 2^k (m - 1)^2, below the top
+    # level's bound (top + 1)(m - 1)^2 < 2^bits, so one width serves all
     size = len(out)
     top = 1 << (size - 1).bit_length() - 1
     width = _slot_bytes(top + 1, modulus)
-    if half == top:
-        power = _shift_power(c, level, modulus, width)[1]
-        return _unpack(_shift_level(_pack(out, width), half, 1, power, width),
-                       size, width, modulus)
     bits, count = 8 * width, (size + 1) // 2
     even, odd = _pack(out[0::2], width), _pack(out[1::2], width)
     # masks of the reductions, which run only between two levels
@@ -559,7 +529,7 @@ def _shift_levels(out, c, half, level, modulus):
             hi = (even >> 8 * span & mask, odd >> 8 * span & mask)
         shifted = hi[1] << bits // 2
         even, odd = _ks2((hi[0] + shifted, hi[0] - shifted),
-                         _shift_power(c, level, modulus, width)[2], bits // 2)
+                         _shift_power(level, modulus, width)[1], bits // 2)
         even, odd = lo[0] + even, lo[1] + odd
         half, level = 2 * half, level + 1
         if half >= size:

@@ -11,7 +11,7 @@ from iwt.cyclotomic_ext import (EisensteinElement, eval_lambda_at_zeta,
 from iwt.errors import InvalidK, OutOfRange, PrecisionExhausted, RingMismatch
 from iwt.iwasawa_algebra import LambdaElement, cyclotomic_phi
 from iwt.logmatrix import LambdaMatrix
-from iwt.padic_core import ExtRational, ValMatrix, tropical_mul
+from iwt.padic_core import ExtRational, PadicInt, ValMatrix, tropical_mul
 from peel_oracle import mat_mul
 
 M = 12
@@ -37,6 +37,19 @@ def test_defining_relation():
 def test_ring_mismatch():
     with pytest.raises(RingMismatch):
         EisensteinElement.uniformizer(3, 1, M) + EisensteinElement.uniformizer(3, 2, M)
+
+
+def test_scalar_known_to_a_lower_precision_is_a_ring_mismatch():
+    # a PadicInt over another prime, or known mod 3^2 only, is not a scalar
+    # of the ring at M = 12; one known mod 3^15 reduces
+    z = EisensteinElement.zeta(3, 2, M)
+    with pytest.raises(RingMismatch, match="mixed primes"):
+        z * PadicInt(5, 7, M)
+    with pytest.raises(RingMismatch, match="precision 2"):
+        z * PadicInt(3, 7, 2)
+    with pytest.raises(RingMismatch):
+        z + PadicInt(3, 7, M - 1)
+    assert z * PadicInt(3, 7 + 3 ** 12, 15) == z * 7 == PadicInt(3, 7, M) * z
 
 
 def test_precision_exhausted_vs_structural_zero():

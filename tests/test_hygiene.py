@@ -1,9 +1,10 @@
 """Static hygiene of the package source.
 
-Every imported name is used, no module raises the base class IwtError,
-every private module-level function is read somewhere in the package, and
-every public module-level function and class is read somewhere in the
-package, the tests, the benchmark or the scripts.
+Every imported name is used, no module imports a `_`-prefixed name from
+`polyops`, no module raises the base class IwtError, every private
+module-level function is read somewhere in the package, and every public
+module-level function and class is read somewhere in the package, the
+tests, the benchmark or the scripts.
 """
 
 import ast
@@ -84,6 +85,24 @@ def test_no_unread_public_definitions():
     read = set().union(*(names_read(path.read_text()) for path in CALLERS))
     defined = set().union(*(public_definitions(module.read_text()) for module in MODULES))
     assert sorted(defined - read) == []
+
+
+def private_imports(source, module):
+    """`_`-prefixed names imported from the package module `module`."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module == module
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_checker_finds_a_private_import():
+    source = "from .polyops import _pack, poly_mul\nfrom .errors import _x\n"
+    assert private_imports(source, "polyops") == ["_pack"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
+def test_no_private_imports_from_polyops(module):
+    # the package calls polyops only through its public kernels
+    assert private_imports(module.read_text(), "polyops") == []
 
 
 def base_class_raises(source):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from iwt.errors import (InvalidParams, LevelMismatch, NotAUnit, NotDivisible,
+from iwt.errors import (InvalidParams, LevelMismatch, MixedPrime, NotAUnit, NotDivisible,
                         OutOfRange, PrecisionExhausted, PrecisionMismatch, ZeroInput)
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  divide_by_phi, exact_divide_by_phi, half_twist_exponent,
@@ -12,7 +12,7 @@ from iwt.iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                                  project_pi, substitute_inverse, vanishing_order)
 from iwt.cyclotomic_ext import EisensteinElement
 from iwt.mazur_tate import QueueSequence, validate_queue
-from iwt.padic_core import ExtRational, val_p
+from iwt.padic_core import ExtRational, PadicInt, val_p
 from iwt.polyops import poly_mul, poly_trim
 
 M = 10
@@ -39,9 +39,35 @@ def test_one_is_neutral_and_unit_power_relation():
 def test_level_and_prime_mismatch():
     with pytest.raises(LevelMismatch):
         LambdaElement.one(3, 1, M) * LambdaElement.one(3, 2, M)
-    from iwt.errors import MixedPrime
     with pytest.raises(MixedPrime):
         LambdaElement.one(3, 1, M) + LambdaElement.one(5, 1, M)
+
+
+def test_scalar_over_another_prime_is_refused():
+    x = LambdaElement(3, 1, 6, [1, 2, 3])
+    with pytest.raises(MixedPrime, match="primes 3 and 5"):
+        x * PadicInt(5, 7, 4)
+    with pytest.raises(MixedPrime):
+        PadicInt(5, 7, 6) * x
+    with pytest.raises(MixedPrime):
+        LambdaElement.constant(3, 1, 6, PadicInt(5, 7, 6))
+
+
+def test_scalar_known_to_a_lower_precision_is_refused():
+    # 7 mod 3^2 does not fix a product mod 3^6
+    x = LambdaElement(3, 1, 6, [1, 2, 3])
+    with pytest.raises(PrecisionMismatch, match="precision 2"):
+        x * PadicInt(3, 7, 2)
+    with pytest.raises(PrecisionMismatch):
+        LambdaElement.constant(3, 1, 6, PadicInt(3, 7, 5))
+
+
+def test_scalar_known_to_a_higher_precision_reduces():
+    x = LambdaElement(3, 1, 6, [1, 2, 3])
+    c = 7 + 5 * 3 ** 6
+    for scalar in (PadicInt(3, c, 6), PadicInt(3, c, 9)):
+        assert x * scalar == x * 7 == scalar * x
+        assert LambdaElement.constant(3, 1, 6, scalar) == LambdaElement.constant(3, 1, 6, 7)
 
 
 def test_projection_examples():

@@ -20,10 +20,12 @@ import pytest
 
 from iwt.errors import NotDivisible, OutOfRange
 from iwt.iwasawa_algebra import (FormParams, LambdaElement, divide_by_phi,
-                                 half_twist_exponent, lift_nu)
+                                 exact_divide_by_phi, half_twist_exponent, lift_nu,
+                                 vanishing_order)
 from iwt.mazur_tate import synthesize_queue
-from iwt.polyops import (_reduce, _slot_bytes, _word_powers, poly_cyclic_mul_sparse,
-                         poly_divmod_monic, poly_mul, poly_phi_order, poly_phi_peel,
+from iwt.polyops import (_Packed, _binomial, _pack, _reduce, _slot_bytes, _unpack, _width,
+                         _word_powers, poly_cyclic_mul_sparse, poly_divmod_monic, poly_fold,
+                         poly_mul, poly_phi_divide, poly_phi_order, poly_phi_peel,
                          poly_taylor_shift, poly_trim)
 import peel_oracle
 from peel_oracle import list_divmod, phi_divmod
@@ -171,67 +173,109 @@ def test_single_entry_sparse_product_is_a_scaled_rotation(modulus):
                 assert poly_cyclic_mul_sparse(tuple(dense), tuple(sparse), modulus) == want
 
 
+def packed_divmod(num, d, modulus):
+    # poly_divmod_monic as the package calls it: the residues of num packed
+    # in slots of their largest suffix sum with a bit to spare above m, by
+    # X^d - 1; the quotient (None for a remainder) and the trimmed
+    # remainder, unpacked
+    num = [c % modulus for c in num]
+    length = len(num)
+    width = _width(modulus * max(2, -(-length // d)))
+    quot, rem = poly_divmod_monic(_Packed(_pack(num, width), length, width), _binomial(d),
+                                  modulus)
+    rem = poly_trim(_unpack(rem, d, width))
+    return None if quot is None else _unpack(quot, max(length - d, 0), width), rem
+
+
+def expected_divmod(num, d, modulus):
+    # the list division's results in the packed contract's terms
+    quot, rem = list_divmod(num, d, modulus)
+    return None if rem else quot, rem
+
+
 # 2^63 and 3^40 have 64 bits: a suffix sum of two residues needs a second
-# word, which keeps the bit above m that the packed reduction needs
-@pytest.mark.parametrize("modulus", (2, 27, 2 ** 30, 3 ** 15, 2 ** 63, 3 ** 40, 7 ** 12,
-                                     3 ** 41))
+# word, which keeps the bit above m that the packed reduction needs; at
+# 5^27 a Phi-division numerator's sum of two slots, below 4m, needs one too
+DIVISION_MODULI = (2, 27, 2 ** 30, 3 ** 15, 2 ** 63, 3 ** 40, 5 ** 27, 7 ** 12, 3 ** 41)
+
+
+@pytest.mark.parametrize("modulus", DIVISION_MODULI)
 def test_binomial_division_matches_the_classwise_sums(modulus):
     # d below, equal to and above the numerator length; quotients of fewer
     # blocks than classes (the block sums), as many, and more; numerators
-    # with negative and unreduced entries
+    # with negative and unreduced entries, random and exact multiples of
+    # X^d - 1
     rng = random.Random(modulus)
     for d in (1, 2, 3, 7, 16, 49):
-        den = [-1] + [0] * (d - 1) + [1]
         for length in {0, 1, d - 1, d, d + 1, 2 * d - 1, 2 * d, 2 * d + 1,
                        d * d - 1, d * d, d * d + 1, d * (d + 1) + 3, 5 * d + 2}:
             if length < 0:
                 continue
             num = [rng.randrange(-2 * modulus, 3 * modulus) for _ in range(length)]
-            assert poly_divmod_monic(num, den, modulus) \
-                == list_divmod(num, d, modulus), (d, length)
+            multiple = [a - b for a, b in zip([0] * d + num, num + [0] * d)]
+            for v in (num, multiple):
+                assert packed_divmod(v, d, modulus) == expected_divmod(v, d, modulus), \
+                    (d, length)
 
 
-def test_binomial_division_reads_every_spelling_of_the_divisor():
-    # m - 1 or -1 at the bottom, a tuple, trailing zeros, an unreduced zero
-    # in the middle and an unreduced top: one quotient and remainder
-    rng = random.Random(3)
-    modulus = 5 ** 6
-    num = random_vector(rng, 40, modulus)
-    want = list_divmod(num, 3, modulus)
-    for den in ([modulus - 1, 0, 0, 1], (-1, 0, 0, 1), [-1, 0, 0, 1, 0, 0],
-                [-1, modulus, 0, 1], [2 * modulus - 1, 0, 0, modulus + 1]):
-        assert poly_divmod_monic(num, den, modulus) == want, den
+@pytest.mark.parametrize("modulus", DIVISION_MODULI)
+def test_phi_divide_matches_the_list_division(modulus):
+    # Phi_{p^i} for i = 0 (X - 1) to 3, of multiples of Phi, of multiples
+    # with a bump that leaves a remainder, and of random vectors, at the
+    # lengths deg Phi (an empty quotient) to p^(i+2)
+    rng = random.Random(modulus + 1)
+    for p in PRIMES:
+        for i in range(4 if p < 5 else 3):
+            phi = phi_list(p, i)
+            for size in sorted({len(phi) - 1, len(phi), p ** i + 1, p ** (i + 1),
+                                p ** (i + 2)}):
+                cofactor = random_vector(rng, size - len(phi) + 1, modulus)
+                multiple = schoolbook_mul(phi, cofactor, modulus)
+                multiple += [0] * (size - len(multiple))
+                bumped = multiple[:]
+                bumped[0] = (bumped[0] + 1) % modulus
+                for units in (multiple, bumped, random_vector(rng, size, modulus)):
+                    quot, rem = phi_divmod(units, p, i, modulus)
+                    assert poly_phi_divide(units, p, i, modulus) == (None if rem else quot), \
+                        (p, i, size)
+                if cofactor:
+                    assert poly_phi_divide(multiple, p, i, modulus) \
+                        == cofactor + [0] * (len(multiple) - len(phi) + 1 - len(cofactor))
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_binomial_division_recomposes_with_a_trimmed_remainder(d):
-    # num = q (X^d - 1) + r with r trimmed, whether num is longer than the
-    # divisor (suffix sums) or not (the quotient is empty)
+    # the remainder, trimmed, is num mod X^d - 1 (its fold), and when it is
+    # 0 the quotient times X^d - 1 gives num back, whether num is longer than
+    # the divisor (suffix sums) or not (the quotient is empty)
     rng = random.Random(d)
     modulus = 27
-    den = [-1] + [0] * (d - 1) + [1]
     for num in ([0] * (d + 1), [5] + [0] * d, [5] + [0] * (d + 3),
-                [0] * (d - 1), [], random_vector(rng, 3 * d + 1, modulus) + [0, 0]):
-        quot, rem = poly_divmod_monic(num, den, modulus)
-        assert rem == poly_trim(rem) and len(rem) <= d
-        back = [0] * max(len(num), len(quot) + d, len(rem))
+                [0] * (d - 1), [], random_vector(rng, 3 * d + 1, modulus) + [0, 0],
+                [0] * d + [5, 1] + [0] * (d - 2) + [22, 26]):
+        quot, rem = packed_divmod(num, d, modulus)
+        assert rem == poly_trim(poly_fold(num, d, modulus)), num
+        if rem:
+            assert quot is None
+            continue
+        back = [0] * max(len(num), len(quot) + d)
         for t, q in enumerate(quot):
             back[t] -= q
             back[t + d] += q
-        for t, r in enumerate(rem):
-            back[t] += r
         assert poly_trim([b % modulus for b in back]) == poly_trim(num), num
-    assert poly_divmod_monic([0, 0], [-1, 0, 0, 1], 27) == ([], [])
-    assert poly_divmod_monic([5, 0, 0], [-1, 0, 0, 1], 27) == ([], [5])
-    assert poly_divmod_monic([5, 0, 0, 0], [-1, 0, 0, 1], 27) == ([0], [5])
+    assert packed_divmod([0, 0], 3, 27) == ([], [])
+    assert packed_divmod([5, 0, 0], 3, 27) == (None, [5])
+    assert packed_divmod([5, 0, 0, 0], 3, 27) == (None, [5])
+    assert packed_divmod([1, 2, 3, 4], 2, 27) == (None, [4, 6])
+    assert packed_divmod([24, 23, 3, 4], 2, 27) == ([3, 4], [])
 
 
 @pytest.mark.parametrize("modulus", SHIFT_MODULI)
 def test_taylor_shift_matches_the_level_by_level_shift(modulus):
     # random residues and every coefficient m - 1, where the slot bounds
-    # are tight, by every kind of c
+    # are tight, by every spelling of +-1
     rng = random.Random(modulus)
-    shifts = (-3, -1, 0, 1, 2, modulus - 1, modulus + 1)
+    shifts = (1, -1, modulus - 1, modulus + 1)
     for length in LENGTHS:
         f = random_vector(rng, length, modulus)
         if length:
@@ -240,17 +284,22 @@ def test_taylor_shift_matches_the_level_by_level_shift(modulus):
             for c in shifts:
                 assert poly_taylor_shift(g, c, modulus) == level_shift(g, c, modulus), \
                     (length, c)
-    # the longest length runs levels above the word levels at every c
-    for c in shifts:
-        if c % modulus:
-            assert len(_word_powers(abs(c) % modulus, modulus)) < (LENGTHS[-1] - 1).bit_length()
+    # the longest length runs levels above the word levels
+    assert len(_word_powers(modulus)) < (LENGTHS[-1] - 1).bit_length()
+
+
+@pytest.mark.parametrize("modulus", (5, 7, 2 ** 30, 3 ** 15, 3 ** 41))
+def test_taylor_shift_rejects_a_shift_other_than_one_or_minus_one(modulus):
+    for c in (0, 2, -2, 3, modulus - 2, modulus + 2, 2 * modulus):
+        with pytest.raises(OutOfRange, match=f"got c={c}"):
+            poly_taylor_shift([1, 2, 3], c, modulus)
 
 
 def test_taylor_shift_covers_every_slot_layout():
     # word levels run at 3^15 and 7^12 but not at 3^41, and the levels above
     # them take the width of the top level's product: for 343 coefficients
     # one word at 3^15, 10 bytes at 7^12 and more than 16 at 3^41
-    assert [len(_word_powers(1, m)) for m in MODULI] == [5, 5, 0]
+    assert [len(_word_powers(m)) for m in MODULI] == [5, 5, 0]
     assert [_slot_bytes(2 ** 8 + 1, m) for m in MODULI] == [8, 10, 18]
 
 
@@ -459,6 +508,36 @@ def test_packed_vanishing_order_matches_the_list_loop(p, M, n):
         v += [0] * (size - len(v))
         for m in range(n + 1):
             assert poly_phi_order(v, p, m, modulus) == list_order(v, p, m, modulus), m
+
+
+# (p, M, n): one word at 3^15, 7^12 and 5^11, 2^63 with a second word for
+# every suffix sum, 5^27, where 2m fits one word and 4m does not, and 3^41
+AGREEMENT_RINGS = ((2, 63, 5), (3, 15, 4), (3, 41, 3), (5, 11, 3), (5, 27, 2), (7, 12, 2))
+
+
+@pytest.mark.parametrize("p, M, n", AGREEMENT_RINGS)
+def test_vanishing_order_counts_the_exact_divisions(p, M, n):
+    # x = Phi_{p^i}^k times a random cofactor, k from 0 to the largest that
+    # fits below X^(p^n): vanishing_order(x, i) is the number of times
+    # exact_divide_by_phi succeeds before it raises NotDivisible, at least k
+    rng = random.Random(p * M)
+    size, modulus = p ** n, p ** M
+    for i in range(1, n + 1):
+        phi = phi_list(p, i)
+        power = [1]
+        for k in range((size - 1) // (len(phi) - 1) + 1):
+            cofactor = random_vector(rng, size - len(power) + 1, modulus)
+            units = schoolbook_mul(power, cofactor, modulus)
+            x = LambdaElement.from_unit_basis(p, n, M, units + [0] * (size - len(units)))
+            order, divisions = vanishing_order(x, i), 0
+            while divisions <= order:
+                try:
+                    x = exact_divide_by_phi(x, i)
+                except NotDivisible:
+                    break
+                divisions += 1
+            assert divisions == order >= k, (i, k)
+            power = schoolbook_mul(power, phi, modulus)
 
 
 def test_packed_kernels_refuse_an_index_out_of_range():

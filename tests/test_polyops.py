@@ -9,20 +9,19 @@ Newton division, held to the schoolbook here.
 
 import math
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwt.cyclotomic_ext import EisensteinElement, eval_lambda_at_zeta
-from iwt.errors import NotAUnit, OutOfRange, ZeroInput
+from iwt.errors import OutOfRange
 from iwt.iwasawa_algebra import LambdaElement, lift_nu, project_pi
 from iwt.padic_core import PadicInt
-from iwt.polyops import (_pack, _slot_bytes, _unpack, poly_cyclic_mul_sparse,
-                         poly_divmod_monic, poly_fold, poly_mul, poly_taylor_shift,
-                         poly_trim)
+from iwt.polyops import (_pack, _slot_bytes, _unpack, poly_cyclic_mul_sparse, poly_fold,
+                         poly_mul, poly_sub, poly_taylor_shift, poly_trim)
 from tbasis_oracle import _modulus_poly, _phi_coeffs, newton_divmod
+from test_packed_kernels import packed_divmod
 
 PRIMES = (2, 3, 5, 7)
 
@@ -108,10 +107,10 @@ def test_structural_divisions_match_schoolbook(p, n, M):
 
 
 def test_binomial_division_matches_schoolbook():
-    # X^d - 1 takes the package's suffix sums, with quotients shorter than d
-    # (no class to sum), up to 2d (some classes of one entry) and longer;
-    # X^d - c for other c, with short and long numerators, the oracle's
-    # Newton division
+    # X^d - 1 takes the package's packed suffix sums, with quotients shorter
+    # than d (no class to sum), up to 2d (some classes of one entry) and
+    # longer, which come back only when the remainder is 0; X^d - c for
+    # other c, with short and long numerators, the oracle's Newton division
     rng = random.Random(99)
     for _ in range(400):
         p = rng.choice(PRIMES)
@@ -120,8 +119,15 @@ def test_binomial_division_matches_schoolbook():
         c = rng.choice((1, 1, 1, 0, modulus - 1, rng.randrange(modulus)))
         den = [-c % modulus] + [0] * (d - 1) + [1]
         num = random_vector(rng, rng.randint(0, 4 * d + 3), modulus)
-        divmod_ = poly_divmod_monic if c % modulus == 1 else newton_divmod
-        assert divmod_(num, den, modulus) == schoolbook_divmod(num, den, modulus)
+        want = schoolbook_divmod(num, den, modulus)
+        if c % modulus != 1:
+            assert newton_divmod(num, den, modulus) == want
+            continue
+        assert packed_divmod(num, d, modulus) == (None if want[1] else want[0], want[1])
+        if want[1]:
+            # the multiple num - r of X^d - 1 divides with no remainder
+            exact = poly_sub(num, want[1], modulus)
+            assert packed_divmod(exact, d, modulus) == (want[0], [])
 
 
 def test_fold_and_sparse_cyclic_product_match_the_convolution():
@@ -281,22 +287,6 @@ def test_eval_at_zeta_matches_horner():
         j = rng.randint(1, n)
         x = LambdaElement(p, n, M, random_vector(rng, p ** n, p ** M))
         assert eval_lambda_at_zeta(x, j) == horner_at_zeta(x, j)
-
-
-def test_division_input_errors():
-    with pytest.raises(ZeroInput):
-        poly_divmod_monic([1, 2, 3], [0, 0], 27)
-    with pytest.raises(NotAUnit):
-        poly_divmod_monic([1, 2, 3], [1, 2], 27)
-
-
-@pytest.mark.parametrize("den", [[1, 1], [3, 0, 1], [26, 1, 1], [5, 2, 0, 1], [1]])
-def test_division_rejects_divisors_other_than_x_d_minus_1(den):
-    # X + 1, X^2 + 3, X^2 + X - 1, a dense cubic and the constant 1 (d = 0);
-    # the error names the divisor, and X^2 - 1 itself divides
-    with pytest.raises(OutOfRange, match=re.escape(str(den))):
-        poly_divmod_monic([1, 2, 3, 4], den, 27)
-    assert poly_divmod_monic([1, 2, 3, 4], [26, 0, 1], 27) == ([3, 4], [4, 6])
 
 
 def test_out_of_range_constructors():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from iwt.mazur_tate import ingest_modular_symbols
-from iwt.polyops import poly_divmod_monic, poly_mul
+from iwt.polyops import _binomial, _pack, _Packed, poly_divmod_monic, poly_mul
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -48,7 +48,9 @@ def positional_parameters(fn):
 # a call of each counted function, as the package makes it
 COUNTED_CALLS = {
     "polyops.poly_mul": (poly_mul, ([3, 1, 4], [1, 5], 7)),
-    "polyops.poly_divmod_monic": (poly_divmod_monic, ([3, 1, 4, 1], [6, 0, 1], 7)),
+    # a packed numerator of 4 residues by X^2 - 1, as the Phi divisions pass it
+    "polyops.poly_divmod_monic": (poly_divmod_monic,
+                                  (_Packed(_pack([3, 1, 4, 1], 8), 4, 8), _binomial(2), 7)),
     "mazur_tate.ingest_modular_symbols": (
         ingest_modular_symbols,
         ({"p": 3, "conductor": 11, "ap": 1, "eps_p": 1, "maxN": 1,
