@@ -324,16 +324,17 @@ def cyclotomic_phi(p, i, level, precision, hatted=False):
 def divide_by_phi(units, p, i, modulus, hatted=False):
     """Group-basis vector of the exact quotient by Phi_{p^i}.
 
-    `units` holds the p^n residues of the group-basis vector of the
-    canonical representative; the quotient comes back as p^n residues.
-    With s = p^(i-1), Phi_{p^i}(X) (X^s - 1) = X^(ps) - 1, so the quotient
-    is that of units * (X^s - 1) by the binomial (`poly_phi_divide`),
-    whose remainder vanishes exactly when Phi_{p^i} divides; i = 0 divides
-    by X - 1.  Phi is monic, so no precision is lost.  The completed
-    variant post-multiplies by X^e, e = p^(i-1)(p-1)/2.  Raises
-    NotDivisible when the remainder is nonzero mod p^M.
+    `units` is a list of p^n integers, the group-basis vector of the
+    canonical representative up to reduction mod `modulus`; the quotient
+    comes back as p^n residues.  With s = p^(i-1), Phi_{p^i}(X) (X^s - 1)
+    = X^(ps) - 1, so the quotient is that of units * (X^s - 1) by the
+    binomial (`poly_phi_divide`, on the reduced units), whose remainder
+    vanishes exactly when Phi_{p^i} divides; i = 0 divides by X - 1.  Phi
+    is monic, so no precision is lost.  The completed variant
+    post-multiplies by X^e, e = p^(i-1)(p-1)/2.  Raises NotDivisible when
+    the remainder is nonzero mod p^M.
     """
-    quot = poly_phi_divide(units, p, i, modulus)
+    quot = poly_phi_divide([a % modulus for a in units], p, i, modulus)
     e = half_twist_exponent(p, i) if hatted else 0
     if quot is None:
         raise NotDivisible(f"division by Phi_{{p^{i}}}: remainder is nonzero "
@@ -349,7 +350,7 @@ def exact_divide_by_phi(x, i, hatted=False):
     if not 1 <= i <= x.level:
         raise OutOfRange(f"need 1 <= i <= n, got i={i}, n={x.level}")
     return _element(x.p, x.level, x.precision,
-                    divide_by_phi(list(x.units), x.p, i, x.modulus, hatted))
+                    divide_by_phi(x.units, x.p, i, x.modulus, hatted))
 
 
 def vanishing_order(x, m):

@@ -247,12 +247,14 @@ def test_phi_divide_matches_the_list_division(modulus):
 def test_binomial_division_recomposes_with_a_trimmed_remainder(d):
     # the remainder, trimmed, is num mod X^d - 1 (its fold), and when it is
     # 0 the quotient times X^d - 1 gives num back, whether num is longer than
-    # the divisor (suffix sums) or not (the quotient is empty)
+    # the divisor (suffix sums) or not (the quotient is empty); the last
+    # numerator is (5 + X) X^d (X^d - 1)
     rng = random.Random(d)
     modulus = 27
+    q = [0] * d + [5, 1]
     for num in ([0] * (d + 1), [5] + [0] * d, [5] + [0] * (d + 3),
                 [0] * (d - 1), [], random_vector(rng, 3 * d + 1, modulus) + [0, 0],
-                [0] * d + [5, 1] + [0] * (d - 2) + [22, 26]):
+                [(a - b) % modulus for a, b in zip([0] * d + q, q + [0] * d)]):
         quot, rem = packed_divmod(num, d, modulus)
         assert rem == poly_trim(poly_fold(num, d, modulus)), num
         if rem:
@@ -563,3 +565,20 @@ def test_phi_division_at_moduli_of_64_bits(p, M):
                     == outcome(peel_oracle.divide_by_phi, units, p, i, modulus), (n, i)
             assert divide_by_phi(multiple + [0] * (size - len(multiple)), p, i, modulus) \
                 == cofactor + [0] * (len(phi) - 1)
+
+
+def test_phi_division_reads_its_units_up_to_reduction():
+    # divide_by_phi takes integers up to reduction mod m: negative and
+    # unreduced spellings of a multiple of Phi, and of a vector that Phi
+    # does not divide, give the outcome of their residues
+    rng = random.Random(7)
+    for p, i, modulus in ((3, 1, 27), (2, 3, 2 ** 63), (5, 2, 5 ** 27), (3, 2, 3 ** 41)):
+        size = p ** (i + 1)
+        phi = phi_list(p, i)
+        multiple = schoolbook_mul(phi, random_vector(rng, size - len(phi) + 1, modulus),
+                                  modulus)
+        for units in (multiple + [0] * (size - len(multiple)), random_vector(rng, size, modulus)):
+            spelled = [a + modulus * rng.randrange(-3, 4) for a in units]
+            assert outcome(divide_by_phi, spelled, p, i, modulus) \
+                == outcome(divide_by_phi, units, p, i, modulus), (p, i)
+        assert divide_by_phi([28, 1, 1], 3, 1, 27) == [1, 0, 0]
