@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic_ext import minimal_k
-from .errors import (ExcludedCase, InvalidParams, OutOfRange, SporadicCase,
-                     TieCase)
-from .padic_core import ExtRational, check_prime
-
-INF = ExtRational.infinity()
+from .errors import (ExcludedCase, InvalidParams, OutOfRange, SchemaError,
+                     SporadicCase, TieCase)
+from .padic_core import INF, ExtRational, check_prime
 
 SHARP, FLAT = "sharp", "flat"
 
@@ -59,7 +57,7 @@ class KuriharaParams:
 
     @classmethod
     def from_v(cls, p, v, v2=None):
-        v = v if isinstance(v, ExtRational) else ExtRational(v)
+        v = ExtRational(v)
         k = minimal_k(p, v)
         if v.is_infinite or v.value == 0:
             return cls(p=p, v=v, k=None, v2=INF if v.is_infinite else ExtRational(0),
@@ -67,7 +65,7 @@ class KuriharaParams:
         boundary = Fraction(1, 2 * p ** k)
         if v2 is None:
             v2 = ExtRational(2 * v.value)  # generic: no cancellation
-        v2 = v2 if isinstance(v2, ExtRational) else ExtRational(v2)
+        v2 = ExtRational(v2)
         if v.value != boundary:
             delta = Fraction(0)
         else:
@@ -89,7 +87,7 @@ def kurihara_general(n, p, params, star):
     if n < 1:
         raise InvalidParams("n must be >= 1")
     v = params.v
-    if not v.is_infinite and v.value == 0:
+    if v == 0:
         return ExtRational(0) if star == SHARP else ExtRational(p - 1)
     if v.is_infinite:
         # limit with k = 1 fixed: the k*v slope blows up off-parity
@@ -167,7 +165,7 @@ def rank_bound(p, mu_sharp, mu_flat, lambda_sharp, lambda_flat, v):
     taken.  p must be prime (InvalidParams otherwise).
     """
     check_prime(p)
-    v = v if isinstance(v, ExtRational) else ExtRational(v)
+    v = ExtRational(v)
     mu_sharp, mu_flat = Fraction(mu_sharp), Fraction(mu_flat)
     ns, nf, nts, ntf = nu_thresholds(p, lambda_sharp, lambda_flat)
     gap = abs(mu_sharp - mu_flat)
@@ -205,10 +203,10 @@ def rank_bound(p, mu_sharp, mu_flat, lambda_sharp, lambda_flat, v):
 
 def sporadic_check(p, k, v, v2, n, mu_sharp, mu_flat, lambda_sharp, lambda_flat):
     """The excluded parameter combinations where the comparison is undefined."""
-    v = v if isinstance(v, ExtRational) else ExtRational(v)
-    v2 = v2 if isinstance(v2, ExtRational) else ExtRational(v2)
+    v = ExtRational(v)
+    v2 = ExtRational(v2)
     mu_sharp, mu_flat = Fraction(mu_sharp), Fraction(mu_flat)
-    if not v.is_infinite and v.value == 0:
+    if v == 0:
         return mu_sharp == mu_flat and lambda_sharp == lambda_flat + p - 1
     if v.is_infinite or k is None:
         return False
@@ -227,10 +225,6 @@ def sporadic_check(p, k, v, v2, n, mu_sharp, mu_flat, lambda_sharp, lambda_flat)
 @dataclass(frozen=True)
 class ModestyDecision:
     star: str              # sharp | flat | tie | sporadic
-    sharp_score: ExtRational
-    flat_score: ExtRational
-    n: int
-    k_parity: int | None
 
 
 def modesty_choose(n, p, params, mu_sharp, mu_flat, lambda_sharp, lambda_flat):
@@ -244,7 +238,6 @@ def modesty_choose(n, p, params, mu_sharp, mu_flat, lambda_sharp, lambda_flat):
         + kurihara_general(n, p, params, SHARP)
     s_flat = ExtRational(phi * Fraction(mu_flat) + lambda_flat) \
         + kurihara_general(n, p, params, FLAT)
-    k_parity = params.k % 2 if params.k is not None else None
     if sporadic_check(p, params.k, params.v, params.v2, n,
                       mu_sharp, mu_flat, lambda_sharp, lambda_flat):
         star = "sporadic"
@@ -254,8 +247,7 @@ def modesty_choose(n, p, params, mu_sharp, mu_flat, lambda_sharp, lambda_flat):
         star = FLAT
     else:
         star = "tie"
-    return ModestyDecision(star=star, sharp_score=s_sharp, flat_score=s_flat,
-                           n=n, k_parity=k_parity)
+    return ModestyDecision(star=star)
 
 
 def elliptic_table_choose(v, n, mu_sharp, mu_flat, lambda_sharp, lambda_flat, p):
@@ -264,29 +256,24 @@ def elliptic_table_choose(v, n, mu_sharp, mu_flat, lambda_sharp, lambda_flat, p)
     Raises ExcludedCase on the v = 0 cell with equal mu and
     lambda_sharp = lambda_flat + p - 1.
     """
-    v = v if isinstance(v, ExtRational) else ExtRational(v)
+    v = ExtRational(v)
     mu_sharp, mu_flat = Fraction(mu_sharp), Fraction(mu_flat)
-    if v.is_infinite:
+    if v.is_infinite or (mu_sharp == mu_flat and v != 0):
         star = SHARP if n % 2 == 1 else FLAT
-        return ModestyDecision(star=star, sharp_score=INF, flat_score=INF,
-                               n=n, k_parity=None)
-    if mu_sharp < mu_flat:
-        star = SHARP
-    elif mu_flat < mu_sharp:
-        star = FLAT
-    elif v.value == 0:
+    elif mu_sharp != mu_flat:
+        star = SHARP if mu_sharp < mu_flat else FLAT
+    else:
         primed = lambda_flat + p - 1
-        if lambda_sharp < primed:
-            star = SHARP
-        elif lambda_sharp > primed:
-            star = FLAT
-        else:
+        if lambda_sharp == primed:
             raise ExcludedCase(
                 "equal mu with lambda_sharp = lambda_flat + p - 1 is excluded")
-    else:
-        star = SHARP if n % 2 == 1 else FLAT
-    return ModestyDecision(star=star, sharp_score=INF, flat_score=INF,
-                           n=n, k_parity=minimal_k(p, v))
+        star = SHARP if lambda_sharp < primed else FLAT
+    return ModestyDecision(star=star)
+
+
+# the fields sha_growth reads for each record kind, beyond kind and r_infinity
+_SLOPE_FIELDS = ("mu_sharp", "mu_flat", "lambda_sharp", "lambda_flat", "v")
+_KIND_FIELDS = {"ordinary": ("mu", "lam"), "form": _SLOPE_FIELDS, "elliptic": _SLOPE_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -296,7 +283,8 @@ class ShaRecord:
     kind 'ordinary' uses (mu, lam) of the single unit-root series with no
     Kurihara term; 'form' uses the sharp/flat pairs with the generalized
     terms and the comparison rule; 'elliptic' uses the decision table
-    with min(1, v) times the plain terms.
+    with min(1, v) times the plain terms.  An unknown kind, or a field
+    that the kind reads left as None, raises SchemaError.
     """
 
     kind: str                      # ordinary | form | elliptic
@@ -310,6 +298,14 @@ class ShaRecord:
     v: ExtRational | None = None
     v2: ExtRational | None = None
     label: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
+            raise SchemaError(f"field 'kind' must be ordinary, form or elliptic, "
+                              f"got {self.kind!r}")
+        for key in _KIND_FIELDS[self.kind]:
+            if getattr(self, key) is None:
+                raise SchemaError(f"a {self.kind} record needs key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -342,9 +338,8 @@ def sha_growth(n_range, records, p):
                 decision = elliptic_table_choose(rec.v, n, rec.mu_sharp, rec.mu_flat,
                                                  rec.lambda_sharp, rec.lambda_flat, p)
                 star = decision.star
-                v = rec.v if isinstance(rec.v, ExtRational) else ExtRational(rec.v)
-                scale = 1 if (v.is_infinite or v.value >= 1) else v.value
-                q = scale * kurihara_simple(n, p, star) if scale else 0
+                scale = min(ExtRational(rec.v), ExtRational(1)).value
+                q = scale * kurihara_simple(n, p, star)
                 mu = rec.mu_sharp if star == SHARP else rec.mu_flat
                 lam = rec.lambda_sharp if star == SHARP else rec.lambda_flat
                 total += Fraction(mu) * phi + lam + q - rec.r_infinity
@@ -354,8 +349,7 @@ def sha_growth(n_range, records, p):
             decision = modesty_choose(n, p, params, rec.mu_sharp, rec.mu_flat,
                                       rec.lambda_sharp, rec.lambda_flat)
             if decision.star == "sporadic":
-                if not params.v.is_infinite and params.v.value == 0 \
-                        and rec.mu is not None and rec.lam is not None:
+                if params.v == 0 and rec.mu is not None and rec.lam is not None:
                     # ordinary-theory fallback for the v = 0 coincidence
                     total += Fraction(rec.mu) * phi + rec.lam - rec.r_infinity
                     stars.append("natural")
@@ -386,7 +380,7 @@ def modesty_map(p, v_values, mu_gaps, lambda_sharp, lambda_flat,
     check_prime(p)
     records = []
     for v in v_values:
-        v = v if isinstance(v, ExtRational) else ExtRational(v)
+        v = ExtRational(v)
         params = KuriharaParams.from_v(p, v)
         k = params.k or 1
         for gap in mu_gaps:

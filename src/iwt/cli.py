@@ -92,12 +92,6 @@ def _parse_ext(text, name):
     return ExtRational(_fraction(text, name))
 
 
-def _kind(value, name):
-    if value not in ("ordinary", "form", "elliptic"):
-        raise SchemaError(f"field {name!r} must be ordinary, form or elliptic, got {value!r}")
-    return value
-
-
 def _read_fields(doc, readers, required):
     """{field: reader(value, field)} for the fields of `doc` that `readers` knows."""
     if not isinstance(doc, dict):
@@ -110,13 +104,11 @@ def _read_fields(doc, readers, required):
 
 _RANK_FIELDS = {"p": _int_field, "mu_sharp": _fraction, "mu_flat": _fraction,
                 "lambda_sharp": _int_field, "lambda_flat": _int_field, "v": _parse_ext}
-_RECORD_FIELDS = {"kind": _kind, "r_infinity": _int_field, "mu": _fraction, "lam": _int_field,
-                  "mu_sharp": _fraction, "mu_flat": _fraction, "lambda_sharp": _int_field,
+_RECORD_FIELDS = {"kind": lambda value, name: value, "r_infinity": _int_field,
+                  "mu": _fraction, "lam": _int_field, "mu_sharp": _fraction,
+                  "mu_flat": _fraction, "lambda_sharp": _int_field,
                   "lambda_flat": _int_field, "v": _parse_ext, "v2": _parse_ext,
                   "label": lambda value, name: str(value)}
-# the fields sha_growth reads for each record kind, beyond kind and r_infinity
-_SLOPE_FIELDS = ("mu_sharp", "mu_flat", "lambda_sharp", "lambda_flat", "v")
-_KIND_FIELDS = {"ordinary": ("mu", "lam"), "form": _SLOPE_FIELDS, "elliptic": _SLOPE_FIELDS}
 
 
 def _precision(args, level):
@@ -223,11 +215,10 @@ def cmd_rank_bound(args):
 
 def _sha_record(entry, index):
     fields = _read_fields(entry, _RECORD_FIELDS, ("kind", "r_infinity"))
-    for key in _KIND_FIELDS[fields["kind"]]:
-        if key not in fields:
-            raise SchemaError(f"record {fields.get('label') or index}: a {fields['kind']} "
-                              f"record needs key {key!r}")
-    return ShaRecord(**fields)
+    try:
+        return ShaRecord(**fields)
+    except SchemaError as exc:
+        raise SchemaError(f"record {fields.get('label') or index}: {exc}") from None
 
 
 def cmd_sha_growth(args):

@@ -4,7 +4,10 @@ Elements of Z_p are stored as a residue modulo p^M together with the
 precision M.  All operations are exact modulo p^M; nothing here ever
 rounds.  The module also provides the Teichmuller lift, the cyclotomic
 discrete logarithm with respect to gamma = 1 + 2p, extended rationals
-(Q together with infinity) and 2x2 min-plus matrices of them.
+(Q together with infinity, INF) and 2x2 min-plus matrices of them.
+Extended rationals are totally ordered with INF above every rational, so
+builtin `min` is the min-plus sum; ExtRational(x) of an ExtRational x
+equals x, and INF - INF raises OutOfRange like any other x - INF.
 
 Precision conventions (uniform across the package):
 
@@ -18,7 +21,7 @@ Precision conventions (uniform across the package):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .errors import (InvalidParams, MixedPrime, NotAUnit, NotCoprime, OutOfRange,
                      SchemaError, ZeroInput)
@@ -238,13 +241,21 @@ def log_gamma(a, p, big_n):
 # Extended rationals and min-plus matrices
 # ---------------------------------------------------------------------------
 
+@total_ordering
 class ExtRational:
-    """A rational number or +infinity, closed under + and min."""
+    """A rational number or +infinity, closed under + and min.
+
+    The order is total, with infinity above every rational, so builtin
+    `min` and `max` apply.  The constructor takes an int, a Fraction, None
+    (infinity) or an ExtRational, which it takes as it is.  infinity -
+    infinity is undefined and raises OutOfRange, as finite - infinity does.
+    """
 
     __slots__ = ("value",)
 
     def __init__(self, value=None):
-        # value None encodes infinity
+        if isinstance(value, ExtRational):
+            value = value.value
         self.value = None if value is None else Fraction(value)
 
     @classmethod
@@ -263,6 +274,9 @@ class ExtRational:
             return ExtRational(other)
         return None
 
+    def _key(self):
+        return (True, 0) if self.value is None else (False, self.value)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -277,10 +291,10 @@ class ExtRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_infinite:
-            return ExtRational.infinity()
         if other.is_infinite:
             raise OutOfRange("ExtRational subtraction: cannot subtract infinity")
+        if self.is_infinite:
+            return ExtRational.infinity()
         return ExtRational(self.value - other.value)
 
     def __mul__(self, other):
@@ -295,30 +309,11 @@ class ExtRational:
 
     __rmul__ = __mul__
 
-    def _cmp_key(self, other):
+    def __lt__(self, other):
         other = self._coerce(other)
         if other is None:
-            raise TypeError("cannot compare")
-        a = self.value if not self.is_infinite else None
-        b = other.value if not other.is_infinite else None
-        return a, b
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a < b
-
-    def __le__(self, other):
-        return self < other or self == other
-
-    def __gt__(self, other):
-        return not (self <= other)
-
-    def __ge__(self, other):
-        return not (self < other)
+            return NotImplemented
+        return self._key() < other._key()
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -336,24 +331,13 @@ class ExtRational:
 INF = ExtRational.infinity()
 
 
-def ext_min(*values):
-    values = [v if isinstance(v, ExtRational) else ExtRational(v) for v in values]
-    out = values[0]
-    for v in values[1:]:
-        if v < out:
-            out = v
-    return out
-
-
 class ValMatrix:
     """A 2x2 matrix of extended rationals under min-plus multiplication."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        rows = []
-        for row in entries:
-            rows.append(tuple(v if isinstance(v, ExtRational) else ExtRational(v) for v in row))
+        rows = [tuple(ExtRational(v) for v in row) for row in entries]
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise SchemaError(f"ValMatrix must be 2x2, got rows of lengths "
                               f"{[len(r) for r in rows]}")
@@ -361,11 +345,7 @@ class ValMatrix:
 
     @classmethod
     def tropical_identity(cls):
-        return cls([[ExtRational(0), INF], [INF, ExtRational(0)]])
-
-    def val(self):
-        """Minimum of the four entries."""
-        return ext_min(*(e for row in self.entries for e in row))
+        return cls([[0, INF], [INF, 0]])
 
     def __matmul__(self, other):
         if not isinstance(other, ValMatrix):
@@ -386,11 +366,5 @@ class ValMatrix:
 
 def tropical_mul(a, b):
     """(i,k) entry is min_j (a[i][j] + b[j][k])."""
-    out = []
-    for i in range(2):
-        row = []
-        for k in range(2):
-            row.append(ext_min(a.entries[i][0] + b.entries[0][k],
-                               a.entries[i][1] + b.entries[1][k]))
-        out.append(row)
-    return ValMatrix(out)
+    return ValMatrix([[min(a.entries[i][j] + b.entries[j][k] for j in range(2))
+                       for k in range(2)] for i in range(2)])

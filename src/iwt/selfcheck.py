@@ -20,14 +20,13 @@ from .iwasawa_algebra import (FormParams, LambdaElement, cyclotomic_phi,
                               substitute_inverse, vanishing_order)
 from .logmatrix import det_identity_check, functional_equation_check, half_logs
 from .mazur_tate import synthesize_queue, validate_queue
-from .padic_core import (ExtRational, PadicInt, ValMatrix, log_gamma,
+from .padic_core import (INF, ExtRational, PadicInt, ValMatrix, log_gamma,
                          teichmuller, tropical_mul)
 from .sharp_flat import decompose, recompose
 
 
 def _checks():
     F = Fraction
-    INF = ExtRational.infinity()
 
     def padic_arith():
         x = PadicInt(3, 5, 4) * PadicInt(3, 2, 4)
@@ -137,7 +136,7 @@ def _checks():
 
     def modesty_values():
         k0 = KuriharaParams.from_v(3, 0)
-        kinf = KuriharaParams.from_v(3, ExtRational.infinity())
+        kinf = KuriharaParams.from_v(3, INF)
         stars = [modesty_choose(n, 3, kinf, 0, 0, 1, 1).star for n in (1, 2)]
         return (modesty_choose(4, 3, k0, 0, 1, 2, 2).star == "sharp"
                 and stars == ["sharp", "flat"])

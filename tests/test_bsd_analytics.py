@@ -8,8 +8,8 @@ from iwt.bsd_analytics import (SHARP, FLAT, KuriharaParams, ShaRecord,
                                kurihara_simple, modesty_choose, modesty_map,
                                nu_thresholds, rank_bound, sha_growth,
                                sporadic_check)
-from iwt.errors import (ExcludedCase, InvalidParams, OutOfRange, SporadicCase,
-                        TieCase)
+from iwt.errors import (ExcludedCase, InvalidParams, OutOfRange, SchemaError,
+                        SporadicCase, TieCase)
 from iwt.padic_core import ExtRational
 
 F = Fraction
@@ -307,6 +307,24 @@ def test_sha_growth_surfaces_ties_and_sporadic():
                          mu=F(0), lam=4)
     report = sha_growth([3], [fallback], 3)
     assert report.choices[3] == ("natural",) and report.increments[3] == 4
+
+
+SLOPES = dict(r_infinity=0, mu_sharp=F(0), mu_flat=F(0), lambda_sharp=1, lambda_flat=2)
+
+
+@pytest.mark.parametrize("fields, key", [
+    (dict(SLOPES, kind="bogus"), "kind"),
+    (dict(SLOPES, kind=["form"], v=INF), "kind"),
+    (dict(SLOPES, kind="form"), "v"),
+    (dict(kind="ordinary", r_infinity=0, lam=1), "mu"),
+    (dict(kind="ordinary", r_infinity=0, mu=F(0)), "lam"),
+    (dict(SLOPES, kind="elliptic", mu_sharp=None, v=ExtRational(1)), "mu_sharp"),
+])
+def test_a_record_its_kind_cannot_read_is_a_schema_error(fields, key):
+    # a bad kind or a missing v was once read as v = oo, and a missing
+    # mu or mu_sharp raised a bare TypeError inside sha_growth
+    with pytest.raises(SchemaError, match=repr(key)):
+        ShaRecord(**fields)
 
 
 def test_modesty_map_alternates_with_k_at_zero_gap():

@@ -2,9 +2,10 @@
 
 Every imported name is used, no module imports a `_`-prefixed name from
 `polyops`, no module raises the base class IwtError, every private
-module-level function is read somewhere in the package, and every public
+module-level function is read somewhere in the package, every public
 module-level function and class is read somewhere in the package, the
-tests, the benchmark or the scripts.
+tests, the benchmark or the scripts, and so is every public method of a
+package class, as an attribute.
 """
 
 import ast
@@ -85,6 +86,36 @@ def test_no_unread_public_definitions():
     read = set().union(*(names_read(path.read_text()) for path in CALLERS))
     defined = set().union(*(public_definitions(module.read_text()) for module in MODULES))
     assert sorted(defined - read) == []
+
+
+def public_methods(source):
+    """(class, method) for the functions without `_` that the module's
+    top-level classes define; dunders start with `_` and are exempt."""
+    return {(node.name, item.name) for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def attributes_read(source):
+    """Every name the module reads as an attribute: `x.name`, not bare `name`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_checker_finds_an_unread_method():
+    # a bare name `val` elsewhere does not count as reading the method
+    source = ("class M:\n    def val(self):\n        pass\n\n"
+              "    def used(self):\n        pass\n\n"
+              "    def __eq__(self, other):\n        pass\n\n"
+              "def f(m):\n    val = m.used()\n    return val\n")
+    assert {method for _, method in public_methods(source)
+            if method not in attributes_read(source)} == {"val"}
+
+
+def test_no_unread_public_methods():
+    read = set().union(*(attributes_read(path.read_text()) for path in CALLERS))
+    methods = set().union(*(public_methods(module.read_text()) for module in MODULES))
+    assert sorted(f"{cls}.{name}" for cls, name in methods if name not in read) == []
 
 
 def private_imports(source, module):

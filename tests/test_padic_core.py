@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from iwt.errors import (MixedPrime, NotAUnit, NotCoprime, OutOfRange,
                         SchemaError, ZeroInput)
 from iwt.padic_core import (ExtRational, PadicInt, ValMatrix, _log_gamma_table,
-                            ext_min, log_gamma, padic_from_rational,
-                            teichmuller, tropical_mul)
+                            log_gamma, padic_from_rational, teichmuller,
+                            tropical_mul)
 
 INF = ExtRational.infinity()
 
@@ -133,7 +133,7 @@ def test_padic_from_rational():
 def test_ext_rational_absorbs_infinity():
     x = ExtRational(Fraction(1, 2))
     assert (x + INF).is_infinite
-    assert ext_min(x, INF) == x
+    assert min(x, INF) == x
     assert INF >= x and not INF < INF
 
 
@@ -197,6 +197,18 @@ def test_tropical_lower_bound_for_integer_matrices():
 def test_finite_minus_infinity_is_out_of_range():
     with pytest.raises(OutOfRange, match="subtract"):
         ExtRational(3) - INF
+
+
+def test_infinity_minus_infinity_is_out_of_range():
+    with pytest.raises(OutOfRange, match="subtract"):
+        INF - INF
+    with pytest.raises(OutOfRange, match="subtract"):
+        ExtRational.infinity() - ExtRational(None)
+
+
+def test_an_ext_rational_argument_is_taken_as_it_is():
+    for x in (ExtRational(Fraction(-2, 3)), ExtRational(0), INF):
+        assert ExtRational(x) == x and ExtRational(x).value == x.value
 
 
 def test_zero_times_infinity_is_a_zero_input():
