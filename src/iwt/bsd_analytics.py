@@ -87,7 +87,7 @@ def kurihara_general(n, p, params, star):
     if n < 1:
         raise InvalidParams("n must be >= 1")
     v = params.v
-    if v == 0:
+    if v.value == 0:
         return ExtRational(0) if star == SHARP else ExtRational(p - 1)
     if v.is_infinite:
         # limit with k = 1 fixed: the k*v slope blows up off-parity
@@ -206,7 +206,7 @@ def sporadic_check(p, k, v, v2, n, mu_sharp, mu_flat, lambda_sharp, lambda_flat)
     v = ExtRational(v)
     v2 = ExtRational(v2)
     mu_sharp, mu_flat = Fraction(mu_sharp), Fraction(mu_flat)
-    if v == 0:
+    if v.value == 0:
         return mu_sharp == mu_flat and lambda_sharp == lambda_flat + p - 1
     if v.is_infinite or k is None:
         return False
@@ -258,7 +258,7 @@ def elliptic_table_choose(v, n, mu_sharp, mu_flat, lambda_sharp, lambda_flat, p)
     """
     v = ExtRational(v)
     mu_sharp, mu_flat = Fraction(mu_sharp), Fraction(mu_flat)
-    if v.is_infinite or (mu_sharp == mu_flat and v != 0):
+    if v.is_infinite or (mu_sharp == mu_flat and v.value != 0):
         star = SHARP if n % 2 == 1 else FLAT
     elif mu_sharp != mu_flat:
         star = SHARP if mu_sharp < mu_flat else FLAT
@@ -349,7 +349,7 @@ def sha_growth(n_range, records, p):
             decision = modesty_choose(n, p, params, rec.mu_sharp, rec.mu_flat,
                                       rec.lambda_sharp, rec.lambda_flat)
             if decision.star == "sporadic":
-                if params.v == 0 and rec.mu is not None and rec.lam is not None:
+                if params.v.value == 0 and rec.mu is not None and rec.lam is not None:
                     # ordinary-theory fallback for the v = 0 coincidence
                     total += Fraction(rec.mu) * phi + rec.lam - rec.r_infinity
                     stars.append("natural")

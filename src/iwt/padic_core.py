@@ -7,7 +7,7 @@ discrete logarithm with respect to gamma = 1 + 2p, extended rationals
 (Q together with infinity, INF) and 2x2 min-plus matrices of them.
 Extended rationals are totally ordered with INF above every rational, so
 builtin `min` is the min-plus sum; ExtRational(x) of an ExtRational x
-equals x, and INF - INF raises OutOfRange like any other x - INF.
+is x, and INF - INF raises OutOfRange like any other x - INF.
 
 Precision conventions (uniform across the package):
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from math import inf
 
 from .errors import (InvalidParams, MixedPrime, NotAUnit, NotCoprime, OutOfRange,
                      SchemaError, ZeroInput)
@@ -247,16 +248,18 @@ class ExtRational:
 
     The order is total, with infinity above every rational, so builtin
     `min` and `max` apply.  The constructor takes an int, a Fraction, None
-    (infinity) or an ExtRational, which it takes as it is.  infinity -
+    (infinity) or an ExtRational, which it returns as it is.  infinity -
     infinity is undefined and raises OutOfRange, as finite - infinity does.
     """
 
     __slots__ = ("value",)
 
-    def __init__(self, value=None):
+    def __new__(cls, value=None):
         if isinstance(value, ExtRational):
-            value = value.value
+            return value
+        self = object.__new__(cls)
         self.value = None if value is None else Fraction(value)
+        return self
 
     @classmethod
     def infinity(cls):
@@ -268,14 +271,10 @@ class ExtRational:
 
     @staticmethod
     def _coerce(other):
-        if isinstance(other, ExtRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtRational(other)
-        return None
+        return ExtRational(other) if isinstance(other, (ExtRational, int, Fraction)) else None
 
     def _key(self):
-        return (True, 0) if self.value is None else (False, self.value)
+        return inf if self.value is None else self.value
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -346,11 +345,6 @@ class ValMatrix:
     @classmethod
     def tropical_identity(cls):
         return cls([[0, INF], [INF, 0]])
-
-    def __matmul__(self, other):
-        if not isinstance(other, ValMatrix):
-            return NotImplemented
-        return tropical_mul(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, ValMatrix):
