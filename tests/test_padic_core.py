@@ -206,6 +206,14 @@ def test_infinity_minus_infinity_is_out_of_range():
         ExtRational.infinity() - ExtRational(None)
 
 
+def test_an_uncoercible_operand_is_not_implemented():
+    x = ExtRational(1)
+    assert x.__lt__("1") is NotImplemented and x.__eq__(1.5) is NotImplemented
+    assert x != "1"
+    with pytest.raises(TypeError):
+        x < "1"
+
+
 def test_an_ext_rational_argument_is_taken_as_it_is():
     for x in (ExtRational(Fraction(-2, 3)), ExtRational(0), INF):
         assert ExtRational(x) is x
