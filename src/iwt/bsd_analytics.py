@@ -254,9 +254,11 @@ def elliptic_table_choose(v, n, mu_sharp, mu_flat, lambda_sharp, lambda_flat, p)
     """The elliptic-curve decision table (v quantized to {0, 1, oo} cases).
 
     Raises ExcludedCase on the v = 0 cell with equal mu and
-    lambda_sharp = lambda_flat + p - 1.
+    lambda_sharp = lambda_flat + p - 1, and OutOfRange for a finite v < 0.
     """
     v = ExtRational(v)
+    if v < 0:
+        raise OutOfRange(f"elliptic_table_choose: valuation must be >= 0, got {v}")
     mu_sharp, mu_flat = Fraction(mu_sharp), Fraction(mu_flat)
     if v.is_infinite or (mu_sharp == mu_flat and v.value != 0):
         star = SHARP if n % 2 == 1 else FLAT

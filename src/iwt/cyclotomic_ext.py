@@ -269,10 +269,11 @@ def h_matrix_valuations(a, m, j, eps_p=1):
 
 def minimal_k(p, v):
     """Smallest k >= 1 with v >= p^(-k)/2; None for v in {0, infinity}."""
-    v = ExtRational(v)
-    if v.is_infinite:
-        return None
-    v = v.value
+    if isinstance(v, ExtRational):
+        if v.is_infinite:
+            return None
+        v = v.value
+    v = Fraction(v)
     if v < 0:
         raise OutOfRange(f"minimal_k: valuation must be >= 0, got {v}")
     if v == 0:

@@ -233,6 +233,17 @@ def test_elliptic_table_cells():
     assert elliptic_table_choose(1, 4, 0, 0, 1, 1, 3).star == FLAT
 
 
+@pytest.mark.parametrize("kind", ["elliptic", "form"])
+def test_a_negative_valuation_is_out_of_range(kind):
+    # every cell of the elliptic table rejects v < 0, as the form path does
+    for mu_sharp in (F(0), F(1)):
+        with pytest.raises(OutOfRange, match="valuation must be >= 0"):
+            elliptic_table_choose(ExtRational(-1), 3, mu_sharp, 0, 1, 5, 3)
+    record = ShaRecord(**dict(SLOPES, kind=kind, v=ExtRational(-1)))
+    with pytest.raises(OutOfRange, match="valuation must be >= 0"):
+        sha_growth(range(2, 5), [record], 3)
+
+
 def test_table_agrees_with_modesty_on_the_common_grid():
     # wherever the comparison is decisive and the table cell is defined,
     # the two rules agree: p in {2,3,5}, n <= 6, small mu gaps, v in {0,1,oo}.

@@ -332,6 +332,18 @@ def test_malformed_records_file_is_a_schema_error(tmp_path, capsys, records, fie
     assert field is None or repr(field) in report["message"]
 
 
+@pytest.mark.parametrize("kind", ["elliptic", "form"])
+def test_a_record_with_negative_v_is_out_of_range(tmp_path, capsys, kind):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([dict(RECORD, kind=kind, v="-1")]))
+    assert run(["sha-growth", "--records", path, "--p", 3, "--n-from", 2,
+                "--n-to", 6, "--out", tmp_path]) == 1
+    report = last_error(capsys)
+    assert report["error"] == "OutOfRange"
+    assert "valuation must be >= 0" in report["message"]
+    assert not (tmp_path / "sha_growth.json").exists()
+
+
 def test_incomplete_record_error_names_the_record(tmp_path, capsys):
     form = {"kind": "form", "r_infinity": 0, "mu_sharp": "0", "mu_flat": "0",
             "lambda_sharp": 1, "lambda_flat": 1, "v": "inf"}
